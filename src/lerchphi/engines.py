@@ -24,9 +24,9 @@ from ._types import EngineReport, LerchPoint
 from .coefficients import (csc_coefficients, csc_coefficients_subtracted,
                            log_power_coefficients)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (gamma, gamma_star, hurwitz_zeta, log_gamma,
-                             log_neg_z, reciprocal_gamma, signed_pi,
-                             upper_incomplete_gamma)
+from .special_kernel import (gamma, gamma_star, hurwitz_zeta_block,
+                             log_gamma, log_neg_z, reciprocal_gamma,
+                             signed_pi, upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
 # past this |Re w| the incomplete-gamma factors are carried in log space
@@ -37,6 +37,10 @@ _DIRECT_CAP = 10 ** 6
 # cancellation between the pieces.  On the 96 near-one points of the
 # benchmark's ring pool the worst needed 1.05e-14; this keeps 4x room.
 _NEAR_ONE_ROUNDING = 4e-14
+# zeta(s - n, a) values the near-one sum asks the kernel for at once: the
+# ones on the integral route share a quadrature pass, and a sum that
+# stops mid-block wastes at most the rest of that block
+_ZETA_BLOCK = 16
 _M_TABLE_CAP = 200
 
 
@@ -166,8 +170,12 @@ def eval_near_one(p, n_max=60):
     lp = 1.0 + 0.0j  # (ln z)^n / n!
     n = 0
     largest = abs(sing)
+    zetas = []
     while True:
-        term = hurwitz_zeta(s - n, a) * lp
+        if n == len(zetas):
+            zetas += hurwitz_zeta_block(s - n, a, min(_ZETA_BLOCK,
+                                                      n_max + 1 - n))
+        term = zetas[n] * lp
         acc += term
         largest = max(largest, abs(term))
         if n and abs(term) <= 1e-16 * abs(acc):

@@ -151,22 +151,35 @@ def _cut_limit(p):
     return ReferenceValue(value, err_bar, "hp_continuation")
 
 
+def _refuse_continuation(p):
+    # mpmath's lerchphi is wrong for complex a at |z| > e: against
+    # quadrature it was off at about a quarter of such points, by O(1) at
+    # some, with its two precisions still agreeing, so the spread bar
+    # does not show it
+    if p.a.imag != 0.0 and abs(p.z) > math.e:
+        raise DomainError("no trusted reference: mpmath's continuation is "
+                          "unreliable for complex a at |z| > e")
+
+
 def reference_value(p):
     """Best available reference for the point.
 
     Routing: the defining series inside |z| <= 0.95; the one-sided
     Richardson limit on the cut; otherwise quadrature where the integral
     representation is comfortable (Re s > 0, Re a > 0, z not hugging
-    [1, inf)), falling through to mpmath's continuation.
+    [1, inf)), falling through to mpmath's continuation.  The two mpmath
+    routes are refused (DomainError) for complex a at |z| > e.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= _SERIES_RADIUS:
         return hp_series(z, s, a)
     if p.on_cut:
+        _refuse_continuation(p)
         return _cut_limit(p)
     if s.real > 0.05 and a.real > 0.0 and _cut_distance(z) > 0.05 * abs(z):
         try:
             return quad_integral(z, s, a)
         except (AccuracyError, DomainError):
             pass
+    _refuse_continuation(p)
     return hp_continuation(z, s, a)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._quadrature import tanh_sinh
+from ._quadrature import tanh_sinh_vector
 from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "reciprocal_gamma",
     "digamma",
     "hurwitz_zeta",
+    "hurwitz_zeta_block",
     "upper_incomplete_gamma",
     "gamma_star",
     "gauss_2f1_unit_b",
@@ -225,37 +226,54 @@ def _zeta_euler_maclaurin(s, a):
     return value
 
 
-def _zeta_hermite(s, a, cfg):
-    # Real-integral route: zeta(s,a) = a^{-s}/2 + a^{1-s}/(s-1)
-    #   + 2 * int_0^oo sin(s atan(t/a)) / ((a^2+t^2)^{s/2} (e^{2 pi t}-1)) dt.
+def _zeta_hermite(shifts, a, cfg):
+    # zeta(v, a) for each v in shifts from Hermite's real integral
+    #   zeta(s,a) = a^{-s}/2 + a^{1-s}/(s-1)
+    #     + 2 * int_0^oo sin(s atan(t/a)) / ((a^2+t^2)^{s/2} (e^{2 pi t}-1)) dt.
     # Valid for Re a > 0; used for Re s < -0.5 where the Euler-Maclaurin
     # route cancels catastrophically in doubles.  Its own conditioning is
     # e^{pi |Im s| / 2} (the sin factor outgrows the result), independent
-    # of Re s.
-    head = 0.0j
+    # of Re s.  a is first stepped into 0.5 < Re a <= 1.5 with
+    # zeta(s, a) = a^{-s} + zeta(s, a+1): for Re s << 0 and Re a below
+    # about |Re s| the integral and a^{-s} (1/2 + a/(s-1)) cancel like
+    # |a|^{-Re s} / |zeta|, while the step terms carry the size of zeta
+    # without that loss (past |Re s| there is little to gain, and the
+    # steps would cost one exp each).  The values share the nodes and, at
+    # each node, atan, log and expm1; each v then costs one sin and one
+    # exp, the arithmetic of a single value.
+    count = len(shifts)
+    sigma = max(abs(v.real) for v in shifts)
+    heads = [0.0j] * count
     while a.real <= 0.5:
-        head += cmath.exp(-s * cmath.log(a))
+        heads = [h + p for h, p in zip(heads, _neg_powers(a, shifts))]
         a += 1.0
-    sigma = abs(s.real)
+    while 1.5 < a.real <= 1.0 + sigma:
+        a -= 1.0
+        heads = [h - p for h, p in zip(heads, _neg_powers(a, shifts))]
     t_max = max(12.0, 6.0 + 1.1 * sigma)
-    half_s = 0.5 * s
+    exponents = [(v, -0.5 * v) for v in shifts]
 
     def integrand(t):
         ang = cmath.atan(t / a)
-        return (cmath.sin(s * ang)
-                * cmath.exp(-half_s * cmath.log(a * a + t * t))
-                / math.expm1(2.0 * math.pi * t))
+        ln_r2 = cmath.log(a * a + t * t)
+        inv = 1.0 / math.expm1(2.0 * math.pi * t)
+        return [cmath.sin(v * ang) * cmath.exp(e * ln_r2) * inv
+                for v, e in exponents]
 
     edges = [0.0, 2.0]
     while edges[-1] < t_max:
         edges.append(min(4.0 * edges[-1], t_max))
-    integral = 0.0j
-    for lo, hi in zip(edges, edges[1:]):
-        v, _ = tanh_sinh(integrand, lo, hi, rel_tol=cfg.zeta_quad_rel_tol,
-                         max_level=9)
-        integral += v
-    return (head + cmath.exp(-s * cmath.log(a)) * (0.5 + a / (s - 1.0))
-            + 2.0 * integral)
+    integrals = tanh_sinh_vector(integrand, edges, count,
+                                 rel_tol=cfg.zeta_quad_rel_tol, max_level=9)
+    return [h + p * (0.5 + a / (v - 1.0)) + 2.0 * i
+            for h, p, v, i in zip(heads, _neg_powers(a, shifts), shifts,
+                                  integrals)]
+
+
+def _neg_powers(a, shifts):
+    # a^(-v) for each v in shifts
+    ln_a = cmath.log(a)
+    return [cmath.exp(-v * ln_a) for v in shifts]
 
 
 def _em_cancellation_exponent(s, a):
@@ -270,31 +288,49 @@ def _em_cancellation_exponent(s, a):
     return max(0.0, (1.0 - s.real) * math.log(big_a) - ln_zeta)
 
 
+def _zeta_by_integral(s, a):
+    # Route choice for one zeta(s, a); see hurwitz_zeta.
+    if s.real >= -0.5:
+        return False
+    if abs(s.imag) <= 8.0:
+        return True
+    return _em_cancellation_exponent(s, a) >= 0.5 * math.pi * abs(s.imag)
+
+
 def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
     """Hurwitz zeta, analytic continuation in s, for a off {0, -1, -2, ...}.
 
     Euler-Maclaurin for Re s >= -0.5; the real-integral representation for
-    Re s < -0.5 (after shifting a into Re a > 1/2).  In the corner
+    Re s < -0.5 (after stepping a by integers into 0.5 < Re a <= 1.5, or
+    only past Re a > 1/2 once Re a exceeds 1 + |Re s|).  In the corner
     Re s < -0.5 with |Im s| > ~8 both routes lose digits in doubles
     (integral route like e^{pi |Im s|/2}, Euler-Maclaurin like
     A^{1-Re s}/|zeta|); the one with the smaller predicted loss is used
     and the documented 1e-11 relative contract holds for |s| <= 30 with
     Re s >= -0.5 or |Im s| <= 8.
     """
+    return hurwitz_zeta_block(s, a, 1, cfg)[0]
+
+
+def hurwitz_zeta_block(s, a, count, cfg=DEFAULT_CONFIG):
+    """[zeta(s - n, a) for n in range(count)], each on hurwitz_zeta's route.
+
+    The values on the integral route share one quadrature pass.
+    """
     sc = complex(s)
     ac = complex(a)
-    if sc == 1.0:
+    shifts = [sc - n for n in range(count)]
+    if 1.0 in shifts:
         raise PoleError("hurwitz_zeta pole at s = 1", pole=1)
     if _nonpositive_integer(ac) is not None:
         raise DomainError(f"hurwitz_zeta needs a off the non-positive "
                           f"integers, got a = {a}")
-    if sc.real >= -0.5:
-        return _zeta_euler_maclaurin(sc, ac)
-    if abs(sc.imag) <= 8.0:
-        return _zeta_hermite(sc, ac, cfg)
-    if _em_cancellation_exponent(sc, ac) < 0.5 * math.pi * abs(sc.imag):
-        return _zeta_euler_maclaurin(sc, ac)
-    return _zeta_hermite(sc, ac, cfg)
+    routes = [_zeta_by_integral(v, ac) for v in shifts]
+    on_integral = [v for v, q in zip(shifts, routes) if q]
+    by_integral = iter(_zeta_hermite(on_integral, ac, cfg)
+                       if on_integral else ())
+    return [next(by_integral) if q else _zeta_euler_maclaurin(v, ac)
+            for v, q in zip(shifts, routes)]
 
 
 # ---------------------------------------------------------------------------

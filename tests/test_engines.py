@@ -187,6 +187,30 @@ def test_near_one_estimate_is_honest():
         assert rep.abs_err_estimate <= 1e-12 * abs(want), z
 
 
+def test_near_one_estimate_is_honest_on_random_points():
+    # seeded points of the band 0.9 < |z| < e off the positive axis, with
+    # complex a and |Im s| <= 3; mpmath's lerchphi at 30 and 45 digits is
+    # the reference, and the two must agree before it judges anything
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(math.log(0.9), 1.0)),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        s = complex(rng.uniform(0.1, 6.0), rng.uniform(-3.0, 3.0))
+        a = complex(rng.uniform(0.1, 4.0), rng.uniform(-1.0, 1.0))
+        return z, s, a
+
+    for z, s, a in sample(120, 12, draw):
+        rep = eval_near_one(LerchPoint(z, s, a))
+        refs = []
+        for dps in (30, 45):
+            with mp.workdps(dps):
+                refs.append(mp.lerchphi(mp.mpc(z), mp.mpc(s), mp.mpc(a)))
+        with mp.workdps(45):
+            assert abs(refs[0] - refs[1]) <= 1e-25 * abs(refs[1]), z
+        want = complex(refs[1])
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (z, s, a)
+        assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(want)), z
+
+
 def test_near_one_refusals():
     for s in (1.0, 2.0, 5.0):
         with pytest.raises(DomainError):

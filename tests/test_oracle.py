@@ -5,6 +5,7 @@ import math
 import pytest
 
 from lerchphi._types import LerchPoint
+from lerchphi.engines import eval_symmetric_igamma
 from lerchphi.errors import DomainError
 from lerchphi.oracle import (
     ReferenceValue,
@@ -94,6 +95,25 @@ def test_reference_routing():
         LerchPoint(-10, -0.5, 0.3)).method == "hp_continuation"
     assert reference_value(
         LerchPoint(10, 0.75, 0.3)).method == "hp_continuation"
+
+
+def test_reference_refuses_mpmath_for_complex_a_past_e():
+    # z hugs the cut, so the routing falls through to mpmath's
+    # continuation; there mpmath is off by O(100) with its two precisions
+    # agreeing, while quadrature and the symmetric engine agree
+    z, s, a = 5.0 + 0.2j, 1.5 + 1.0j, 0.7 - 0.4j
+    quad = quad_integral(z, s, a)
+    cont = hp_continuation(z, s, a)
+    assert quad.accepted and cont.accepted
+    assert abs(cont.value - quad.value) > 100.0
+    sym = eval_symmetric_igamma(LerchPoint(z, s, a), tol=1e-12)
+    assert abs(sym.value - quad.value) <= 1e-10
+    with pytest.raises(DomainError):
+        reference_value(LerchPoint(z, s, a))
+    with pytest.raises(DomainError):  # on the cut, the one-sided limits
+        reference_value(LerchPoint(5.0, s, a))
+    # real a keeps the continuation route
+    assert reference_value(LerchPoint(z, s, 0.7)).method == "hp_continuation"
 
 
 def test_reference_contiguity():

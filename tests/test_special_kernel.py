@@ -16,6 +16,7 @@ from lerchphi.special_kernel import (
     gamma_star,
     gauss_2f1_unit_b,
     hurwitz_zeta,
+    hurwitz_zeta_block,
     log_gamma,
     log_neg_z,
     reciprocal_gamma,
@@ -197,6 +198,48 @@ def test_hurwitz_zeta_complex_second_argument():
     for s, a in [(2.5, 1 + 1j), (-3.5 + 2j, 0.4 - 0.2j), (0.75 + 9j, 2.3 + 0.7j)]:
         expect = complex(mp.zeta(mp.mpc(s), mp.mpc(a)))
         assert rel_err(hurwitz_zeta(s, a), expect) < 1e-11, (s, a)
+
+
+def test_hurwitz_zeta_block_matches_reference_and_one_value_route():
+    # zeta(s - n, a) for n = 0..40 from one block: real and complex a, some
+    # with Re a <= 0.5 (the a-shift head), |Im s| up to 8.  The first few n
+    # sit on the Euler-Maclaurin route, the rest share one quadrature pass.
+    def draw(rng):
+        re_a = (rng.uniform(0.05, 0.5) if rng.random() < 0.4
+                else rng.uniform(0.5, 4.0))
+        im_a = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
+        return (complex(rng.uniform(-3.0, 6.0), rng.uniform(-8.0, 8.0)),
+                complex(re_a, im_a))
+
+    for s, a in sample(110, 5, draw):
+        block = hurwitz_zeta_block(s, a, 41)
+        assert len(block) == 41
+        # the near-one engine asks for blocks of 16; n = 15/16/17 straddle
+        # the edge, and the split block must agree with the long one
+        split = hurwitz_zeta_block(s - 16, a, 16)
+        for n in (0, 1, 2, 3, 5, 8, 13, 15, 16, 17, 24, 31, 32, 33, 40):
+            got = block[n]
+            # zeta(s, a) = a^-s + zeta(s, a + 1): mpmath takes seconds at
+            # some of these points with Re a < 1, milliseconds past it
+            sm, am = mp.mpc(s - n), mp.mpc(a)
+            want = complex(am ** -sm + mp.zeta(sm, am + 1))
+            assert rel_err(got, want) < 1e-11, (s, a, n)
+            one = hurwitz_zeta(s - n, a)
+            assert (rel_err(got, one) < 1e-13
+                    or rel_err(got, want) <= rel_err(one, want)), (s, a, n)
+            if 16 <= n < 32:
+                assert rel_err(split[n - 16], got) < 1e-13, (s, a, n)
+
+
+def test_hurwitz_zeta_block_pole_and_routes():
+    # s - n = 1 for n = 2 lies inside a block of 4, not inside one of 2
+    with pytest.raises(PoleError):
+        hurwitz_zeta_block(3.0, 0.4, 4)
+    assert len(hurwitz_zeta_block(3.0, 0.4, 2)) == 2
+    # |Im s| > 8: the block keeps hurwitz_zeta's route choice for each n
+    s, a = complex(-0.2, 12.0), 0.7
+    for n, got in enumerate(hurwitz_zeta_block(s, a, 12)):
+        assert rel_err(got, hurwitz_zeta(s - n, a)) < 1e-13, n
 
 
 def test_hurwitz_zeta_shift_identity():
