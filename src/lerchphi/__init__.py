@@ -8,10 +8,9 @@ reference oracles for cross-checking all of them.
 
 from .errors import (AccuracyError, ConditioningError, DomainError,
                      LerchError, PoleError)
-from .special_kernel import (DEFAULT_CONFIG, BranchedLog, KernelConfig,
-                             digamma, gamma, gamma_star, gauss_2f1_unit_b,
-                             hurwitz_zeta, log_gamma, log_neg_z,
-                             reciprocal_gamma, signed_pi,
+from .special_kernel import (BranchedLog, digamma, gamma, gamma_star,
+                             gauss_2f1_unit_b, hurwitz_zeta, log_gamma,
+                             log_neg_z, reciprocal_gamma, signed_pi,
                              upper_incomplete_gamma)
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ the near-one engine, arg(-ln z).
 """
 
 import cmath
+import itertools
 import math
 
 from . import oracle as _oracle
@@ -24,9 +25,10 @@ from ._types import EngineReport, LerchPoint
 from .coefficients import (csc_coefficients, csc_coefficients_subtracted,
                            log_power_coefficients)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (gamma, gamma_star, hurwitz_zeta_block,
-                             log_gamma, log_neg_z, reciprocal_gamma,
-                             signed_pi, upper_incomplete_gamma)
+from .special_kernel import (_scaled_igamma_asymptotic, gamma, gamma_star,
+                             hurwitz_zeta_block, log_gamma, log_neg_z,
+                             reciprocal_gamma, signed_pi,
+                             upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
 # past this |Re w| the incomplete-gamma factors are carried in log space
@@ -57,18 +59,6 @@ def _half_turns(p, L):
     return round((cmath.log(p.z) - L).imag / math.pi)
 
 
-def _scaled_igamma_asym(s, w):
-    # Gamma(s, w) e^w w^(1-s) for huge |w|: sum_k (s-1)...(s-k) / w^k
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 61):
-        term *= (s - k) / w
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
-
-
 def _first_sum_term(p, n, L, rg_s, sigma):
     # z^n Gamma(s, (a+n)L) / ((a+n)^s Gamma(s))
     s, a = p.s, p.a
@@ -79,7 +69,7 @@ def _first_sum_term(p, n, L, rg_s, sigma):
     # z^n e^(-w) = e^(-aL) (-1)^(n sigma) exactly; keep it that way
     expo = (-a * L + 1j * math.pi * sigma * n
             + (s - 1.0) * cmath.log(w) - s * cmath.log(a + n))
-    return rg_s * _scaled_igamma_asym(s, w) * cmath.exp(expo)
+    return rg_s * _scaled_igamma_asymptotic(s, w) * cmath.exp(expo)
 
 
 def _pair_term(p, n, L, rg_s, sigma):
@@ -92,7 +82,7 @@ def _pair_term(p, n, L, rg_s, sigma):
     lead = -(p.z ** -n) * cmath.exp(s * (cmath.log(L) - cmath.log(w)))
     expo = (-a * L - 1j * math.pi * sigma * n
             + s * cmath.log(L) - cmath.log(w))
-    return lead + rg_s * _scaled_igamma_asym(s, w) * cmath.exp(expo)
+    return lead + rg_s * _scaled_igamma_asymptotic(s, w) * cmath.exp(expo)
 
 
 def _log_series_terms(p, L, coeffs):
@@ -250,17 +240,20 @@ def remainder_estimate(p, N, M):
     return math.sqrt(abs(x)) * math.exp(min(expo, 700.0))
 
 
-def _gamma_sums(p, N):
-    """The two explicit incomplete-gamma sums of the resummed theorem at
-    depth N: (direct sum over a + n, pair sum over a - n).  What is left
+def _mirror_terms(p):
+    """The mirror-term stream of the large-z expansions: for n = 0, 1, ...
+    the pair (direct incomplete-gamma term over a + n, pair term over
+    a - n), with pair term 0 equal to 0.  The first N + 1 of them are the
+    two explicit sums of the resummed theorem at depth N; what is left
     after removing both from the function is the branch-part remainder
     that the logarithmic series approximates."""
     L = _branch_log(p)
     sigma = _half_turns(p, L)
     rg_s = reciprocal_gamma(p.s)
-    first = sum(_first_sum_term(p, n, L, rg_s, sigma) for n in range(N + 1))
-    pairs = sum(_pair_term(p, n, L, rg_s, sigma) for n in range(1, N + 1))
-    return first, pairs
+    yield _first_sum_term(p, 0, L, rg_s, sigma), 0
+    for n in itertools.count(1):
+        yield (_first_sum_term(p, n, L, rg_s, sigma),
+               _pair_term(p, n, L, rg_s, sigma))
 
 
 def _main_theorem_estimate(p, N):
@@ -290,7 +283,9 @@ def eval_main_theorem(p, N, m_override=None):
     if _near_integer(s):
         raise DomainError("integer s has an exact closed form; "
                           "use eval_integer_s_large_z")
-    first, pairs = _gamma_sums(p, N)
+    terms = list(itertools.islice(_mirror_terms(p), N + 1))
+    first = sum(t for t, _ in terms)
+    pairs = sum(u for _, u in terms)
     L = _branch_log(p)
     M = choose_optimal_M(p, N) if m_override is None else int(m_override)
     warnings = []
@@ -309,13 +304,6 @@ def eval_main_theorem(p, N, m_override=None):
     est = remainder_estimate(p, N, m_eff)
     return EngineReport(value, est, N, m_eff, "main_theorem",
                         tuple(warnings))
-
-
-def _m_series_value(p, N, M):
-    """Value of the subtracted logarithmic series alone at depth (N, M)."""
-    L = _branch_log(p)
-    coeffs = csc_coefficients_subtracted(p.a, N, max(M, 1)).values[:M]
-    return sum(t for t in _log_series_terms(p, L, coeffs) if t is not None)
 
 
 def residue_series(p, N, tol=1e-18, half_turns=None):
@@ -350,13 +338,6 @@ def residue_series(p, N, tol=1e-18, half_turns=None):
     return front * total
 
 
-def _fold(values, levels):
-    vs = list(values)
-    for _ in range(levels):
-        vs = [0.5 * (u + v) for u, v in zip(vs, vs[1:])]
-    return vs[0]
-
-
 def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
     """Convergent symmetric incomplete-gamma expansion.
 
@@ -370,33 +351,32 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
         raise DomainError("symmetric expansion needs |z| > 1")
     if a.real <= 0.0:
         raise DomainError("symmetric expansion needs Re a > 0")
-    L = _branch_log(p)
-    sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(p.s)
     levels = 6
-    window = levels + 2
-    partials = [_first_sum_term(p, 0, L, rg_s, sigma)]
+    terms = _mirror_terms(p)
+    value = next(terms)[0]
+    # rows[k] is the latest value at averaging level k (level 0 holds the
+    # partial sums); a new partial sum moves each level on by one average
+    # of its two latest values, and the increment is the step at the top
+    rows = [value]
     warnings = ()
     n = 0
-    value = partials[0]
     inc = abs(value)
     while True:
         if n >= N_max:
             warnings = ("n-cap-reached",)
             break
         n += 1
-        partials.append(partials[-1]
-                        + _first_sum_term(p, n, L, rg_s, sigma)
-                        + _pair_term(p, n, L, rg_s, sigma))
-        if len(partials) > window:
-            del partials[0]
-        if len(partials) == window:
-            cur = _fold(partials[1:], levels)
-            prev = _fold(partials[:-1], levels)
-            inc = abs(cur - prev)
-            value = cur
-            if inc <= tol * max(1.0, abs(cur)):
-                break
+        first, pair = next(terms)
+        avg = rows[0] + first + pair
+        for k in range(min(len(rows), levels)):
+            rows[k], avg = avg, 0.5 * (rows[k] + avg)
+        if len(rows) <= levels:
+            rows.append(avg)
+            continue
+        inc = abs(avg - rows[-1])
+        value = rows[-1] = avg
+        if inc <= tol * max(1.0, abs(value)):
+            break
     return EngineReport(value, inc, n, 0, "symmetric_igamma", warnings)
 
 

@@ -20,6 +20,7 @@ consecutive terms below tolerance), reported as the heuristic it is.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,6 +131,15 @@ def _prepare(p):
     return x, q, front
 
 
+def _terms(x, q, front, s):
+    """Terms of the rearranged sum, front q^n / (q - 1)^(n+1) p_n(x, s)."""
+    fac = 1.0 / (q - 1.0)
+    ratio = q / (q - 1.0)
+    for n in itertools.count():
+        yield front * fac * _moment(x, s, n)
+        fac *= ratio
+
+
 def series_states(p, count):
     """First `count` states of the rearranged sum, for tracing.
 
@@ -138,18 +148,14 @@ def series_states(p, count):
     attainable accuracy.
     """
     x, q, front = _prepare(p)
-    s = p.s
-    fac = 1.0 / (q - 1.0)
-    ratio = q / (q - 1.0)
     partial = 0.0j
     out = []
-    for n in range(count):
-        term = front * fac * _moment(x, s, n)
+    for n, term in enumerate(itertools.islice(
+            _terms(x, q, front, p.s), count)):
         partial += term
-        out.append(FactorialSeriesState(x=x, s=s, a=p.a, partial=partial,
+        out.append(FactorialSeriesState(x=x, s=p.s, a=p.a, partial=partial,
                                         n_terms=n + 1,
                                         last_term_mag=abs(term)))
-        fac *= ratio
     return out
 
 
@@ -169,7 +175,6 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
     instead of integrating noise.
     """
     x, q, front = _prepare(p)
-    s = p.s
     residues = residue_series(p, 0, half_turns=1)
     if tol == math.inf:
         # the skipped rearranged part is O(1); report that scale
@@ -178,8 +183,7 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
                             n_terms=0, m_terms=0, engine="factorial",
                             warnings=("rearranged-part-skipped",))
 
-    ratio = q / (q - 1.0)
-    fac = 1.0 / (q - 1.0)
+    terms = _terms(x, q, front, p.s)
     total = 0.0j
     quiet = 0
     best_mag = math.inf
@@ -188,7 +192,7 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
     warnings = []
     n = 0
     while n < max_terms:
-        term = front * fac * _moment(x, s, n)
+        term = next(terms)
         total += term
         mag = abs(term)
         n += 1
@@ -206,13 +210,12 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
         if quiet >= _QUIET_RUN:
             warnings.append("stopped-on-quiet-window")
             break
-        fac *= ratio
     else:
         warnings.append("max-terms-reached")
 
     # geometric extrapolation of the quiet window when the weights
     # still shrink; otherwise just a small multiple of the floor
-    r = abs(ratio)
+    r = abs(q / (q - 1.0))
     scale = best_mag if best_mag < math.inf else 1.0
     if "stopped-on-quiet-window" in warnings and r < 1.0:
         est = max(tol * r / (1.0 - r), scale)

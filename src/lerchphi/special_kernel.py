@@ -31,8 +31,6 @@ from ._quadrature import tanh_sinh_vector
 from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
-    "KernelConfig",
-    "DEFAULT_CONFIG",
     "BranchedLog",
     "log_neg_z",
     "signed_pi",
@@ -71,23 +69,14 @@ _EM_FACT = [float(b / math.factorial(2 * k + 2))
 _DIGAMMA_FACT = [float(b / (2 * k + 2)) for k, b in enumerate(_BERNOULLI[:8])]
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Tolerance and iteration-cap knobs, overridable per call.
-
-    Defaults are tuned so the documented module tolerances hold across the
-    stated domains; loosen them only for throwaway scans.
-    """
-
-    igamma_rel_tol: float = 5e-16
-    igamma_max_iter: int = 500
-    igamma_series_cap: int = 1400
-    zeta_quad_rel_tol: float = 2e-16
-    f21_rel_tol: float = 1e-14
-    f21_max_terms: int = 10000
-
-
-DEFAULT_CONFIG = KernelConfig()
+# Tolerances and iteration caps, tuned so the documented accuracy targets
+# hold across the stated domains
+_IGAMMA_REL_TOL = 5e-16
+_IGAMMA_MAX_ITER = 500
+_IGAMMA_SERIES_CAP = 1400
+_ZETA_QUAD_REL_TOL = 2e-16
+_F21_REL_TOL = 1e-14
+_F21_MAX_TERMS = 10000
 
 
 @dataclass(frozen=True)
@@ -226,7 +215,7 @@ def _zeta_euler_maclaurin(s, a):
     return value
 
 
-def _zeta_hermite(shifts, a, cfg):
+def _zeta_hermite(shifts, a):
     # zeta(v, a) for each v in shifts from Hermite's real integral
     #   zeta(s,a) = a^{-s}/2 + a^{1-s}/(s-1)
     #     + 2 * int_0^oo sin(s atan(t/a)) / ((a^2+t^2)^{s/2} (e^{2 pi t}-1)) dt.
@@ -264,7 +253,7 @@ def _zeta_hermite(shifts, a, cfg):
     while edges[-1] < t_max:
         edges.append(min(4.0 * edges[-1], t_max))
     integrals = tanh_sinh_vector(integrand, edges, count,
-                                 rel_tol=cfg.zeta_quad_rel_tol, max_level=9)
+                                 rel_tol=_ZETA_QUAD_REL_TOL, max_level=9)
     return [h + p * (0.5 + a / (v - 1.0)) + 2.0 * i
             for h, p, v, i in zip(heads, _neg_powers(a, shifts), shifts,
                                   integrals)]
@@ -297,7 +286,7 @@ def _zeta_by_integral(s, a):
     return _em_cancellation_exponent(s, a) >= 0.5 * math.pi * abs(s.imag)
 
 
-def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
+def hurwitz_zeta(s, a):
     """Hurwitz zeta, analytic continuation in s, for a off {0, -1, -2, ...}.
 
     Euler-Maclaurin for Re s >= -0.5; the real-integral representation for
@@ -309,10 +298,10 @@ def hurwitz_zeta(s, a, cfg=DEFAULT_CONFIG):
     and the documented 1e-11 relative contract holds for |s| <= 30 with
     Re s >= -0.5 or |Im s| <= 8.
     """
-    return hurwitz_zeta_block(s, a, 1, cfg)[0]
+    return hurwitz_zeta_block(s, a, 1)[0]
 
 
-def hurwitz_zeta_block(s, a, count, cfg=DEFAULT_CONFIG):
+def hurwitz_zeta_block(s, a, count):
     """[zeta(s - n, a) for n in range(count)], each on hurwitz_zeta's route.
 
     The values on the integral route share one quadrature pass.
@@ -327,7 +316,7 @@ def hurwitz_zeta_block(s, a, count, cfg=DEFAULT_CONFIG):
                           f"integers, got a = {a}")
     routes = [_zeta_by_integral(v, ac) for v in shifts]
     on_integral = [v for v, q in zip(shifts, routes) if q]
-    by_integral = iter(_zeta_hermite(on_integral, ac, cfg)
+    by_integral = iter(_zeta_hermite(on_integral, ac)
                        if on_integral else ())
     return [next(by_integral) if q else _zeta_euler_maclaurin(v, ac)
             for v, q in zip(shifts, routes)]
@@ -363,7 +352,26 @@ def _expm1_over(v):
     return (cmath.exp(v) - 1.0) / v
 
 
-def _igamma_pole_adjacent(s, w, m, cfg):
+def _alternating_lower_sum(s, w, total, skip=0):
+    # total + sum_{k >= 1, k != skip} (-w)^k / (k! (s+k)): the power series
+    # of w^(-s) lower(s, w) past its k = 0 term 1/s, which the caller puts
+    # in the start value or leaves out.
+    t = 1.0 + 0.0j
+    k = 1
+    while True:
+        t *= -w / k
+        if k != skip:
+            r = t / (s + k)
+            total += r
+            if k > abs(w) and abs(r) < _IGAMMA_REL_TOL * (abs(total) + 1.0):
+                return total
+        if k > _IGAMMA_SERIES_CAP:
+            raise AccuracyError("incomplete gamma series did not settle",
+                                achieved=abs(t))
+        k += 1
+
+
+def _igamma_pole_adjacent(s, w, m):
     # Gamma(s, w) for s within 0.25 of -m: the k = m term of the power
     # series resonates with the Gamma(s) pole; join the two analytically.
     u = s + m
@@ -371,24 +379,11 @@ def _igamma_pole_adjacent(s, w, m, cfg):
     dh = _h_ratio_minus_one_over_u(s, m, u)
     sign = -1.0 if m % 2 else 1.0
     main = (sign / math.factorial(m)) * (dh - lw * _expm1_over(u * lw))
-    total = 0.0j if m == 0 else 1.0 / s
-    t = 1.0 + 0.0j
-    k = 1
-    while True:
-        t *= -w / k
-        if k != m:
-            r = t / (s + k)
-            total += r
-            if k > abs(w) and abs(r) < cfg.igamma_rel_tol * (abs(total) + 1.0):
-                break
-        if k > cfg.igamma_series_cap:
-            raise AccuracyError("incomplete gamma series did not settle",
-                                achieved=abs(t))
-        k += 1
+    total = _alternating_lower_sum(s, w, 0.0j if m == 0 else 1.0 / s, m)
     return main - cmath.exp(s * lw) * total
 
 
-def _igamma_kummer(s, w, cfg):
+def _igamma_kummer(s, w):
     # Gamma(s) - lower(s, w) with lower from the e^{-w}-rescaled ascending
     # series.  Terms carry positive powers of w only, so unlike the
     # alternating form there is no e^{|w|(1+cos arg w)} hump; the region
@@ -401,37 +396,25 @@ def _igamma_kummer(s, w, cfg):
     while True:
         t *= w / (s + k)
         total += t
-        if k > k_settle and abs(t) < cfg.igamma_rel_tol * abs(total):
+        if k > k_settle and abs(t) < _IGAMMA_REL_TOL * abs(total):
             break
-        if k > cfg.igamma_series_cap:
+        if k > _IGAMMA_SERIES_CAP:
             raise AccuracyError("incomplete gamma series did not settle",
                                 achieved=abs(t))
         k += 1
     return gamma(s) - cmath.exp(s * cmath.log(w) - w) * total
 
 
-def _igamma_gseries(s, w, cfg):
+def _igamma_gseries(s, w):
     # Gamma(s) - w^s sum_k (-w)^k / (k! (s+k)).  The sum has no leading
     # cancellation for Re w <= 0; its hump costs ~e^{|w| + Re w} in ulps,
     # so the dispatcher only sends it near the negative w-axis once |w| is
     # large (where that factor stays ~1).
-    total = 1.0 / s
-    t = 1.0 + 0.0j
-    k = 1
-    while True:
-        t *= -w / k
-        r = t / (s + k)
-        total += r
-        if k > abs(w) and abs(r) < cfg.igamma_rel_tol * (abs(total) + 1.0):
-            break
-        if k > cfg.igamma_series_cap:
-            raise AccuracyError("incomplete gamma series did not settle",
-                                achieved=abs(r))
-        k += 1
+    total = _alternating_lower_sum(s, w, 1.0 / s)
     return gamma(s) - cmath.exp(s * cmath.log(w)) * total
 
 
-def _igamma_continued_fraction(s, w, cfg):
+def _igamma_continued_fraction(s, w):
     # Modified Lentz on the even contraction of the classical continued
     # fraction; solid for |arg w| away from the negative axis.
     tiny = 1e-300
@@ -440,7 +423,7 @@ def _igamma_continued_fraction(s, w, cfg):
     c = f
     d = 0.0j
     delta = 0.0j
-    for k in range(1, cfg.igamma_max_iter + 1):
+    for k in range(1, _IGAMMA_MAX_ITER + 1):
         an = k * (s - k)
         b += 2.0
         d = b + an * d
@@ -452,27 +435,28 @@ def _igamma_continued_fraction(s, w, cfg):
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < cfg.igamma_rel_tol:
+        if abs(delta - 1.0) < _IGAMMA_REL_TOL:
             return cmath.exp(s * cmath.log(w) - w) / f
     raise AccuracyError(
         "incomplete gamma continued fraction hit the iteration cap",
         achieved=abs(delta - 1.0))
 
 
-def _igamma_asymptotic(s, w):
-    # Optimally truncated divergent tail; last-resort route for huge |w|
-    # near the negative axis where neither the fraction nor the series pays.
-    t = 1.0 + 0.0j
-    total = t
-    k = 1
-    while True:
-        nt = t * (s - k) / w
-        if abs(nt) >= abs(t) or k > 400:
+def _scaled_igamma_asymptotic(s, w):
+    # Gamma(s, w) e^w w^(1-s) for huge |w|: the divergent tail
+    # sum_k (s-1)...(s-k) / w^k, summed until a term drops under 1e-17 of
+    # the sum or the next one would grow (optimal truncation)
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(1, 401):
+        step = term * ((s - k) / w)
+        if abs(step) >= abs(term):
             break
-        t = nt
-        total += t
-        k += 1
-    return cmath.exp((s - 1.0) * cmath.log(w) - w) * total
+        term = step
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
 
 
 def _near_gamma_pole(s):
@@ -482,7 +466,7 @@ def _near_gamma_pole(s):
     return None
 
 
-def upper_incomplete_gamma(s, w, cfg=DEFAULT_CONFIG):
+def upper_incomplete_gamma(s, w):
     """Gamma(s, w), principal branch of w**s, any complex s.
 
     Region map: power series around w = 0 (with an analytic join of the
@@ -516,7 +500,7 @@ def upper_incomplete_gamma(s, w, cfg=DEFAULT_CONFIG):
             ln_result_mag = ((sc - 1.0) * cmath.log(wc)).real - wc.real
             if ln_gamma_mag - ln_result_mag > 5.0:
                 try:
-                    return _igamma_continued_fraction(sc, wc, cfg)
+                    return _igamma_continued_fraction(sc, wc)
                 except AccuracyError:
                     pass
         if m is not None:
@@ -524,8 +508,8 @@ def upper_incomplete_gamma(s, w, cfg=DEFAULT_CONFIG):
             # join, but its alternating hump costs e^{|w| + Re w} in ulps;
             # hand the right half-plane to the fraction once |w| allows.
             if wc.real >= 0.0 and aw >= 2.5:
-                return _igamma_continued_fraction(sc, wc, cfg)
-            return _igamma_pole_adjacent(sc, wc, m, cfg)
+                return _igamma_continued_fraction(sc, wc)
+            return _igamma_pole_adjacent(sc, wc, m)
         if sc.real < -0.5 and aw > abs(sc.imag):
             # The rescaled ascending series divides by s+1, ..., s+k, and
             # those factors dip near k = -Re s.  Each factor below |w|
@@ -540,30 +524,33 @@ def upper_incomplete_gamma(s, w, cfg=DEFAULT_CONFIG):
             if dip > 10.0:
                 if theta <= 2.0 or aw >= 12.0:
                     try:
-                        return _igamma_continued_fraction(sc, wc, cfg)
+                        return _igamma_continued_fraction(sc, wc)
                     except AccuracyError:
                         pass
                 if aw * (1.0 + math.cos(theta)) < dip:
-                    return _igamma_gseries(sc, wc, cfg)
+                    return _igamma_gseries(sc, wc)
         if theta <= 2.65:
-            return _igamma_kummer(sc, wc, cfg)
-        return _igamma_gseries(sc, wc, cfg)
+            return _igamma_kummer(sc, wc)
+        return _igamma_gseries(sc, wc)
     if theta <= 2.65:
-        return _igamma_continued_fraction(sc, wc, cfg)
+        return _igamma_continued_fraction(sc, wc)
     # Near the negative axis, pick by predicted ulp loss: the subtracted
     # series loses e^{|w|(1 + cos arg w)}, the fraction is clean through
     # arg 2.9, and the divergent tail's optimal-truncation floor clears
     # 1e-12 once |w| > ~45 + 2.5 max(0, -Re s).
     if aw * (1.0 + math.cos(theta)) <= 9.0 and aw <= 500.0:
         if m is not None:
-            return _igamma_pole_adjacent(sc, wc, m, cfg)
-        return _igamma_gseries(sc, wc, cfg)
+            return _igamma_pole_adjacent(sc, wc, m)
+        return _igamma_gseries(sc, wc)
     if theta <= 2.9:
-        return _igamma_continued_fraction(sc, wc, cfg)
-    return _igamma_asymptotic(sc, wc)
+        return _igamma_continued_fraction(sc, wc)
+    # the last resort for huge |w| near the negative axis, where neither
+    # the fraction nor the series pays
+    return (cmath.exp((sc - 1.0) * cmath.log(wc) - wc)
+            * _scaled_igamma_asymptotic(sc, wc))
 
 
-def gamma_star(s, w, cfg=DEFAULT_CONFIG):
+def gamma_star(s, w):
     """Scaled lower incomplete gamma: lower(s, w) / (Gamma(s) * w**s).
 
     Entire in s and in w, which makes it the branch-free building block
@@ -595,10 +582,10 @@ def gamma_star(s, w, cfg=DEFAULT_CONFIG):
             total += t
             at = abs(t)
             peak = max(peak, at)
-            if k > k_settle and at < cfg.igamma_rel_tol * max(
+            if k > k_settle and at < _IGAMMA_REL_TOL * max(
                     abs(total), 1e-6 * peak):
                 break
-            if k > cfg.igamma_series_cap:
+            if k > _IGAMMA_SERIES_CAP:
                 raise AccuracyError("gamma_star series did not settle",
                                     achieved=at)
             k += 1
@@ -607,12 +594,12 @@ def gamma_star(s, w, cfg=DEFAULT_CONFIG):
     # Route through the upper function; clean whenever |lower| is not
     # small next to |Gamma(s)|, which covers all |w| > 8 and the humped
     # leftovers from the series branch.
-    upper = upper_incomplete_gamma(sc, wc, cfg)
+    upper = upper_incomplete_gamma(sc, wc)
     return ((1.0 - reciprocal_gamma(sc) * upper)
             * cmath.exp(-sc * cmath.log(wc)))
 
 
-def gauss_2f1_unit_b(alpha, gamma_param, x, cfg=DEFAULT_CONFIG):
+def gauss_2f1_unit_b(alpha, gamma_param, x):
     """2F1(alpha, 1; gamma_param; x) by direct term recurrence, |x| < 1."""
     xc = complex(x)
     gc = complex(gamma_param)
@@ -623,9 +610,9 @@ def gauss_2f1_unit_b(alpha, gamma_param, x, cfg=DEFAULT_CONFIG):
     ac = complex(alpha)
     t = 1.0 + 0.0j
     total = t
-    for k in range(cfg.f21_max_terms):
+    for k in range(_F21_MAX_TERMS):
         t *= (ac + k) / (gc + k) * xc
         total += t
-        if abs(t) <= cfg.f21_rel_tol * abs(total):
+        if abs(t) <= _F21_REL_TOL * abs(total):
             return total
     raise AccuracyError("2F1 series hit the term cap", achieved=abs(t))

@@ -381,6 +381,51 @@ def test_symmetric_cap_warning():
     assert rep.warnings == ("n-cap-reached",)
 
 
+def _stream_partials(p, count):
+    # S_0 .. S_(count-1), added up in the symmetric engine's order
+    from itertools import islice
+
+    from lerchphi.engines import _mirror_terms
+
+    partials = []
+    for t, u in islice(_mirror_terms(p), count):
+        partials.append(partials[-1] + t + u if partials else t)
+    return partials
+
+
+def test_symmetric_value_is_the_binomial_average_of_the_stream():
+    # six levels of pairwise averaging of S_0 .. S_n leave
+    # sum_k C(6, k) / 64 * S_(n-6+k)
+    points = (LerchPoint(-10.0, S34, A03),
+              LerchPoint(-30.0 + 5.0j, 1.5 + 2.5j, 0.6),
+              LerchPoint(8.0 - 20.0j, 2.2 - 1.0j, 1.3),
+              LerchPoint(10.0, S34, A03, "below"))
+    for p in points:
+        for n_max, tol in ((400, 1e-8), (400, 1e-12), (7, 0.0), (40, 0.0)):
+            rep = eval_symmetric_igamma(p, N_max=n_max, tol=tol)
+            n = rep.n_terms
+            assert n >= 7, (p, tol)
+            partials = _stream_partials(p, n + 1)
+            avg = sum(math.comb(6, k) / 64.0 * partials[n - 6 + k]
+                      for k in range(7))
+            assert abs(rep.value - avg) <= 1e-15 * max(1.0, abs(avg)), (
+                p, n_max, tol)
+
+
+def test_symmetric_below_seven_terms_returns_the_first_term():
+    # before six averaging levels fill, the value is S_0 and the estimate
+    # |S_0|; the symmetric terms-vs-error rows of the CLI start this way
+    p = LerchPoint(-8.0, S34, A03)
+    s_0 = _stream_partials(p, 1)[0]
+    for n_max in range(7):
+        rep = eval_symmetric_igamma(p, N_max=n_max, tol=0.0)
+        assert rep.value == s_0
+        assert rep.abs_err_estimate == abs(s_0)
+        assert rep.n_terms == n_max
+        assert rep.warnings == ("n-cap-reached",)
+    assert eval_symmetric_igamma(p, N_max=7, tol=0.0).value != s_0
+
+
 def test_symmetric_preconditions():
     with pytest.raises(DomainError):
         eval_symmetric_igamma(LerchPoint(0.8, S34, A03))
@@ -454,15 +499,22 @@ def test_fl_preconditions_and_empty_truncation():
 
 
 def test_m_series_error_bottoms_at_the_pick():
-    from lerchphi.engines import _gamma_sums, _m_series_value, residue_series
+    from itertools import islice
+
+    from lerchphi.coefficients import csc_coefficients_subtracted
+    from lerchphi.engines import (_branch_log, _log_series_terms,
+                                  _mirror_terms, residue_series)
 
     p = LerchPoint(-10.0, S34, A03)
     truth = eval_symmetric_igamma(p, tol=1e-12).value
-    first, pairs = _gamma_sums(p, 5)
-    target = truth - first - pairs - residue_series(p, 5)
+    s_5 = sum(t + u for t, u in islice(_mirror_terms(p), 6))
+    target = truth - s_5 - residue_series(p, 5)
     pick = choose_optimal_M(p, 5)
     assert pick == 13
-    errs = {m: abs(_m_series_value(p, 5, m) - target) for m in range(1, 26)}
+    terms = _log_series_terms(p, _branch_log(p),
+                              csc_coefficients_subtracted(p.a, 5, 25).values)
+    errs = {m: abs(sum(t for t in terms[:m] if t is not None) - target)
+            for m in range(1, 26)}
     best = min(errs, key=errs.get)
     assert abs(best - pick) <= 2
     assert errs[4] > errs[8] > errs[pick]

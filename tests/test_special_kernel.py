@@ -7,10 +7,10 @@ import mpmath as mp
 import pytest
 
 from helpers import rel_err, sample
+from lerchphi import special_kernel
 from lerchphi.errors import AccuracyError, DomainError, PoleError
 from lerchphi.special_kernel import (
     BranchedLog,
-    KernelConfig,
     digamma,
     gamma,
     gamma_star,
@@ -362,11 +362,36 @@ def test_igamma_conjugate_symmetry():
         assert abs(a - b.conjugate()) <= 1e-14 * abs(a), (s, w)
 
 
-def test_igamma_series_cap_raises_accuracy_error():
-    tight = KernelConfig(igamma_series_cap=3)
+def test_igamma_series_cap_raises_accuracy_error(monkeypatch):
+    monkeypatch.setattr(special_kernel, "_IGAMMA_SERIES_CAP", 3)
     with pytest.raises(AccuracyError) as info:
-        upper_incomplete_gamma(0.75, 3.0, tight)
+        upper_incomplete_gamma(0.75, 3.0)
     assert info.value.achieved > 0.0
+
+
+def test_asymptotic_tail_matches_reference_far_out():
+    # One divergent tail serves the large-z engines' log-space terms
+    # (scaled, at |Re w| > 600) and the kernel's last route (|w| > 500
+    # near the negative axis, where the fraction and the series lose).
+    def draw_right(rng):
+        s = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
+        return s, complex(rng.uniform(600, 4000), rng.uniform(-3000, 3000))
+
+    for s, w in sample(121, 12, draw_right):
+        ms, mw = mp.mpc(s), mp.mpc(w)
+        expect = complex(mp.gammainc(ms, mw) * mp.exp(mw) * mw ** (1 - ms))
+        got = special_kernel._scaled_igamma_asymptotic(s, w)
+        assert rel_err(got, expect) < 1e-14, (s, w)
+
+    def draw_axis(rng):
+        # |w| < 600 and |Im s| <= 5 keep Gamma(s, w) ~ e^(-w) w^(s-1) finite
+        s = complex(rng.uniform(-15, 5), rng.uniform(-5, 5))
+        arg = rng.choice((-1.0, 1.0)) * rng.uniform(2.9, math.pi)
+        return s, cmath.rect(rng.uniform(500, 600), arg)
+
+    for s, w in sample(122, 12, draw_axis) + [(0.75, -550.0)]:
+        expect = complex(mp.gammainc(mp.mpc(s), mp.mpc(w)))
+        assert rel_err(upper_incomplete_gamma(s, w), expect) < 1e-12, (s, w)
 
 
 # ---------------------------------------------------------------------------
