@@ -1,7 +1,8 @@
 """Tanh-sinh quadrature for complex-valued integrands on finite intervals.
 
 One node map and one stop rule, shared by two loops: ``tanh_sinh`` for a
-scalar integrand (the reference oracle) and ``tanh_sinh_vector`` for an
+scalar integrand (the reference oracle and, chunked, the Abel-Plana
+engine) and ``tanh_sinh_vector`` for an
 integrand that returns several values from one evaluation (the
 Hurwitz-zeta integral route, which gets zeta(s - n, a) for a block of n
 from one node pass).  The node map is evaluated as an exact offset from
@@ -66,6 +67,14 @@ def tanh_sinh(f, a, b, rel_tol=1e-13, max_level=10):
     that conservative once the levels have locked on), floored at a few
     ulp of the result.
     """
+    value, err, _ = _tanh_sinh(f, a, b, rel_tol, max_level, 0.0)
+    return value, err
+
+
+def _tanh_sinh(f, a, b, rel_tol, max_level, done):
+    # tanh_sinh with done, the integral of |f| over the chunks before,
+    # added to this interval's in the stop rule; returns that sum as a
+    # third value
     width = b - a
     step = 0.25 * width  # h * (b - a) / 2 at h = 1/2
     fc = f(a + 0.5 * width)
@@ -77,7 +86,7 @@ def tanh_sinh(f, a, b, rel_tol=1e-13, max_level=10):
         total += w * fb + w * fa
         mass += w * (abs(fb) + abs(fa))
     value = total * step
-    abs_integral = mass * abs(step)
+    abs_integral = done + mass * abs(step)
     err = abs(value)
     for level in range(1, max_level + 1):
         new = 0.0j
@@ -90,7 +99,8 @@ def tanh_sinh(f, a, b, rel_tol=1e-13, max_level=10):
         err = abs(value - prev)
         if _settled(err, value, abs_integral, rel_tol):
             break
-    return value, max(err, 5e-16 * abs(value))
+    return (value, max(err, 5e-16 * abs(value)),
+            max(abs_integral, done + abs(value)))
 
 
 def tanh_sinh_vector(f, edges, count, rel_tol=1e-13, max_level=10):
@@ -139,11 +149,26 @@ def tanh_sinh_vector(f, edges, count, rel_tol=1e-13, max_level=10):
 
 
 def tanh_sinh_chunked(f, edges, rel_tol=1e-13):
-    """Sum tanh_sinh over consecutive [edges[i], edges[i+1]] intervals."""
+    """Integrate f over [edges[0], edges[-1]], one tanh_sinh rule per
+    [edges[i], edges[i+1]]; returns (value, err_estimate).
+
+    As in tanh_sinh_vector, the integral of |f| in each chunk's stop rule
+    also counts the chunks before, so a chunk whose part is below the
+    rounding of the whole stops at its first refinement.  err_estimate
+    sums the chunks' estimates.
+    """
+    value, err, _ = _tanh_sinh_chunked(f, edges, rel_tol)
+    return value, err
+
+
+def _tanh_sinh_chunked(f, edges, rel_tol):
+    # tanh_sinh_chunked, plus the integral of |f| the last stop rule
+    # used, for callers that bound rounding by it
     value = 0.0j
     err = 0.0
+    done = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        v, e = tanh_sinh(f, lo, hi, rel_tol=rel_tol)
+        v, e, done = _tanh_sinh(f, lo, hi, rel_tol, 10, done)
         value += v
         err += e
-    return value, err
+    return value, err, done

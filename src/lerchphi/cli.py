@@ -9,6 +9,10 @@ Formats are part of the contract: complex flags are strict "re,im"
 pairs, CSV is comma-separated with a header row and LF endings, JSON
 floats carry 17 significant digits so they round-trip exactly, human
 tables show 8.  Exit codes: 0 ok, 1 usage, 2 domain, 3 accuracy.
+
+The oracle (``--engine oracle``, the table1 and sweep references) needs
+mpmath, the package's ``oracle`` extra; without it those paths exit 2
+with a one-line message, and every other path runs.
 """
 
 import argparse
@@ -18,9 +22,9 @@ import math
 import re
 import sys
 
-from ._types import LerchPoint
+from ._types import EngineReport, LerchPoint
 from .coefficients import csc_coefficients, csc_coefficients_subtracted
-from .engines import (_integer_tail_size, _oracle_report, choose_optimal_M,
+from .engines import (_integer_tail_size, choose_optimal_M, eval_abel_plana,
                       eval_auto, eval_fl_expansion, eval_integer_s_large_z,
                       eval_main_theorem, eval_near_one, eval_series_direct,
                       eval_symmetric_igamma, residue_series)
@@ -28,8 +32,8 @@ from .errors import AccuracyError, ConditioningError, DomainError
 from .factorial_series import eval_factorial, series_states
 from .oracle import reference_value
 
-_ENGINES = ("auto", "direct", "near-one", "integer-s", "main", "symmetric",
-            "fl", "factorial", "oracle")
+_ENGINES = ("auto", "direct", "near-one", "abel-plana", "integer-s", "main",
+            "symmetric", "fl", "factorial", "oracle")
 
 # warnings that mean the requested accuracy was not certified, as
 # opposed to disclosures about how a normal stop was decided
@@ -150,7 +154,7 @@ def _emit_rows(fieldnames, rows, as_json):
 # report labels -> the vocabulary the --engine flag uses
 _ENGINE_LABELS = {"main_theorem": "main", "symmetric_igamma": "symmetric",
                   "fl_expansion": "fl", "near_one": "near-one",
-                  "integer_s": "integer-s"}
+                  "abel_plana": "abel-plana", "integer_s": "integer-s"}
 
 
 def _engine_label(report):
@@ -159,6 +163,11 @@ def _engine_label(report):
 
 # ------------------------------------------------------------------- eval
 
+def _oracle_report(p):
+    r = reference_value(p)
+    return EngineReport(r.value, r.err_bar, 0, 0, "oracle")
+
+
 def _run_engine(p, name, tol, n):
     if name == "auto":
         return eval_auto(p, target_tol=tol)
@@ -166,6 +175,8 @@ def _run_engine(p, name, tol, n):
         return eval_series_direct(p, tol=tol)
     if name == "near-one":
         return eval_near_one(p, n_max=n if n is not None else 60)
+    if name == "abel-plana":
+        return eval_abel_plana(p)
     if name == "integer-s":
         s = p.s
         if s.imag != 0.0 or s.real != round(s.real):
@@ -495,6 +506,12 @@ def main(argv=None):
     except ValueError as exc:
         print(f"lerchphi: invalid request: {exc}", file=sys.stderr)
         return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "mpmath":
+            raise
+        print("lerchphi: the oracle needs mpmath, which is not installed "
+              "(pip install lerchphi[oracle])", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,31 +1,36 @@
 """Evaluation strategies for the Lerch transcendent across the z-plane.
 
-Small |z| is the defining series; a band around |z| = 1 uses the
+Small |z| is the defining series.  The band around |z| = 1 has two
+engines: the Abel-Plana summation of the defining series (one incomplete
+gamma and one quadrature, any s), which eval_auto uses, and the
 branch-point expansion in powers of ln z.  Past |z| = e the work splits
-into an exact closed form for integer s, the resummed large-z theorem
-with optimally truncated logarithmic series, a slowly convergent
-symmetric incomplete-gamma expansion accelerated by repeated averaging,
-and a comparison expansion kept mainly to demonstrate its accuracy
-floor.  eval_auto routes between them.
+into an exact closed form for integer s (the polylogarithm's inversion
+formula at integer a), the resummed large-z theorem with optimally
+truncated logarithmic series, a slowly convergent symmetric
+incomplete-gamma expansion accelerated by repeated averaging, and a
+comparison expansion kept mainly to demonstrate its accuracy floor.
+eval_auto routes between them; it needs no mpmath, and this module
+does not import the oracle.
 
 Branch bookkeeping: every large-z piece is written against
 L = log_neg_z(z, side), and the mirrored (-n) terms are folded with
 their residue corrections into an entire "pair" form built on the
 scaled lower incomplete gamma, so no continued branches appear
 anywhere.  On the cut the side flag decides arg(-z) = -/+ pi and, in
-the near-one engine, arg(-ln z).
+the near-one and Abel-Plana engines, arg(-ln z).
 """
 
 import cmath
 import itertools
 import math
 
-from . import oracle as _oracle
-from ._types import EngineReport, LerchPoint
+from ._quadrature import _tanh_sinh_chunked
+from ._types import EngineReport
 from .coefficients import (csc_coefficients, csc_coefficients_subtracted,
                            log_power_coefficients)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (_scaled_igamma_asymptotic, gamma, gamma_star,
+from .special_kernel import (_BERNOULLI, _near_gamma_pole,
+                             _scaled_igamma_asymptotic, gamma, gamma_star,
                              hurwitz_zeta_block, log_gamma, log_neg_z,
                              reciprocal_gamma, signed_pi,
                              upper_incomplete_gamma)
@@ -44,6 +49,18 @@ _NEAR_ONE_ROUNDING = 4e-14
 # stops mid-block wastes at most the rest of that block
 _ZETA_BLOCK = 16
 _M_TABLE_CAP = 200
+# Abel-Plana quadrature: relative target, and the rounding allowed for
+# on the integral of |integrand| and on the explicit terms
+_AP_REL_TOL = 1e-15
+_AP_ULPS = 64.0 * 2.0 ** -52
+# rounding of the integer-a polylogarithm form, in ulps of its terms
+_POLYLOG_ULPS = 16.0 * 2.0 ** -52
+# rounding of the kernel's Gamma(1-s, w), in ulps of the sizes its
+# subtraction routes cancel from.  On 7,500 seeded band points with
+# |Im s| <= 8, checked against mpmath, 4 times the recurrence gauge plus
+# 64 ulps of those sizes was never under the kernel's error by more than
+# 1.03x; the engine doubles both.
+_AP_GAMMA_ULPS = 128.0 * 2.0 ** -52
 
 
 def _near_integer(s, tol=1e-12):
@@ -147,7 +164,7 @@ def eval_near_one(p, n_max=60):
         raise DomainError("near-one expansion needs |ln z| < 2 pi")
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         raise DomainError("positive integer s hits a gamma pole here; "
-                          "use the integer-s engine or the oracle")
+                          "use eval_abel_plana")
     if p.on_cut:
         neg_ln = complex(math.log(abs(ln_z)), signed_pi(p.cut_side))
         sing = gamma(1.0 - s) * cmath.exp((s - 1.0) * neg_ln)
@@ -182,25 +199,179 @@ def eval_near_one(p, n_max=60):
     return EngineReport(value, est, n, 0, "near_one", warnings)
 
 
+def _abel_plana_gamma_term(p, s, a, L):
+    """e^(-aL) (-L)^(s-1) Gamma(1-s, -aL) of the Abel-Plana form, and a
+    bound on its rounding.
+
+    Gamma(1-s, w) is continued to the argument arg a + arg(-L) that
+    w = -aL reaches along the integral path, k turns from the principal
+    one the kernel takes (|k| <= 1):
+      Gamma(1-s, w e^(2 pi i k)) = e^(2 pi i k (1-s)) Gamma(1-s, w)
+          + (1 - e^(2 pi i k (1-s))) Gamma(1-s),
+    whose last term is -2 pi i k e^(i pi k (1-s)) / Gamma(s) by
+    reflection, entire in s, so positive integer s takes the same route.
+    The kernel's rounding is gauged by the recurrence
+    Gamma(1-s, w) = -s Gamma(-s, w) + w^(-s) e^(-w), whose sides it
+    computes apart, and by _AP_GAMMA_ULPS of the sizes a subtraction
+    route cancels from.
+    """
+    if p.on_cut:
+        log_neg_l = complex(math.log(abs(L)), signed_pi(p.cut_side))
+    else:
+        log_neg_l = cmath.log(-L)
+    w = -a * L
+    if w.imag == 0.0:
+        w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
+    upper = upper_incomplete_gamma(1.0 - s, w)
+    ln_w = cmath.log(w)
+    edge = cmath.exp(-s * ln_w - w)  # w^(-s) e^(-w)
+    gauge = abs(upper + s * upper_incomplete_gamma(-s, w) - edge)
+    sizes = abs(upper) + abs(edge * w)
+    if _near_gamma_pole(1.0 - s) is None:
+        sizes += abs(gamma(1.0 - s))
+    err = 8.0 * gauge + _AP_GAMMA_ULPS * sizes
+    k = round((cmath.phase(a) + log_neg_l.imag - ln_w.imag) / _TWO_PI)
+    if k:
+        turn = cmath.exp(1j * math.pi * k * (1.0 - s))
+        jump = _TWO_PI * 1j * k * turn * reciprocal_gamma(s)
+        upper = turn * turn * upper - jump
+        err = abs(turn) ** 2 * err + _AP_ULPS * abs(jump)
+    front = cmath.exp(-a * L + (s - 1.0) * log_neg_l)
+    value = front * upper
+    return value, abs(front) * err + _AP_ULPS * abs(value)
+
+
+def eval_abel_plana(p):
+    """Abel-Plana summation of the defining series, for any z != 0.
+
+    With f(x) = z^x (a+x)^(-s) and L = ln z,
+      Phi = a^(-s)/2 + e^(-aL) (-L)^(s-1) Gamma(1-s, -aL)
+            + i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt,
+    the integral by chunked tanh-sinh over [0, 2, 8, ...] out to
+    max(14, 6 + 1.1 |Re s|): with |Im L| <= pi the integrand decays like
+    e^(-pi t) at least, and the range grows with |Re s| for the power
+    |a + it|^(-Re s).  The Gamma term is continued along the
+    integral path (_abel_plana_gamma_term); on the cut arg(-L) is set by
+    the point's side, as in log_neg_z.  Re a <= 0 is first shifted by
+    Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1).  The estimate covers the
+    quadrature's change, the rounding of the integral of |integrand|,
+    and that of a^(-s)/2 and the Gamma term, so their cancellation
+    against the result.  n_terms counts integrand evaluations.
+    """
+    z, s, a = p.z, p.s, p.a
+    if z == 0.0:
+        raise DomainError("Abel-Plana form needs z != 0")
+    head = 0.0j
+    head_size = 0.0
+    zk = 1.0 + 0.0j
+    while a.real <= 0.0:
+        term = zk * a ** -s
+        head += term
+        head_size += abs(term)
+        zk *= z
+        a += 1.0
+    L = cmath.log(z)
+    half = 0.5 * a ** -s
+    if L == 0.0:
+        # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
+        gterm = a ** (1.0 - s) / (s - 1.0)
+        gterm_err = _AP_ULPS * abs(gterm)
+    else:
+        gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
+    evals = 0
+
+    def integrand(t):
+        nonlocal evals
+        evals += 1
+        it_l = 1j * t * L
+        up = cmath.exp(it_l - s * cmath.log(a + 1j * t))
+        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t))
+        return 1j * (up - down) / math.expm1(_TWO_PI * t)
+
+    t_max = max(14.0, 6.0 + 1.1 * abs(s.real))
+    edges = [0.0, 2.0]
+    while edges[-1] < t_max:
+        edges.append(min(4.0 * edges[-1], t_max))
+    integral, quad_err, mass = _tanh_sinh_chunked(integrand, edges,
+                                                  _AP_REL_TOL)
+    value = head + zk * (half + gterm + integral)
+    est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
+                      + _AP_ULPS * abs(half))
+           + _AP_ULPS * head_size)
+    return EngineReport(value, est, evals, 0, "abel_plana")
+
+
+def _polylog_branch(S, L):
+    """-(2 pi i)^S / S! B_S(1/2 + L/(2 pi i)), the branch part of the
+    polylogarithm's inversion formula
+      Li_S(z) = -(-1)^S Li_S(1/z) - (2 pi i)^S / S! B_S(1/2 + L/(2 pi i)),
+    L = ln(-z), S >= 1, and the sum of the sizes of its terms.
+
+    With x = 1/2 + L/(2 pi i), (2 pi i)^S / S! B_S(x) is
+    sum_j c_j y^(S-j) / (S-j)!, y = 2 pi i x, c_j = B_j (2 pi i)^j / j!
+    (1, -i pi, then -2 zeta(j) at even j and 0 at odd j, none larger
+    than 2 zeta(2)).  B_S(x) = (-1)^S B_S(1-x) lets y be L + i pi or i pi - L,
+    whichever has |Im y| <= pi, so the terms stay near the result's size.
+    """
+    sign = -1.0
+    if L.imag > 0.0:
+        L = -L
+        sign = 1.0 if S % 2 else -1.0
+    y = L + 1j * math.pi
+    total = 0.0j
+    size = 0.0
+    for j in range(S + 1):
+        if j == 0:
+            c = 1.0
+        elif j == 1:
+            c = -1j * math.pi
+        elif j % 2:
+            continue
+        elif j <= 2 * len(_BERNOULLI):
+            c = (float(_BERNOULLI[j // 2 - 1]) * (-1) ** (j // 2)
+                 * _TWO_PI ** j / math.factorial(j))
+        else:  # -2 zeta(j), j >= 26: five terms reach 1e-18
+            c = -2.0 * sum(n ** -j for n in range(1, 6))
+        term = c * y ** (S - j) / math.factorial(S - j)
+        total += term
+        size += abs(term)
+    return sign * total, size
+
+
 def eval_integer_s_large_z(p, S, N_tail):
     """Exact large-z form for integer s = S.
 
     The branch part is a finite logarithmic polynomial (empty when
     S <= 0) and the rest is a geometric-type tail over the residues,
-    truncated at N_tail with an explicit bound.
+    truncated at N_tail with an explicit bound.  At S >= 1 and integer
+    a = k (k >= 1; LerchPoint refuses k <= 0) the residue poles collide
+    and the polylogarithm takes over:
+    Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
+    inversion (_polylog_branch).  Its Li_S(1/z) series and the finite
+    sum are the same tail with the term n = k left out, so N_tail must
+    reach k.
     """
     S = int(S)
     if abs(p.s - S) > 1e-12:
         raise ValueError(f"engine called with s = {p.s} but S = {S}")
     a = p.a
-    if a.imag == 0.0 and a.real == round(a.real):
-        raise DomainError("integer a collides with the residue poles")
     az = abs(p.z)
     if az <= 1.0:
         raise DomainError("integer-s closed form needs |z| > 1")
     L = _branch_log(p)
     branch = 0.0j
-    if S >= 1:
+    skip = 0  # the colliding tail term, at integer a
+    size = 0.0  # of the terms, for their rounding
+    if S >= 1 and _near_integer(a, 0.0):
+        skip = round(a.real)
+        if N_tail < skip:
+            raise ValueError(f"at integer a = {skip} the tail must reach "
+                             f"n = {skip}, got N_tail = {N_tail}")
+        z_k = p.z ** -skip
+        branch, size = _polylog_branch(S, L)
+        branch *= z_k
+        size *= abs(z_k)
+    elif S >= 1:
         b = csc_coefficients(a, S).values
         poly = 0.0j
         for n in range(S):
@@ -211,10 +382,17 @@ def eval_integer_s_large_z(p, S, N_tail):
     tail = 0.0j
     for n in range(1, N_tail + 1):
         zp *= zinv
-        tail += zp * (n - a) ** -S
+        if n != skip:
+            term = zp * (n - a) ** -S
+            tail += term
+            size += abs(term)
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
     est = az ** (-N_tail - 1) * abs(N_tail + 1.0 - a) ** -S / (1.0 - 1.0 / az)
+    if skip:
+        # summed to double precision (_integer_tail_size), where the
+        # rounding of the terms is no longer below the tail bound
+        est += _POLYLOG_ULPS * size
     return EngineReport(value, est, N_tail, max(S, 0), "integer_s")
 
 
@@ -411,13 +589,15 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     return EngineReport(value, est, n_z_terms, n_log_terms, "fl_expansion")
 
 
-def _oracle_report(p):
-    r = _oracle.reference_value(p)
-    return EngineReport(r.value, r.err_bar, 0, 0, "oracle")
-
-
 def _integer_tail_size(az, S, a, target_tol, cap=4000):
     n = 1
+    if _near_integer(a, 0.0):
+        # the bound holds from the tail term n = a on.  At S >= 1 the
+        # tail past it is z^(-a) Li_S(1/z), which costs a few terms more
+        # to sum to double precision, its first term 1/z to the last ulp
+        n = max(1, round(a.real))
+        if S >= 1:
+            target_tol = min(target_tol, 2.0 ** -53 * az ** -(n + 1))
     gap = 1.0 - 1.0 / az
     while n < cap:
         if az ** (-n - 1) * abs(n + 1.0 - a) ** -S / gap <= target_tol:
@@ -430,9 +610,9 @@ def eval_auto(p, target_tol=1e-10):
     """Dispatcher.
 
     Inside |z| <= 0.9 the direct series wins.  The band up to |z| = e
-    goes to the near-one expansion unless s sits on its gamma pole, in
-    which case the oracle answers.  Past e, integer s takes the exact
-    closed form; otherwise the resummed theorem's depth N doubles until
+    goes to the Abel-Plana engine, integer s included.  Past e, integer
+    s takes the exact closed form (at integer a, the polylogarithm's);
+    otherwise the resummed theorem's depth N doubles until
     its estimate meets target_tol (N capped by min(40, |z| - 1)), with
     the symmetric expansion as the convergent fallback.  If nothing
     attains the target the best report is returned with a warning.
@@ -449,15 +629,8 @@ def eval_auto(p, target_tol=1e-10):
     if az <= 0.9:
         return eval_series_direct(p, tol=target_tol)
     if az < math.e:
-        if not (_near_integer(s) and round(s.real) >= 1):
-            try:
-                return eval_near_one(p)
-            except DomainError:
-                pass
-        return _oracle_report(p)
+        return eval_abel_plana(p)
     if _near_integer(s):
-        if a.imag == 0.0 and a.real == round(a.real):
-            return _oracle_report(p)
         S = round(s.real)
         n_tail = _integer_tail_size(az, S, a, target_tol)
         return eval_integer_s_large_z(p, S, n_tail)

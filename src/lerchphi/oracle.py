@@ -5,13 +5,15 @@ quadrature route integrates the real-axis integral representation with
 the local tanh-sinh rule; the two high-precision routes run inside
 mpmath.  Every result carries an explicit error bar and a method tag so
 callers can decide whether it is tight enough to adjudicate a claim.
+
+mpmath is imported by the functions that use it, not with this module:
+the engines run without it, and it is an optional dependency (the
+``oracle`` extra).  Without it those functions raise ImportError.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
 
 from ._quadrature import tanh_sinh, tanh_sinh_chunked
 from ._types import LerchPoint
@@ -48,6 +50,8 @@ def quad_integral(z, s, a, rel_tol=1e-12):
     absorbs the x^(s-1) singularity; the rest is summed over doubling
     chunks out to where an explicit exponential majorant takes over.
     """
+    import mpmath as mp
+
     zc, sc, ac = complex(z), complex(s), complex(a)
     if sc.real <= 0.0:
         raise DomainError("integral representation needs Re s > 0")
@@ -91,6 +95,8 @@ def quad_integral(z, s, a, rel_tol=1e-12):
 
 def hp_series(z, s, a, dps=30):
     """Defining series summed in mpmath arithmetic; |z| <= 0.95 only."""
+    import mpmath as mp
+
     zc, sc, ac = complex(z), complex(s), complex(a)
     if abs(zc) > _SERIES_RADIUS:
         raise DomainError("direct series reference restricted to "
@@ -125,6 +131,8 @@ def hp_continuation(z, s, a, dps_low=30, dps_high=40):
     reference_value applies the side nudging, so call that instead for
     on-cut points.
     """
+    import mpmath as mp
+
     zc, sc, ac = complex(z), complex(s), complex(a)
     vals = []
     for dps in (dps_low, dps_high):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._quadrature import tanh_sinh_vector
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 
 __all__ = [
     "BranchedLog",
@@ -473,10 +473,17 @@ def upper_incomplete_gamma(s, w):
     resonant term when s sits near a non-positive integer), Lentz continued
     fraction for large |w| off the negative axis, the subtracted series
     again near the axis, and an optimally truncated asymptotic tail beyond
-    |w| = 300 there.
+    |w| = 300 there.  Raises ConditioningError when the value, or a
+    factor of it, is past the double range.
     """
-    sc = complex(s)
-    wc = complex(w)
+    try:
+        return _upper_incomplete_gamma(complex(s), complex(w))
+    except OverflowError:
+        raise ConditioningError(f"Gamma({s}, {w}) is past the double "
+                                "range") from None
+
+
+def _upper_incomplete_gamma(sc, wc):
     if wc == 0:
         if sc.real > 0:
             return gamma(sc)
@@ -555,9 +562,17 @@ def gamma_star(s, w):
 
     Entire in s and in w, which makes it the branch-free building block
     for the subtracted large-z pair terms.  At s = -m it equals w**m.
+    Raises ConditioningError when the value, or a factor of it, is past
+    the double range.
     """
-    sc = complex(s)
-    wc = complex(w)
+    try:
+        return _gamma_star(complex(s), complex(w))
+    except OverflowError:
+        raise ConditioningError(f"gamma_star({s}, {w}) is past the double "
+                                "range") from None
+
+
+def _gamma_star(sc, wc):
     if wc == 0:
         return reciprocal_gamma(sc + 1.0)  # series value at w = 0
     if abs(wc) <= min(max(8.0, abs(sc) - 2.0), 30.0):

@@ -121,6 +121,28 @@ def test_usage_errors_exit_1():
         assert err != ""
 
 
+def test_oracle_paths_without_mpmath_exit_2():
+    # with mpmath unimportable the oracle paths exit 2 with one line on
+    # stderr, and a band point still evaluates
+    script = """
+import sys
+sys.modules["mpmath"] = None
+from lerchphi.cli import main
+point = ["--z", "1.5,0.4", "--s", "3,0", "--a", "0.7,0"]
+oracle = ["--engine", "oracle"]
+print([main(["eval"] + point), main(["eval"] + point + oracle),
+       main(["table1"])])
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 2, 2]"
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("lerchphi: ") and "mpmath" in line
+               for line in lines)
+
+
 def test_count_cap_is_a_usage_error():
     code, _, err = run_cli(["coeffs", "--a", "0.3,0", "--n-max", "5000"])
     assert code == 1

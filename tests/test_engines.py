@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -10,6 +12,7 @@ from helpers import rel_err, sample
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
     choose_optimal_M,
+    eval_abel_plana,
     eval_auto,
     eval_fl_expansion,
     eval_integer_s_large_z,
@@ -20,7 +23,7 @@ from lerchphi.engines import (
     remainder_estimate,
 )
 from lerchphi.errors import AccuracyError, ConditioningError, DomainError
-from lerchphi.oracle import quad_integral, reference_value
+from lerchphi.oracle import hp_continuation, quad_integral, reference_value
 
 S34 = 0.75
 A03 = 0.3
@@ -220,6 +223,64 @@ def test_near_one_refusals():
 
 
 # ---------------------------------------------------------------------------
+# Abel-Plana summation (the band 0.9 < |z| < e)
+
+
+def test_abel_plana_estimate_is_honest_on_random_band_points():
+    # seeded band points with real and complex a, integer s and
+    # |Im s| <= 8, plus points where arg a + arg(-ln z) leaves (-pi, pi],
+    # so that Gamma(1 - s, -a ln z) must be continued past the kernel's
+    # principal branch, and points on the cut from both sides.
+    # References: at real a, mpmath's continuation at 30 and 40 digits
+    # (at z +/- i 1e-30 on the cut), since reference_value's quadrature
+    # can miss its own bar when x^(s-1) oscillates (Re s < 1, or |Im s|
+    # near 8); at complex a, that quadrature, with Re s > 1 and
+    # |Im s| <= 3, since mpmath's continuation is O(1) wrong at the
+    # points that need the continued branch
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(math.log(0.9), 1.0)),
+                       rng.uniform(-math.pi, math.pi))
+        whole = rng.random() < 0.25
+        if rng.random() < 0.4:
+            s = (complex(rng.uniform(1.0, 7.0), rng.uniform(-3.0, 3.0))
+                 if not whole else complex(rng.randint(1, 5), 0.0))
+            return LerchPoint(z, s, complex(rng.uniform(0.05, 4.0),
+                                            rng.uniform(-1.0, 1.0)))
+        s = (complex(rng.uniform(-2.0, 7.0), rng.uniform(-8.0, 8.0))
+             if not whole else complex(rng.randint(1, 5), 0.0))
+        return LerchPoint(z, s, rng.uniform(0.05, 4.0))
+
+    def check(p, ref):
+        rep = eval_abel_plana(p)
+        err = abs(rep.value - ref.value)
+        assert err <= rep.abs_err_estimate + ref.err_bar, p
+        assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(ref.value)), p
+
+    turned = [LerchPoint(cmath.rect(2.0, sign * 0.3), s,
+                         complex(1.0, -sign * 0.8))
+              for sign in (1.0, -1.0) for s in (3.0, 1.5 + 2.0j)]
+    for p in sample(610, 16, draw) + turned:
+        if p.a.imag:
+            check(p, quad_integral(p.z, p.s, p.a))
+        else:
+            check(p, hp_continuation(p.z, p.s, p.a))
+    for side, nudge in (("above", 1e-30), ("below", -1e-30)):
+        for z, s, a in ((1.7, 2.0, 0.45), (2.4, 0.6 - 4.0j, 1.3)):
+            check(LerchPoint(z, s, a, side),
+                  hp_continuation(complex(z, nudge), s, a))
+
+
+def test_abel_plana_shifts_nonpositive_a():
+    # Re a <= 0 steps through Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1)
+    z, s, a = cmath.rect(1.3, 2.0), 0.5 + 0.5j, -1.4 + 0.2j
+    rep = eval_abel_plana(LerchPoint(z, s, a))
+    step = eval_abel_plana(LerchPoint(z, s, a + 2.0))
+    want = a ** -s + z * (a + 1.0) ** -s + z * z * step.value
+    assert rel_err(rep.value, want) < 1e-14
+    assert rep.abs_err_estimate >= abs(z) ** 2 * step.abs_err_estimate
+
+
+# ---------------------------------------------------------------------------
 # exact closed form at integer s
 
 
@@ -249,11 +310,39 @@ def test_integer_s_against_reference():
             assert abs(rep.value - ref.value) < 1e-9, (S, z)
 
 
+def test_integer_a_polylog_form_matches_mpmath():
+    # integer s and integer a: the polylogarithm form at S >= 1, the
+    # plain tail at S <= 0.  Each (S, a) is checked off the cut or on
+    # both sides of it; for real S and a the side below is the conjugate
+    # of the side above, so one 30-digit mpmath value serves both
+    for S in range(-2, 6):
+        for k in range(1, 5):
+            on_cut = (S + k) % 2 == 1
+            z = 12.5 if on_cut else -7.3 + 2.1j
+            want = complex(mp.lerchphi(mp.mpc(z, 1e-30 if on_cut else 2.1),
+                                       S, k))
+            sides = (("above", want), ("below", want.conjugate()))
+            for side, ref in sides[:2 if on_cut else 1]:
+                p = LerchPoint(z, float(S), float(k), side)
+                rep = eval_auto(p)
+                assert rep.engine == "integer_s"
+                err = abs(rep.value - ref)
+                if S >= 1:
+                    assert err <= rep.abs_err_estimate, (S, k, side)
+                    assert err <= 1e-13 * abs(ref), (S, k, side)
+                else:
+                    assert err <= 1e-10, (S, k, side)
+
+
 def test_integer_s_guards():
     with pytest.raises(ValueError):
         eval_integer_s_large_z(LerchPoint(-5.0, 2.5, A03), 2, 20)
+    # integer a <= 0 is refused; a >= 1 takes the polylogarithm form,
+    # whose tail must reach the left-out term n = a
     with pytest.raises(DomainError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, 3.0), 2, 20)
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, -3.0), 2, 20)
+    with pytest.raises(ValueError):
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, 3.0), 2, 2)
     with pytest.raises(DomainError):
         eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03), 2, 20)
 
@@ -665,14 +754,19 @@ def test_auto_small_z_direct():
 
 
 def test_auto_band_routes():
-    rep = eval_auto(LerchPoint(cmath.rect(1.4, 0.5), 2.5, 0.7))
-    assert rep.engine == "near_one"
+    band = LerchPoint(cmath.rect(1.4, 0.5), 2.5, 0.7)
+    rep = eval_auto(band)
+    assert rep.engine == "abel_plana"
+    assert rel_err(rep.value, reference_value(band).value) < 1e-12
     geo = eval_auto(LerchPoint(1.3 + 0.2j, 0.0, 0.4))
-    assert geo.engine == "near_one"
+    assert geo.engine == "abel_plana"
     assert rel_err(geo.value, 1.0 / (1.0 - (1.3 + 0.2j))) < 1e-10
-    # positive integer s hits the gamma pole of the expansion: detour
-    pole = eval_auto(LerchPoint(1.2, 2.0, 0.7))
-    assert pole.engine == "oracle"
+    # positive integer s, where the near-one expansion has a gamma pole,
+    # takes the same engine
+    on_pole = LerchPoint(1.2, 2.0, 0.7)
+    pole = eval_auto(on_pole)
+    assert pole.engine == "abel_plana"
+    assert rel_err(pole.value, reference_value(on_pole).value) < 1e-12
 
 
 def test_auto_large_z_routes():
@@ -684,8 +778,39 @@ def test_auto_large_z_routes():
     assert ints.engine == "integer_s"
     ref = reference_value(LerchPoint(-10.0, 2.0, A03))
     assert abs(ints.value - ref.value) < 1e-9
-    whole_a = eval_auto(LerchPoint(-10.0, 2.0, 1.0))
-    assert whole_a.engine == "oracle"
+    whole = LerchPoint(-10.0, 2.0, 1.0)
+    whole_a = eval_auto(whole)
+    assert whole_a.engine == "integer_s"
+    assert rel_err(whole_a.value, reference_value(whole).value) < 1e-12
+
+
+def test_auto_needs_no_mpmath():
+    # one eval_auto per route in a process where mpmath cannot be
+    # imported; the reports must be those of this process
+    points = [(0.5, 2.0, 1.0, 1e-10), (cmath.rect(1.4, 0.5), 2.5, 0.7, 1e-10),
+              (-10.0, 2.0, A03, 1e-10), (-10.0, 2.0, 1.0, 1e-10),
+              (-10.0, S34, A03, 1e-6), (-3.5, S34, A03, 1e-10)]
+    script = f"""
+import sys
+import lerchphi.engines as engines
+assert "mpmath" not in sys.modules, "importing lerchphi.engines loaded mpmath"
+sys.modules["mpmath"] = None
+from lerchphi._types import LerchPoint
+for z, s, a, tol in {points!r}:
+    r = engines.eval_auto(LerchPoint(z, s, a), target_tol=tol)
+    print(repr((r.value, r.abs_err_estimate, r.engine)))
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    engines = []
+    for (z, s, a, tol), line in zip(points, lines, strict=True):
+        r = eval_auto(LerchPoint(z, s, a), target_tol=tol)
+        assert line == repr((r.value, r.abs_err_estimate, r.engine))
+        engines.append(r.engine)
+    assert engines == ["direct", "abel_plana", "integer_s", "integer_s",
+                       "main_theorem", "symmetric_igamma"]
 
 
 def test_auto_integer_a_falls_back_to_symmetric():

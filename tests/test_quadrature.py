@@ -5,7 +5,8 @@ import math
 
 import mpmath as mp
 
-from lerchphi._quadrature import _level_nodes, tanh_sinh, tanh_sinh_vector
+from lerchphi._quadrature import (_level_nodes, tanh_sinh, tanh_sinh_chunked,
+                                  tanh_sinh_vector)
 
 ULP = 2.0 ** -52
 
@@ -102,3 +103,17 @@ def test_chunks_past_the_rounding_of_the_whole_stop_at_once():
     h, head = counted(lambda x: [cmath.exp(-x)])
     tanh_sinh_vector(h, [0.0, 1.0, 40.0], 1, rel_tol=2e-16)
     assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
+
+
+def test_scalar_chunks_past_the_rounding_of_the_whole_stop_at_once():
+    # tanh_sinh_chunked carries the integral of |f| over the chunks
+    # before into each chunk's stop rule, as tanh_sinh_vector does
+    f, calls = counted(lambda x: cmath.exp(-x))
+    value, _ = tanh_sinh_chunked(f, [0.0, 1.0, 40.0, 60.0], rel_tol=2e-16)
+    assert abs(value - (1.0 - math.exp(-60.0))) <= 8.0 * ULP
+    g, alone = counted(lambda x: cmath.exp(-x))
+    tanh_sinh(g, 40.0, 60.0, rel_tol=2e-16)
+    h, head = counted(lambda x: cmath.exp(-x))
+    tanh_sinh_chunked(h, [0.0, 1.0, 40.0], rel_tol=2e-16)
+    assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
+

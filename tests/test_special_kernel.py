@@ -8,7 +8,8 @@ import pytest
 
 from helpers import rel_err, sample
 from lerchphi import special_kernel
-from lerchphi.errors import AccuracyError, DomainError, PoleError
+from lerchphi.errors import (AccuracyError, ConditioningError, DomainError,
+                             PoleError)
 from lerchphi.special_kernel import (
     BranchedLog,
     digamma,
@@ -367,6 +368,17 @@ def test_igamma_series_cap_raises_accuracy_error(monkeypatch):
     with pytest.raises(AccuracyError) as info:
         upper_incomplete_gamma(0.75, 3.0)
     assert info.value.achieved > 0.0
+
+
+def test_overflow_past_the_double_range_is_a_conditioning_error():
+    # Re w below about -709 near the negative axis: Gamma(s, w) ~ e^(-w)
+    # is past the double range, and both functions say so with the
+    # package's own error type, which the CLI maps to an exit code
+    s, w = 14.86 - 8.72j, -816.6 + 17.0j
+    with pytest.raises(ConditioningError):
+        upper_incomplete_gamma(s, w)
+    with pytest.raises(ConditioningError):
+        gamma_star(s, w)
 
 
 def test_asymptotic_tail_matches_reference_far_out():
