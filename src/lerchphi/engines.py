@@ -24,15 +24,14 @@ import cmath
 import itertools
 import math
 
-from ._quadrature import _tanh_sinh_chunked
 from ._types import EngineReport
 from .coefficients import (csc_coefficients, csc_coefficients_subtracted,
                            log_power_coefficients)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (_BERNOULLI, _near_gamma_pole,
-                             _scaled_igamma_asymptotic, gamma, gamma_star,
-                             hurwitz_zeta_block, log_gamma, log_neg_z,
-                             reciprocal_gamma, signed_pi,
+from .special_kernel import (_BERNOULLI, _abel_plana_integral,
+                             _near_gamma_pole, _scaled_igamma_asymptotic,
+                             gamma, gamma_star, hurwitz_zeta, log_gamma,
+                             log_neg_z, reciprocal_gamma, signed_pi,
                              upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
@@ -42,16 +41,11 @@ _DIRECT_CAP = 10 ** 6
 # rounding of the near-one sum relative to its largest piece (the
 # singular part or a zeta term): the kernel's zeta values and the
 # cancellation between the pieces.  On the 96 near-one points of the
-# benchmark's ring pool the worst needed 1.05e-14; this keeps 4x room.
+# benchmark's ring pool the worst needed 9.6e-15; this keeps 4x room.
 _NEAR_ONE_ROUNDING = 4e-14
-# zeta(s - n, a) values the near-one sum asks the kernel for at once: the
-# ones on the integral route share a quadrature pass, and a sum that
-# stops mid-block wastes at most the rest of that block
-_ZETA_BLOCK = 16
 _M_TABLE_CAP = 200
-# Abel-Plana quadrature: relative target, and the rounding allowed for
-# on the integral of |integrand| and on the explicit terms
-_AP_REL_TOL = 1e-15
+# Abel-Plana form: the rounding allowed for on the integral of
+# |integrand| and on the explicit terms
 _AP_ULPS = 64.0 * 2.0 ** -52
 # rounding of the integer-a polylogarithm form, in ulps of its terms
 _POLYLOG_ULPS = 16.0 * 2.0 ** -52
@@ -177,12 +171,8 @@ def eval_near_one(p, n_max=60):
     lp = 1.0 + 0.0j  # (ln z)^n / n!
     n = 0
     largest = abs(sing)
-    zetas = []
     while True:
-        if n == len(zetas):
-            zetas += hurwitz_zeta_block(s - n, a, min(_ZETA_BLOCK,
-                                                      n_max + 1 - n))
-        term = zetas[n] * lp
+        term = hurwitz_zeta(s - n, a) * lp
         acc += term
         largest = max(largest, abs(term))
         if n and abs(term) <= 1e-16 * abs(acc):
@@ -247,10 +237,8 @@ def eval_abel_plana(p):
     With f(x) = z^x (a+x)^(-s) and L = ln z,
       Phi = a^(-s)/2 + e^(-aL) (-L)^(s-1) Gamma(1-s, -aL)
             + i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt,
-    the integral by chunked tanh-sinh over [0, 2, 8, ...] out to
-    max(14, 6 + 1.1 |Re s|): with |Im L| <= pi the integrand decays like
-    e^(-pi t) at least, and the range grows with |Re s| for the power
-    |a + it|^(-Re s).  The Gamma term is continued along the
+    the integral by the kernel's _abel_plana_integral, which at L = 0 is
+    Hermite's for zeta(s, a).  The Gamma term is continued along the
     integral path (_abel_plana_gamma_term); on the cut arg(-L) is set by
     the point's side, as in log_neg_z.  Re a <= 0 is first shifted by
     Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1).  The estimate covers the
@@ -278,22 +266,7 @@ def eval_abel_plana(p):
         gterm_err = _AP_ULPS * abs(gterm)
     else:
         gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
-    evals = 0
-
-    def integrand(t):
-        nonlocal evals
-        evals += 1
-        it_l = 1j * t * L
-        up = cmath.exp(it_l - s * cmath.log(a + 1j * t))
-        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t))
-        return 1j * (up - down) / math.expm1(_TWO_PI * t)
-
-    t_max = max(14.0, 6.0 + 1.1 * abs(s.real))
-    edges = [0.0, 2.0]
-    while edges[-1] < t_max:
-        edges.append(min(4.0 * edges[-1], t_max))
-    integral, quad_err, mass = _tanh_sinh_chunked(integrand, edges,
-                                                  _AP_REL_TOL)
+    integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
     value = head + zk * (half + gterm + integral)
     est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
                       + _AP_ULPS * abs(half))
@@ -388,10 +361,11 @@ def eval_integer_s_large_z(p, S, N_tail):
             size += abs(term)
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
-    est = az ** (-N_tail - 1) * abs(N_tail + 1.0 - a) ** -S / (1.0 - 1.0 / az)
-    if skip:
-        # summed to double precision (_integer_tail_size), where the
-        # rounding of the terms is no longer below the tail bound
+    est = _integer_tail_bound(az, S, a, N_tail)
+    if skip or S < 0:
+        # summed to double precision (_integer_tail_size), or over terms
+        # that grow before they fall, where the rounding of the terms is
+        # no longer below the tail bound
         est += _POLYLOG_ULPS * size
     return EngineReport(value, est, N_tail, max(S, 0), "integer_s")
 
@@ -589,6 +563,28 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     return EngineReport(value, est, n_z_terms, n_log_terms, "fl_expansion")
 
 
+def _integer_tail_bound(az, S, a, N):
+    """Bound on |sum_{n>N} z^(-n) (n-a)^(-S)|, the integer-s tail past
+    n = N: its first term over 1 - r, r bounding the ratio of each term to
+    the one before.  At S >= 0, r = 1/|z|.  At S < 0 the terms grow like
+    n^|S|: with |n+1-a| <= |n-a| + 1 and |n-a| >= d for n > N,
+    r = (1 + 1/d)^|S| / |z|, which at real a < N + 1 is
+    |(N+2-a)/(N+1-a)|^|S| / |z|.  Infinite when r >= 1.
+    """
+    ratio = 1.0 / az
+    if S < 0:
+        d = abs(N + 1.0 - a)
+        if a.real > N + 1.0:  # the terms reach n = Re a after N + 1
+            k = math.floor(a.real)
+            d = min(abs(k - a), abs(k + 1.0 - a))
+        if d == 0.0:
+            return math.inf
+        ratio *= (1.0 + 1.0 / d) ** -S
+        if ratio >= 1.0:
+            return math.inf
+    return az ** (-N - 1) * abs(N + 1.0 - a) ** -S / (1.0 - ratio)
+
+
 def _integer_tail_size(az, S, a, target_tol, cap=4000):
     n = 1
     if _near_integer(a, 0.0):
@@ -598,9 +594,8 @@ def _integer_tail_size(az, S, a, target_tol, cap=4000):
         n = max(1, round(a.real))
         if S >= 1:
             target_tol = min(target_tol, 2.0 ** -53 * az ** -(n + 1))
-    gap = 1.0 - 1.0 / az
     while n < cap:
-        if az ** (-n - 1) * abs(n + 1.0 - a) ** -S / gap <= target_tol:
+        if _integer_tail_bound(az, S, a, n) <= target_tol:
             return n
         n += 1
     return cap

@@ -163,10 +163,22 @@ def _refuse_continuation(p):
     # mpmath's lerchphi is wrong for complex a at |z| > e: against
     # quadrature it was off at about a quarter of such points, by O(1) at
     # some, with its two precisions still agreeing, so the spread bar
-    # does not show it
-    if p.a.imag != 0.0 and abs(p.z) > math.e:
+    # does not show it.  Inside the band it is O(1) wrong where
+    # arg a + arg(-ln z) leaves (-pi, pi], the argument that -a ln z
+    # reaches along the Abel-Plana integral path.
+    if p.a.imag == 0.0:
+        return
+    if abs(p.z) > math.e:
         raise DomainError("no trusted reference: mpmath's continuation is "
                           "unreliable for complex a at |z| > e")
+    if p.on_cut:  # the side's limit, as in _cut_limit
+        arg_neg_ln = -math.pi if p.cut_side == "above" else math.pi
+    else:
+        arg_neg_ln = cmath.phase(-cmath.log(p.z))
+    if not -math.pi < cmath.phase(p.a) + arg_neg_ln <= math.pi:
+        raise DomainError("no trusted reference: mpmath's continuation is "
+                          "unreliable for complex a where arg a + "
+                          "arg(-ln z) leaves (-pi, pi]")
 
 
 def reference_value(p):
@@ -176,7 +188,8 @@ def reference_value(p):
     Richardson limit on the cut; otherwise quadrature where the integral
     representation is comfortable (Re s > 0, Re a > 0, z not hugging
     [1, inf)), falling through to mpmath's continuation.  The two mpmath
-    routes are refused (DomainError) for complex a at |z| > e.
+    routes are refused (DomainError) for complex a at |z| > e, and for
+    complex a where arg a + arg(-ln z) leaves (-pi, pi].
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= _SERIES_RADIUS:

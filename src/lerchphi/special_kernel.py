@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._quadrature import tanh_sinh_vector
+from ._quadrature import _tanh_sinh_chunked
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "reciprocal_gamma",
     "digamma",
     "hurwitz_zeta",
-    "hurwitz_zeta_block",
     "upper_incomplete_gamma",
     "gamma_star",
     "gauss_2f1_unit_b",
@@ -74,7 +73,7 @@ _DIGAMMA_FACT = [float(b / (2 * k + 2)) for k, b in enumerate(_BERNOULLI[:8])]
 _IGAMMA_REL_TOL = 5e-16
 _IGAMMA_MAX_ITER = 500
 _IGAMMA_SERIES_CAP = 1400
-_ZETA_QUAD_REL_TOL = 2e-16
+_ABEL_PLANA_REL_TOL = 1e-15
 _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
 
@@ -215,10 +214,11 @@ def _zeta_euler_maclaurin(s, a):
     return value
 
 
-def _zeta_hermite(shifts, a):
-    # zeta(v, a) for each v in shifts from Hermite's real integral
-    #   zeta(s,a) = a^{-s}/2 + a^{1-s}/(s-1)
-    #     + 2 * int_0^oo sin(s atan(t/a)) / ((a^2+t^2)^{s/2} (e^{2 pi t}-1)) dt.
+def _zeta_hermite(s, a):
+    # Hermite's formula, the Abel-Plana summation of sum_n (a+n)^(-s):
+    #   zeta(s,a) = a^{-s}/2 + a^{1-s}/(s-1) + _abel_plana_integral at L = 0,
+    # that integral being 2 int_0^oo sin(s atan(t/a)) / ((a^2+t^2)^{s/2}
+    # (e^{2 pi t}-1)) dt at real a.
     # Valid for Re a > 0; used for Re s < -0.5 where the Euler-Maclaurin
     # route cancels catastrophically in doubles.  Its own conditioning is
     # e^{pi |Im s| / 2} (the sin factor outgrows the result), independent
@@ -227,42 +227,49 @@ def _zeta_hermite(shifts, a):
     # about |Re s| the integral and a^{-s} (1/2 + a/(s-1)) cancel like
     # |a|^{-Re s} / |zeta|, while the step terms carry the size of zeta
     # without that loss (past |Re s| there is little to gain, and the
-    # steps would cost one exp each).  The values share the nodes and, at
-    # each node, atan, log and expm1; each v then costs one sin and one
-    # exp, the arithmetic of a single value.
-    count = len(shifts)
-    sigma = max(abs(v.real) for v in shifts)
-    heads = [0.0j] * count
+    # steps would cost one exp each).
+    head = 0.0j
     while a.real <= 0.5:
-        heads = [h + p for h, p in zip(heads, _neg_powers(a, shifts))]
+        head += cmath.exp(-s * cmath.log(a))
         a += 1.0
-    while 1.5 < a.real <= 1.0 + sigma:
+    while 1.5 < a.real <= 1.0 + abs(s.real):
         a -= 1.0
-        heads = [h - p for h, p in zip(heads, _neg_powers(a, shifts))]
-    t_max = max(12.0, 6.0 + 1.1 * sigma)
-    exponents = [(v, -0.5 * v) for v in shifts]
+        head -= cmath.exp(-s * cmath.log(a))
+    integral = _abel_plana_integral(s, a, 0.0j)[0]
+    return (head + cmath.exp(-s * cmath.log(a)) * (0.5 + a / (s - 1.0))
+            + integral)
+
+
+def _abel_plana_integral(s, a, L):
+    """i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt with
+    f(x) = e^(xL) (a+x)^(-s), Re a > 0: the integral of the Abel-Plana
+    summation of sum_n z^n (a+n)^(-s), L = ln z, and at L = 0 that of
+    Hermite's formula for zeta(s, a).
+
+    Chunked tanh-sinh over [0, 2, 8, ...] out to max(14, 6 + 1.1 |Re s|):
+    with |Im L| <= pi the integrand decays like e^(-pi t) at least, and
+    the range grows with |Re s| for the power |a + it|^(-Re s).  Returns
+    the value, the quadrature's error estimate, the integral of
+    |integrand| (for the caller's rounding bound) and the number of
+    integrand evaluations.
+    """
+    evals = 0
 
     def integrand(t):
-        ang = cmath.atan(t / a)
-        ln_r2 = cmath.log(a * a + t * t)
-        inv = 1.0 / math.expm1(2.0 * math.pi * t)
-        return [cmath.sin(v * ang) * cmath.exp(e * ln_r2) * inv
-                for v, e in exponents]
+        nonlocal evals
+        evals += 1
+        it_l = 1j * t * L
+        up = cmath.exp(it_l - s * cmath.log(a + 1j * t))
+        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t))
+        return 1j * (up - down) / math.expm1(2.0 * math.pi * t)
 
+    t_max = max(14.0, 6.0 + 1.1 * abs(s.real))
     edges = [0.0, 2.0]
     while edges[-1] < t_max:
         edges.append(min(4.0 * edges[-1], t_max))
-    integrals = tanh_sinh_vector(integrand, edges, count,
-                                 rel_tol=_ZETA_QUAD_REL_TOL, max_level=9)
-    return [h + p * (0.5 + a / (v - 1.0)) + 2.0 * i
-            for h, p, v, i in zip(heads, _neg_powers(a, shifts), shifts,
-                                  integrals)]
-
-
-def _neg_powers(a, shifts):
-    # a^(-v) for each v in shifts
-    ln_a = cmath.log(a)
-    return [cmath.exp(-v * ln_a) for v in shifts]
+    value, err, mass = _tanh_sinh_chunked(integrand, edges,
+                                          _ABEL_PLANA_REL_TOL)
+    return value, err, mass, evals
 
 
 def _em_cancellation_exponent(s, a):
@@ -289,37 +296,25 @@ def _zeta_by_integral(s, a):
 def hurwitz_zeta(s, a):
     """Hurwitz zeta, analytic continuation in s, for a off {0, -1, -2, ...}.
 
-    Euler-Maclaurin for Re s >= -0.5; the real-integral representation for
-    Re s < -0.5 (after stepping a by integers into 0.5 < Re a <= 1.5, or
-    only past Re a > 1/2 once Re a exceeds 1 + |Re s|).  In the corner
-    Re s < -0.5 with |Im s| > ~8 both routes lose digits in doubles
-    (integral route like e^{pi |Im s|/2}, Euler-Maclaurin like
-    A^{1-Re s}/|zeta|); the one with the smaller predicted loss is used
-    and the documented 1e-11 relative contract holds for |s| <= 30 with
-    Re s >= -0.5 or |Im s| <= 8.
-    """
-    return hurwitz_zeta_block(s, a, 1)[0]
-
-
-def hurwitz_zeta_block(s, a, count):
-    """[zeta(s - n, a) for n in range(count)], each on hurwitz_zeta's route.
-
-    The values on the integral route share one quadrature pass.
+    Euler-Maclaurin for Re s >= -0.5; Hermite's integral (the Abel-Plana
+    integral at z = 1) for Re s < -0.5, after stepping a by integers into
+    0.5 < Re a <= 1.5, or only past Re a > 1/2 once Re a exceeds
+    1 + |Re s|.  In the corner Re s < -0.5 with |Im s| > ~8 both routes
+    lose digits in doubles (integral route like e^{pi |Im s|/2},
+    Euler-Maclaurin like A^{1-Re s}/|zeta|); the one with the smaller
+    predicted loss is used and the documented 1e-11 relative contract
+    holds for |s| <= 30 with Re s >= -0.5 or |Im s| <= 8.
     """
     sc = complex(s)
     ac = complex(a)
-    shifts = [sc - n for n in range(count)]
-    if 1.0 in shifts:
+    if sc == 1.0:
         raise PoleError("hurwitz_zeta pole at s = 1", pole=1)
     if _nonpositive_integer(ac) is not None:
         raise DomainError(f"hurwitz_zeta needs a off the non-positive "
                           f"integers, got a = {a}")
-    routes = [_zeta_by_integral(v, ac) for v in shifts]
-    on_integral = [v for v, q in zip(shifts, routes) if q]
-    by_integral = iter(_zeta_hermite(on_integral, ac)
-                       if on_integral else ())
-    return [next(by_integral) if q else _zeta_euler_maclaurin(v, ac)
-            for v, q in zip(shifts, routes)]
+    if _zeta_by_integral(sc, ac):
+        return _zeta_hermite(sc, ac)
+    return _zeta_euler_maclaurin(sc, ac)
 
 
 # ---------------------------------------------------------------------------

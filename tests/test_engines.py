@@ -24,6 +24,7 @@ from lerchphi.engines import (
 )
 from lerchphi.errors import AccuracyError, ConditioningError, DomainError
 from lerchphi.oracle import hp_continuation, quad_integral, reference_value
+from lerchphi.special_kernel import hurwitz_zeta
 
 S34 = 0.75
 A03 = 0.3
@@ -155,7 +156,7 @@ def test_near_one_branch_point_limit():
 def test_near_one_zero_depth_assembly():
     # with the sum capped at its first term the report is exactly
     # z^-a (Gamma(1-s) (-ln z)^(s-1) + zeta(s, a))
-    from lerchphi.special_kernel import gamma, hurwitz_zeta
+    from lerchphi.special_kernel import gamma
 
     z, s, a = 1.4 + 0.3j, 0.8 - 0.4j, 0.65
     rep = eval_near_one(LerchPoint(z, s, a), n_max=0)
@@ -270,6 +271,21 @@ def test_abel_plana_estimate_is_honest_on_random_band_points():
                   hp_continuation(complex(z, nudge), s, a))
 
 
+def test_abel_plana_at_z_one_is_hurwitz_zeta():
+    # at z = 1 (L = 0, Re s > 1) the Abel-Plana form is Hermite's formula
+    # for zeta(s, a): the shared integral at L = 0, checked against the
+    # kernel's other zeta route, Euler-Maclaurin, which hurwitz_zeta
+    # takes at Re s >= -0.5.  Small |a| (the last
+    # point) puts a sharp peak in the integrand near t = |a|, which costs
+    # the quadrature digits; the estimate says so
+    for s, a in ((1.5, 0.3), (2.0, 1.0), (3.2 + 4.0j, 0.7 + 0.4j),
+                 (1.1 - 2.5j, 2.6), (6.0, 0.05 - 0.3j)):
+        rep = eval_abel_plana(LerchPoint(1.0, s, a))
+        want = hurwitz_zeta(s, a)
+        assert rel_err(rep.value, want) < 1e-12, (s, a)
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (s, a)
+
+
 def test_abel_plana_shifts_nonpositive_a():
     # Re a <= 0 steps through Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1)
     z, s, a = cmath.rect(1.3, 2.0), 0.5 + 0.5j, -1.4 + 0.2j
@@ -332,6 +348,20 @@ def test_integer_a_polylog_form_matches_mpmath():
                     assert err <= 1e-13 * abs(ref), (S, k, side)
                 else:
                     assert err <= 1e-10, (S, k, side)
+
+
+def test_integer_s_estimate_covers_growing_terms():
+    # at S < 0 the tail terms grow like n^|S| before |z|^(-n) wins, so
+    # the ratio of the tail bound is |(N+2-a)/(N+1-a)|^|S| / |z|, not
+    # 1/|z|; these points were under-estimated with the latter.
+    # Phi at integer S <= 0 is rational in z, so mpmath at z + i 1e-30
+    # is the value at z
+    for z, S, a in ((12.5, -2, 1.3), (4.0, -4, 0.3), (3.0, -5, 2.5),
+                    (-6.0, -3, 0.45)):
+        rep = eval_auto(LerchPoint(z, float(S), a))
+        assert rep.engine == "integer_s"
+        want = complex(mp.lerchphi(mp.mpc(z, 1e-30), S, a))
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, a)
 
 
 def test_integer_s_guards():

@@ -1,11 +1,12 @@
 """Reference oracle: quadrature route, high-precision routes, routing."""
 
+import cmath
 import math
 
 import pytest
 
 from lerchphi._types import LerchPoint
-from lerchphi.engines import eval_symmetric_igamma
+from lerchphi.engines import eval_abel_plana, eval_symmetric_igamma
 from lerchphi.errors import DomainError
 from lerchphi.oracle import (
     ReferenceValue,
@@ -114,6 +115,31 @@ def test_reference_refuses_mpmath_for_complex_a_past_e():
         reference_value(LerchPoint(5.0, s, a))
     # real a keeps the continuation route
     assert reference_value(LerchPoint(z, s, 0.7)).method == "hp_continuation"
+
+
+def test_reference_refuses_mpmath_for_turned_complex_a_in_the_band():
+    # inside the band, mpmath's continuation is O(1) wrong for complex a
+    # where arg a + arg(-ln z) leaves (-pi, pi]; Re s <= 0.05 sends the
+    # point past quadrature to it.  The Abel-Plana engine continues its
+    # Gamma term there and is the check
+    z, s = 2.0 * cmath.exp(0.3j), -0.5 + 1.0j
+    turned, kept = LerchPoint(z, s, 1.0 - 0.8j), LerchPoint(z, s, 1.0 + 0.8j)
+    engine = eval_abel_plana(turned).value
+    assert abs(hp_continuation(z, s, turned.a).value - engine) > 1e-2
+    with pytest.raises(DomainError):
+        reference_value(turned)
+    ref = reference_value(kept)
+    assert ref.method == "hp_continuation"
+    assert abs(ref.value - eval_abel_plana(kept).value) <= 1e-12
+    # on the cut the side sets arg(-ln z) = -/+ pi: above refuses
+    # Im a < 0, below refuses Im a > 0
+    with pytest.raises(DomainError):
+        reference_value(LerchPoint(1.5, 0.7, 1.0 - 0.8j, "above"))
+    with pytest.raises(DomainError):
+        reference_value(LerchPoint(1.5, 0.7, 1.0 + 0.8j, "below"))
+    cut = LerchPoint(1.5, 0.7, 1.0 + 0.8j, "above")
+    assert abs(reference_value(cut).value
+               - eval_abel_plana(cut).value) <= 1e-10
 
 
 def test_reference_contiguity():

@@ -1,12 +1,11 @@
-"""Tanh-sinh rule: where refinement stops, for one value and for a block."""
+"""Tanh-sinh rule: where refinement stops, on one interval and on chunks."""
 
 import cmath
 import math
 
 import mpmath as mp
 
-from lerchphi._quadrature import (_level_nodes, tanh_sinh, tanh_sinh_chunked,
-                                  tanh_sinh_vector)
+from lerchphi._quadrature import _level_nodes, tanh_sinh, tanh_sinh_chunked
 
 ULP = 2.0 ** -52
 
@@ -35,12 +34,6 @@ def test_smooth_integrand_stops_at_the_rounding_floor():
     assert abs(value - math.pi / 4.0) <= 4.0 * ULP * (math.pi / 4.0)
     assert err < 1e-15
 
-    g, calls = counted(lambda x: [1.0 / (1.0 + x * x), 2j / (1.0 + x * x)])
-    values = tanh_sinh_vector(g, [0.0, 1.0], 2, rel_tol=2e-16, max_level=10)
-    assert calls[0] <= nodes_up_to(6)
-    assert abs(values[0] - math.pi / 4.0) <= 4.0 * ULP * (math.pi / 4.0)
-    assert abs(values[1] - 0.5j * math.pi) <= 4.0 * ULP * (0.5 * math.pi)
-
 
 def test_cancelling_integrand_does_not_stop_early():
     # the Hermite zeta integrand at |Im s| = 8: its sin factor grows like
@@ -65,49 +58,11 @@ def test_cancelling_integrand_does_not_stop_early():
     floor = 16.0 * ULP * float(mass)
     value, _ = tanh_sinh(f, 0.0, 2.0, rel_tol=2e-16, max_level=9)
     assert abs(value - complex(want)) <= floor
-    block = tanh_sinh_vector(lambda t: [f(t), 3.0 * f(t)], [0.0, 2.0], 2,
-                             rel_tol=2e-16, max_level=9)
-    assert abs(block[0] - complex(want)) <= floor
-    assert abs(block[1] - 3.0 * complex(want)) <= 3.0 * floor
-
-
-def test_block_refines_until_every_component_settles():
-    # a smooth component settles at once, a peaked one (width 1e-2 at
-    # x = 0.3) needs many levels; the block must not stop with the first
-    smooth = counted(lambda x: math.exp(x))
-    tanh_sinh(smooth[0], 0.0, 1.0, rel_tol=1e-14)
-
-    def peak(x):
-        return 1.0 / (1e-4 + (x - 0.3) ** 2)
-
-    peaked = counted(peak)
-    alone, _ = tanh_sinh(peaked[0], 0.0, 1.0, rel_tol=1e-14)
-    assert smooth[1][0] < peaked[1][0]
-    want = 100.0 * (math.atan(70.0) + math.atan(30.0))
-    block, calls = counted(lambda x: [math.exp(x), peak(x)])
-    values = tanh_sinh_vector(block, [0.0, 1.0], 2, rel_tol=1e-14)
-    assert calls[0] >= peaked[1][0]
-    assert abs(values[0] - (math.e - 1.0)) <= 1e-14 * math.e
-    assert abs(values[1] - want) <= 1e-12 * want
-    assert abs(alone - want) <= 1e-12 * want
-
-
-def test_chunks_past_the_rounding_of_the_whole_stop_at_once():
-    # e^(-x) over [0, 1, 40, 60]: the last chunk holds e^-40 of the
-    # total, so its first refinement is enough; alone, it would refine on
-    f, calls = counted(lambda x: [cmath.exp(-x)])
-    values = tanh_sinh_vector(f, [0.0, 1.0, 40.0, 60.0], 1, rel_tol=2e-16)
-    assert abs(values[0] - (1.0 - math.exp(-60.0))) <= 8.0 * ULP
-    g, alone = counted(lambda x: [cmath.exp(-x)])
-    tanh_sinh_vector(g, [40.0, 60.0], 1, rel_tol=2e-16)
-    h, head = counted(lambda x: [cmath.exp(-x)])
-    tanh_sinh_vector(h, [0.0, 1.0, 40.0], 1, rel_tol=2e-16)
-    assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
 
 
 def test_scalar_chunks_past_the_rounding_of_the_whole_stop_at_once():
     # tanh_sinh_chunked carries the integral of |f| over the chunks
-    # before into each chunk's stop rule, as tanh_sinh_vector does
+    # before into each chunk's stop rule
     f, calls = counted(lambda x: cmath.exp(-x))
     value, _ = tanh_sinh_chunked(f, [0.0, 1.0, 40.0, 60.0], rel_tol=2e-16)
     assert abs(value - (1.0 - math.exp(-60.0))) <= 8.0 * ULP

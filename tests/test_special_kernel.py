@@ -17,7 +17,6 @@ from lerchphi.special_kernel import (
     gamma_star,
     gauss_2f1_unit_b,
     hurwitz_zeta,
-    hurwitz_zeta_block,
     log_gamma,
     log_neg_z,
     reciprocal_gamma,
@@ -201,10 +200,11 @@ def test_hurwitz_zeta_complex_second_argument():
         assert rel_err(hurwitz_zeta(s, a), expect) < 1e-11, (s, a)
 
 
-def test_hurwitz_zeta_block_matches_reference_and_one_value_route():
-    # zeta(s - n, a) for n = 0..40 from one block: real and complex a, some
-    # with Re a <= 0.5 (the a-shift head), |Im s| up to 8.  The first few n
-    # sit on the Euler-Maclaurin route, the rest share one quadrature pass.
+def test_hurwitz_zeta_shifted_orders_match_reference():
+    # zeta(s - n, a) for n up to 40, as the near-one engine asks for them:
+    # real and complex a, some with Re a <= 0.5 (the a-step head), |Im s|
+    # up to 8.  The first few n sit on the Euler-Maclaurin route, the
+    # rest on the integral route.
     def draw(rng):
         re_a = (rng.uniform(0.05, 0.5) if rng.random() < 0.4
                 else rng.uniform(0.5, 4.0))
@@ -213,34 +213,12 @@ def test_hurwitz_zeta_block_matches_reference_and_one_value_route():
                 complex(re_a, im_a))
 
     for s, a in sample(110, 5, draw):
-        block = hurwitz_zeta_block(s, a, 41)
-        assert len(block) == 41
-        # the near-one engine asks for blocks of 16; n = 15/16/17 straddle
-        # the edge, and the split block must agree with the long one
-        split = hurwitz_zeta_block(s - 16, a, 16)
         for n in (0, 1, 2, 3, 5, 8, 13, 15, 16, 17, 24, 31, 32, 33, 40):
-            got = block[n]
             # zeta(s, a) = a^-s + zeta(s, a + 1): mpmath takes seconds at
             # some of these points with Re a < 1, milliseconds past it
             sm, am = mp.mpc(s - n), mp.mpc(a)
             want = complex(am ** -sm + mp.zeta(sm, am + 1))
-            assert rel_err(got, want) < 1e-11, (s, a, n)
-            one = hurwitz_zeta(s - n, a)
-            assert (rel_err(got, one) < 1e-13
-                    or rel_err(got, want) <= rel_err(one, want)), (s, a, n)
-            if 16 <= n < 32:
-                assert rel_err(split[n - 16], got) < 1e-13, (s, a, n)
-
-
-def test_hurwitz_zeta_block_pole_and_routes():
-    # s - n = 1 for n = 2 lies inside a block of 4, not inside one of 2
-    with pytest.raises(PoleError):
-        hurwitz_zeta_block(3.0, 0.4, 4)
-    assert len(hurwitz_zeta_block(3.0, 0.4, 2)) == 2
-    # |Im s| > 8: the block keeps hurwitz_zeta's route choice for each n
-    s, a = complex(-0.2, 12.0), 0.7
-    for n, got in enumerate(hurwitz_zeta_block(s, a, 12)):
-        assert rel_err(got, hurwitz_zeta(s - n, a)) < 1e-13, n
+            assert rel_err(hurwitz_zeta(s - n, a), want) < 1e-11, (s, a, n)
 
 
 def test_hurwitz_zeta_shift_identity():
