@@ -194,7 +194,11 @@ def _subtracted_values(a, N, count, method):
         # surviving poles, whose order-n content is a pair of alternating
         # power sums anchored at N+1+a and N+1-a.  The nearest surviving
         # pole dominates both, so nothing cancels and every b_{n,N} is
-        # accurate at its own (tiny) scale.
+        # accurate at its own (tiny) scale.  Real a is summed in floats:
+        # less work than complex arithmetic on zero imaginary parts, and
+        # the same values wherever float sum() is not compensated (< 3.12).
+        if a.imag == 0.0:
+            a = a.real
         up = _alternating_power_sums(a + N + 1.0, count)
         down = _alternating_power_sums(N + 1.0 - a, count)
         front = (-0.5j if N % 2 else 0.5j) / math.pi

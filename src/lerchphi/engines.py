@@ -98,22 +98,19 @@ def _pair_term(p, n, L, rg_s, sigma):
 
 def _log_series_terms(p, L, coeffs):
     """Terms of the resummed logarithmic series for the given coefficient
-    run: 2 pi i e^(-aL) b_m L^(s-1-m) / Gamma(s-m).  The reciprocal gamma
-    goes through the reflection formula so each term is one exponential;
-    a term whose exponent underflows is reported as None."""
+    run: 2 pi i e^(-aL) b_m L^(s-1-m) / Gamma(s-m).  The factor after b_m
+    starts at 2 pi i e^(-aL) L^(s-1) / Gamma(s) and each next one is the
+    one before times (s-m)/L, so the terms stay exactly real where s, a
+    and L are real.  A term whose factor underflows to 0 is reported as
+    None."""
     s = p.s
-    sin_ratio = cmath.sin(cmath.pi * s) / math.pi
-    ln_l = cmath.log(L)
-    front = 2j * math.pi * cmath.exp(-p.a * L) * sin_ratio
+    factor = (2j * math.pi * reciprocal_gamma(s)
+              * cmath.exp(-p.a * L + (s - 1.0) * cmath.log(L)))
     out = []
-    sign = 1.0
     for m, b in enumerate(coeffs):
-        expo = log_gamma(1.0 + m - s) + (s - 1.0 - m) * ln_l
-        if expo.real < -745.0:
-            out.append(None)
-        else:
-            out.append(front * sign * b * cmath.exp(expo))
-        sign = -sign
+        if m:
+            factor *= (s - m) / L
+        out.append(factor * b if factor else None)
     return out
 
 

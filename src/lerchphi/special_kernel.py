@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._quadrature import _tanh_sinh_chunked
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
@@ -150,25 +151,41 @@ def log_gamma(s):
     return (sc - 0.5) * cmath.log(sc) - sc + _HALF_LN_2PI + series - shift
 
 
+# Gamma and 1/Gamma are memoized: the large-z engines ask for them at the
+# same few arguments (s and s + 1 of one point) for every mirror term.
+@lru_cache(maxsize=64)
 def gamma(s):
-    """Gamma function; raises PoleError at non-positive integers."""
+    """Gamma function; raises PoleError at non-positive integers and
+    ConditioningError where |Gamma(s)| is past the double range."""
     sc = complex(s)
     p = _nonpositive_integer(sc)
     if p is not None:
         raise PoleError(f"gamma pole at s = {p}", pole=p)
-    if sc.imag == 0.0:
-        return complex(math.gamma(sc.real), 0.0)
-    return cmath.exp(log_gamma(sc))
+    try:
+        if sc.imag == 0.0:
+            return complex(math.gamma(sc.real), 0.0)
+        return cmath.exp(log_gamma(sc))
+    except OverflowError:
+        raise ConditioningError(f"Gamma(s) is past the double range at "
+                                f"s = {s}") from None
 
 
+@lru_cache(maxsize=64)
 def reciprocal_gamma(s):
-    """1/Gamma(s), entire: returns 0 at the poles of gamma."""
+    """1/Gamma(s), entire: returns 0 at the poles of gamma.  Raises
+    ConditioningError where |1/Gamma(s)| is past the double range."""
     sc = complex(s)
     if _nonpositive_integer(sc) is not None:
         return 0.0j
-    if sc.imag == 0.0:
+    # past s = 171.6 math.gamma overflows while 1/Gamma is tiny, and below
+    # s = -171 it is subnormal while 1/Gamma leaves the range
+    if sc.imag == 0.0 and abs(sc.real) < 170.0:
         return complex(1.0 / math.gamma(sc.real), 0.0)
-    return cmath.exp(-log_gamma(sc))
+    try:
+        return cmath.exp(-log_gamma(sc))
+    except OverflowError:
+        raise ConditioningError(f"1/Gamma(s) is past the double range "
+                                f"at s = {s}") from None
 
 
 def digamma(a):
@@ -267,8 +284,13 @@ def _abel_plana_integral(s, a, L):
     edges = [0.0, 2.0]
     while edges[-1] < t_max:
         edges.append(min(4.0 * edges[-1], t_max))
-    value, err, mass = _tanh_sinh_chunked(integrand, edges,
-                                          _ABEL_PLANA_REL_TOL)
+    try:
+        value, err, mass = _tanh_sinh_chunked(integrand, edges,
+                                              _ABEL_PLANA_REL_TOL)
+    except OverflowError:  # e^(2 pi t) past t = 113, at |Re s| past ~97
+        raise ConditioningError(f"the Abel-Plana integral at s = {s} "
+                                "reaches t past the double range of "
+                                "e^(2 pi t)") from None
     return value, err, mass, evals
 
 
@@ -438,7 +460,7 @@ def _igamma_continued_fraction(s, w):
 
 
 def _scaled_igamma_asymptotic(s, w):
-    # Gamma(s, w) e^w w^(1-s) for huge |w|: the divergent tail
+    # Gamma(s, w) e^w w^(1-s) for large |w|: the divergent tail
     # sum_k (s-1)...(s-k) / w^k, summed until a term drops under 1e-17 of
     # the sum or the next one would grow (optimal truncation)
     total = 1.0 + 0.0j
@@ -466,9 +488,10 @@ def upper_incomplete_gamma(s, w):
 
     Region map: power series around w = 0 (with an analytic join of the
     resonant term when s sits near a non-positive integer), Lentz continued
-    fraction for large |w| off the negative axis, the subtracted series
-    again near the axis, and an optimally truncated asymptotic tail beyond
-    |w| = 300 there.  Raises ConditioningError when the value, or a
+    fraction for large |w| off the negative axis, and near the axis
+    (|arg w| > 2.65) the optimally truncated asymptotic tail (DLMF 8.11(i))
+    beyond |w| = 45 + 2.5 max(0, -Re s), the subtracted series or the
+    fraction below it.  Raises ConditioningError when the value, or a
     factor of it, is past the double range.
     """
     try:
@@ -536,20 +559,20 @@ def _upper_incomplete_gamma(sc, wc):
         return _igamma_gseries(sc, wc)
     if theta <= 2.65:
         return _igamma_continued_fraction(sc, wc)
-    # Near the negative axis, pick by predicted ulp loss: the subtracted
-    # series loses e^{|w|(1 + cos arg w)}, the fraction is clean through
-    # arg 2.9, and the divergent tail's optimal-truncation floor clears
-    # 1e-12 once |w| > ~45 + 2.5 max(0, -Re s).
-    if aw * (1.0 + math.cos(theta)) <= 9.0 and aw <= 500.0:
+    # Near the negative axis: the divergent tail's optimal-truncation floor
+    # clears 1e-12 once |w| > 45 + 2.5 max(0, -Re s).  Below that, pick by
+    # predicted ulp loss: the subtracted series loses e^{|w|(1 + cos arg w)}
+    # and the fraction is clean through arg 2.9.  Past arg 2.9 the series
+    # loses more than e^9 only at |w| > 310, under the floor only when
+    # Re s < -106.
+    if aw > 45.0 + 2.5 * max(0.0, -sc.real):
+        return (cmath.exp((sc - 1.0) * cmath.log(wc) - wc)
+                * _scaled_igamma_asymptotic(sc, wc))
+    if aw * (1.0 + math.cos(theta)) <= 9.0:
         if m is not None:
             return _igamma_pole_adjacent(sc, wc, m)
         return _igamma_gseries(sc, wc)
-    if theta <= 2.9:
-        return _igamma_continued_fraction(sc, wc)
-    # the last resort for huge |w| near the negative axis, where neither
-    # the fraction nor the series pays
-    return (cmath.exp((sc - 1.0) * cmath.log(wc) - wc)
-            * _scaled_igamma_asymptotic(sc, wc))
+    return _igamma_continued_fraction(sc, wc)
 
 
 def gamma_star(s, w):

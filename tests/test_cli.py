@@ -154,7 +154,11 @@ def test_domain_errors_exit_2():
             "--engine", "factorial"],
            ["eval", "--z", "-10,0", "--s", "0.75,0", "--a", "0.3,0",
             "--engine", "integer-s"],
-           ["coeffs", "--a", "2,0", "--n-max", "2"])
+           ["coeffs", "--a", "2,0", "--n-max", "2"],
+           # Gamma(200.5) and e^(2 pi t) of the Abel-Plana integral are
+           # past the double range: a conditioning error, not a traceback
+           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"],
+           ["eval", "--z", "1.5,0.5", "--s", "200.5,0", "--a", "0.3,0"])
     for argv in bad:
         code, _, err = run_cli(argv)
         assert code == 2, argv

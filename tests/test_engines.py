@@ -640,6 +640,56 @@ def test_m_series_error_bottoms_at_the_pick():
     assert errs[pick] < errs[20] < errs[25]
 
 
+def test_log_series_terms_by_ratio_match_reference():
+    # each term is built from the one before; the reference takes every
+    # 2 pi i e^(-aL) b_m L^(s-1-m) / Gamma(s-m) apart, in 30 digits.  One
+    # log_gamma and one exp per term missed this: 3e-13 off at m ~ 170,
+    # and 2e-4 where a subnormal b_m met the exponential last
+    from lerchphi.coefficients import csc_coefficients_subtracted
+    from lerchphi.engines import _branch_log, _log_series_terms
+
+    def draw(rng):
+        while True:
+            z = cmath.rect(rng.uniform(3.0, 400.0),
+                           rng.uniform(-math.pi, math.pi))
+            s = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+            im = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
+            a = complex(rng.uniform(0.05, 6.0), im)
+            n_cap = min(40, int(abs(z)) - 1)
+            if (abs(s - round(s.real)) > 0.05
+                    and math.ceil(a.real) + 1 <= n_cap):
+                return (LerchPoint(z, s, a),
+                        rng.randint(math.ceil(a.real) + 1, n_cap))
+
+    for p, N in sample(131, 30, draw):
+        L = _branch_log(p)
+        coeffs = csc_coefficients_subtracted(
+            p.a, N, min(choose_optimal_M(p, N), 200)).values
+        ms, ml = mp.mpc(p.s), mp.mpc(L)
+        front = 2j * mp.pi * mp.exp(-mp.mpc(p.a) * ml)
+        for m, (got, b) in enumerate(zip(_log_series_terms(p, L, coeffs),
+                                         coeffs)):
+            want = front * b * ml ** (ms - 1 - m) * mp.rgamma(ms - m)
+            assert rel_err(got, complex(want)) <= 1e-13, (p, N, m)
+
+
+def test_log_series_terms_real_and_underflow():
+    from lerchphi.coefficients import csc_coefficients_subtracted
+    from lerchphi.engines import _branch_log, _log_series_terms
+
+    # real s, a and L (z < -1): every term exactly real, s > 1 included
+    for s in (0.75, 2.5, -1.3):
+        p = LerchPoint(-10.0, s, A03)
+        terms = _log_series_terms(
+            p, _branch_log(p), csc_coefficients_subtracted(A03, 5, 30).values)
+        assert all(t.imag == 0.0 for t in terms), s
+    # e^(-aL) = e^(-740) takes every term under the double range
+    rep = eval_main_theorem(LerchPoint(-1e4, S34, 80.3), 82)
+    assert "m-term-underflow" in rep.warnings
+    ref = complex(mp.lerchphi(-1e4, S34, 80.3))
+    assert rel_err(rep.value, ref) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # identities holding across engines
 

@@ -94,6 +94,10 @@ def test_reciprocal_gamma_entire():
     for s in sample(104, 50, lambda rng: complex(rng.uniform(-20, 20),
                                                  rng.uniform(0.2, 20))):
         assert rel_err(reciprocal_gamma(s) * gamma(s), 1.0) < 1e-12, s
+    # past s = 171.6 Gamma overflows while 1/Gamma is tiny, not infinite
+    for s in (171.5, 200.5, -169.5):
+        want = complex(mp.rgamma(s))
+        assert rel_err(reciprocal_gamma(s), want) < 1e-13, s
 
 
 def test_log_gamma_exponentiates_to_gamma():
@@ -357,12 +361,15 @@ def test_overflow_past_the_double_range_is_a_conditioning_error():
         upper_incomplete_gamma(s, w)
     with pytest.raises(ConditioningError):
         gamma_star(s, w)
+    # Gamma(200.5) ~ 1e373 and 1/Gamma(-200.5) ~ 1e375
+    with pytest.raises(ConditioningError):
+        gamma(200.5)
+    with pytest.raises(ConditioningError):
+        reciprocal_gamma(-200.5)
 
 
 def test_asymptotic_tail_matches_reference_far_out():
-    # One divergent tail serves the large-z engines' log-space terms
-    # (scaled, at |Re w| > 600) and the kernel's last route (|w| > 500
-    # near the negative axis, where the fraction and the series lose).
+    # the large-z engines' log-space terms (scaled, at |Re w| > 600)
     def draw_right(rng):
         s = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
         return s, complex(rng.uniform(600, 4000), rng.uniform(-3000, 3000))
@@ -373,13 +380,24 @@ def test_asymptotic_tail_matches_reference_far_out():
         got = special_kernel._scaled_igamma_asymptotic(s, w)
         assert rel_err(got, expect) < 1e-14, (s, w)
 
-    def draw_axis(rng):
-        # |w| < 600 and |Im s| <= 5 keep Gamma(s, w) ~ e^(-w) w^(s-1) finite
-        s = complex(rng.uniform(-15, 5), rng.uniform(-5, 5))
-        arg = rng.choice((-1.0, 1.0)) * rng.uniform(2.9, math.pi)
-        return s, cmath.rect(rng.uniform(500, 600), arg)
 
-    for s, w in sample(122, 12, draw_axis) + [(0.75, -550.0)]:
+def test_igamma_asymptotic_zone_near_the_negative_axis():
+    # |arg w| > 2.65 and |w| > 45 + 2.5 max(0, -Re s) take the divergent
+    # tail, where the subtracted series would cost O(|w|) terms
+    def draw(rng):
+        while True:
+            s = cmath.rect(rng.uniform(0.0, 20.0), rng.uniform(-math.pi,
+                                                                math.pi))
+            floor = 45.0 + 2.5 * max(0.0, -s.real)
+            arg = rng.choice((-1.0, 1.0)) * rng.uniform(2.65, math.pi)
+            w = cmath.rect(rng.uniform(floor, 600.0), arg)
+            # keep e^(-w) w^(s-1) inside the double range
+            if abs(w) > floor and ((s - 1.0) * cmath.log(w) - w).real < 700:
+                return s, w
+
+    # just below the floor the subtracted series still serves
+    below = [(0.75, -44.9 + 0.0j), (-4.0 + 1.5j, cmath.rect(54.5, 2.8))]
+    for s, w in sample(122, 30, draw) + [(0.75, -550.0)] + below:
         expect = complex(mp.gammainc(mp.mpc(s), mp.mpc(w)))
         assert rel_err(upper_incomplete_gamma(s, w), expect) < 1e-12, (s, w)
 
