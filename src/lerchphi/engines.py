@@ -70,20 +70,21 @@ def _half_turns(p, L):
     return round((cmath.log(p.z) - L).imag / math.pi)
 
 
-def _first_sum_term(p, n, L, rg_s, sigma):
+def _first_sum_term(p, n, L, sigma):
     # z^n Gamma(s, (a+n)L) / ((a+n)^s Gamma(s))
     s, a = p.s, p.a
     w = (a + n) * L
     if w.real <= _LOG_SPACE_W:
         u = upper_incomplete_gamma(s, w)
-        return p.z ** n * rg_s * u * (a + n) ** -s
+        return p.z ** n * reciprocal_gamma(s) * u * (a + n) ** -s
     # z^n e^(-w) = e^(-aL) (-1)^(n sigma) exactly; keep it that way
     expo = (-a * L + 1j * math.pi * sigma * n
             + (s - 1.0) * cmath.log(w) - s * cmath.log(a + n))
-    return rg_s * _scaled_igamma_asymptotic(s, w) * cmath.exp(expo)
+    tail = _scaled_igamma_asymptotic(s, w)[0]
+    return reciprocal_gamma(s) * tail * cmath.exp(expo)
 
 
-def _pair_term(p, n, L, rg_s, sigma):
+def _pair_term(p, n, L, sigma):
     # the n-th mirror term with its residue folded in:
     # -z^(-n) L^s gammastar(s, (a-n)L), entire in a, no branch to track
     s, a = p.s, p.a
@@ -93,7 +94,8 @@ def _pair_term(p, n, L, rg_s, sigma):
     lead = -(p.z ** -n) * cmath.exp(s * (cmath.log(L) - cmath.log(w)))
     expo = (-a * L - 1j * math.pi * sigma * n
             + s * cmath.log(L) - cmath.log(w))
-    return lead + rg_s * _scaled_igamma_asymptotic(s, w) * cmath.exp(expo)
+    tail = _scaled_igamma_asymptotic(s, w)[0]
+    return lead + reciprocal_gamma(s) * tail * cmath.exp(expo)
 
 
 def _log_series_terms(p, L, coeffs):
@@ -102,10 +104,29 @@ def _log_series_terms(p, L, coeffs):
     starts at 2 pi i e^(-aL) L^(s-1) / Gamma(s) and each next one is the
     one before times (s-m)/L, so the terms stay exactly real where s, a
     and L are real.  A term whose factor underflows to 0 is reported as
-    None."""
+    None; ConditioningError when the first factor is past the double
+    range."""
     s = p.s
-    factor = (2j * math.pi * reciprocal_gamma(s)
-              * cmath.exp(-p.a * L + (s - 1.0) * cmath.log(L)))
+    expo = -p.a * L + (s - 1.0) * cmath.log(L)
+    factor = math.inf
+    if abs(expo.real) < 700.0 and abs(s) < 100.0:
+        # 1/Gamma(s) and e^expo are both normal doubles: their product
+        factor = 2j * math.pi * reciprocal_gamma(s) * cmath.exp(expo)
+    if not cmath.isfinite(factor):
+        # one exponential with Gamma(s) in it, past the double range only
+        # with the factor itself; log |Gamma| and its sign at real s
+        sign = 1.0
+        if s.imag == 0.0:
+            expo -= math.lgamma(s.real)
+            if s.real < 0.0 and math.floor(s.real) % 2:
+                sign = -1.0
+        else:
+            expo -= log_gamma(s)
+        try:
+            factor = 2j * math.pi * sign * cmath.exp(expo)
+        except OverflowError:
+            raise ConditioningError("the first log-series term is past "
+                                    f"the double range at s = {s}") from None
     out = []
     for m, b in enumerate(coeffs):
         if m:
@@ -398,11 +419,9 @@ def _mirror_terms(p):
     that the logarithmic series approximates."""
     L = _branch_log(p)
     sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(p.s)
-    yield _first_sum_term(p, 0, L, rg_s, sigma), 0
+    yield _first_sum_term(p, 0, L, sigma), 0
     for n in itertools.count(1):
-        yield (_first_sum_term(p, n, L, rg_s, sigma),
-               _pair_term(p, n, L, rg_s, sigma))
+        yield _first_sum_term(p, n, L, sigma), _pair_term(p, n, L, sigma)
 
 
 def _main_theorem_estimate(p, N):
@@ -546,13 +565,12 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
                           "use the integer-s engine")
     L = _branch_log(p)
     sigma = _half_turns(p, L)
-    rg_s = reciprocal_gamma(s)
-    front = rg_s * cmath.exp(-a * L)
+    front = reciprocal_gamma(s) * cmath.exp(-a * L)
     coeffs = log_power_coefficients(s, a, n_log_terms + 1)
     log_part = 0.0j
     for m in range(n_log_terms):
         log_part += coeffs[m] * cmath.exp((s - 1.0 - m) * cmath.log(L))
-    pair_part = sum(_pair_term(p, n, L, rg_s, sigma)
+    pair_part = sum(_pair_term(p, n, L, sigma)
                     for n in range(1, n_z_terms + 1))
     value = front * log_part + pair_part
     est = abs(front * coeffs[n_log_terms]

@@ -24,6 +24,7 @@ exponentially small against its terms.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +75,9 @@ _DIGAMMA_FACT = [float(b / (2 * k + 2)) for k, b in enumerate(_BERNOULLI[:8])]
 _IGAMMA_REL_TOL = 5e-16
 _IGAMMA_MAX_ITER = 500
 _IGAMMA_SERIES_CAP = 1400
+# the asymptotic tail near the negative w-axis serves where both its
+# truncation error and the Stokes term it leaves out are under this
+_IGAMMA_TAIL_TOL = 1e-13
 _ABEL_PLANA_REL_TOL = 1e-15
 _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
@@ -173,7 +177,8 @@ def gamma(s):
 @lru_cache(maxsize=64)
 def reciprocal_gamma(s):
     """1/Gamma(s), entire: returns 0 at the poles of gamma.  Raises
-    ConditioningError where |1/Gamma(s)| is past the double range."""
+    ConditioningError where |1/Gamma(s)| is past the double range, above
+    it or under its normal numbers (real s past about 171)."""
     sc = complex(s)
     if _nonpositive_integer(sc) is not None:
         return 0.0j
@@ -182,10 +187,13 @@ def reciprocal_gamma(s):
     if sc.imag == 0.0 and abs(sc.real) < 170.0:
         return complex(1.0 / math.gamma(sc.real), 0.0)
     try:
-        return cmath.exp(-log_gamma(sc))
+        value = cmath.exp(-log_gamma(sc))
     except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= abs(value) < math.inf:
         raise ConditioningError(f"1/Gamma(s) is past the double range "
-                                f"at s = {s}") from None
+                                f"at s = {s}")
+    return value
 
 
 def digamma(a):
@@ -462,7 +470,8 @@ def _igamma_continued_fraction(s, w):
 def _scaled_igamma_asymptotic(s, w):
     # Gamma(s, w) e^w w^(1-s) for large |w|: the divergent tail
     # sum_k (s-1)...(s-k) / w^k, summed until a term drops under 1e-17 of
-    # the sum or the next one would grow (optimal truncation)
+    # the sum or the next one would grow (optimal truncation).  Returns
+    # the sum and the last term taken, whose size is the truncation error.
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     for k in range(1, 401):
@@ -473,7 +482,21 @@ def _scaled_igamma_asymptotic(s, w):
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
-    return total
+    return total, term
+
+
+def _stokes_term_small(s, aw):
+    # Across the negative w-axis the divergent tail leaves out a Stokes
+    # term, pi |w|^(1 - Re s) e^(-|w|) / |Gamma(1 - s)| relative to
+    # w^(s-1) e^(-w) there (less off the axis).  It vanishes at positive
+    # integer s and grows like e^(pi |Im s| / 2).
+    try:
+        rg = abs(reciprocal_gamma(1.0 - s))
+    except ConditioningError:
+        return False
+    return rg == 0.0 or (math.log(math.pi * rg)
+                         + (1.0 - s.real) * math.log(aw) - aw
+                         < math.log(_IGAMMA_TAIL_TOL))
 
 
 def _near_gamma_pole(s):
@@ -490,9 +513,11 @@ def upper_incomplete_gamma(s, w):
     resonant term when s sits near a non-positive integer), Lentz continued
     fraction for large |w| off the negative axis, and near the axis
     (|arg w| > 2.65) the optimally truncated asymptotic tail (DLMF 8.11(i))
-    beyond |w| = 45 + 2.5 max(0, -Re s), the subtracted series or the
-    fraction below it.  Raises ConditioningError when the value, or a
-    factor of it, is past the double range.
+    beyond |w| = 45 + 2.5 max(0, -Re s) where its truncation error and the
+    Stokes term it leaves out are both under 1e-13 (at |s| <= 20 nearly
+    always), the subtracted series or the fraction elsewhere.  Raises
+    ConditioningError when the value, or a factor of it, is past the
+    double range.
     """
     try:
         return _upper_incomplete_gamma(complex(s), complex(w))
@@ -559,20 +584,27 @@ def _upper_incomplete_gamma(sc, wc):
         return _igamma_gseries(sc, wc)
     if theta <= 2.65:
         return _igamma_continued_fraction(sc, wc)
-    # Near the negative axis: the divergent tail's optimal-truncation floor
-    # clears 1e-12 once |w| > 45 + 2.5 max(0, -Re s).  Below that, pick by
-    # predicted ulp loss: the subtracted series loses e^{|w|(1 + cos arg w)}
-    # and the fraction is clean through arg 2.9.  Past arg 2.9 the series
-    # loses more than e^9 only at |w| > 310, under the floor only when
-    # Re s < -106.
-    if aw > 45.0 + 2.5 * max(0.0, -sc.real):
-        return (cmath.exp((sc - 1.0) * cmath.log(wc) - wc)
-                * _scaled_igamma_asymptotic(sc, wc))
+    # Near the negative axis the divergent tail serves once
+    # |w| > 45 + 2.5 max(0, -Re s), unless its terms grow before they
+    # fall (|s| past |w|) or the Stokes term it leaves out is not small
+    # (|Im s| large against |w|).  Elsewhere pick by predicted ulp loss:
+    # the subtracted series loses e^{|w|(1 + cos arg w)} and the fraction
+    # is clean through arg 2.9; past that the tail is the last resort.
+    tail = None
+    if (aw > 45.0 + 2.5 * max(0.0, -sc.real)
+            and _stokes_term_small(sc, aw)):
+        tail, last = _scaled_igamma_asymptotic(sc, wc)
+        if abs(last) <= _IGAMMA_TAIL_TOL * abs(tail):
+            return cmath.exp((sc - 1.0) * cmath.log(wc) - wc) * tail
     if aw * (1.0 + math.cos(theta)) <= 9.0:
         if m is not None:
             return _igamma_pole_adjacent(sc, wc, m)
         return _igamma_gseries(sc, wc)
-    return _igamma_continued_fraction(sc, wc)
+    if theta <= 2.9:
+        return _igamma_continued_fraction(sc, wc)
+    if tail is None:
+        tail = _scaled_igamma_asymptotic(sc, wc)[0]
+    return cmath.exp((sc - 1.0) * cmath.log(wc) - wc) * tail
 
 
 def gamma_star(s, w):

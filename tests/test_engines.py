@@ -482,15 +482,13 @@ def test_symmetric_handles_integer_s():
 def test_symmetric_pairing_beats_one_sided_tail():
     from lerchphi.engines import (_branch_log, _first_sum_term, _half_turns,
                                   _pair_term)
-    from lerchphi.special_kernel import reciprocal_gamma
 
     p = LerchPoint(-7.0, S34, A03)
     L = _branch_log(p)
     sigma = _half_turns(p, L)
-    rg = reciprocal_gamma(p.s)
     for n in range(25, 36):
-        one_sided = _first_sum_term(p, n, L, rg, sigma)
-        paired = one_sided + _pair_term(p, n, L, rg, sigma)
+        one_sided = _first_sum_term(p, n, L, sigma)
+        paired = one_sided + _pair_term(p, n, L, sigma)
         assert abs(paired) < 0.25 * abs(one_sided), n
 
 
@@ -661,7 +659,12 @@ def test_log_series_terms_by_ratio_match_reference():
                 return (LerchPoint(z, s, a),
                         rng.randint(math.ceil(a.real) + 1, n_cap))
 
-    for p, N in sample(131, 30, draw):
+    # at L = ln 1e130 ~ 299, L^(s-1) is 1e369 at s = 150.5 and 1e-375 at
+    # s = -150.5, while the terms with 1/Gamma(s) in them are 1e37 and
+    # 1e-181
+    far = [(LerchPoint(-1e130, s, A03), 5)
+           for s in (150.5, -150.5, 100.5 + 30j)]
+    for p, N in sample(131, 30, draw) + far:
         L = _branch_log(p)
         coeffs = csc_coefficients_subtracted(
             p.a, N, min(choose_optimal_M(p, N), 200)).values
@@ -677,8 +680,9 @@ def test_log_series_terms_real_and_underflow():
     from lerchphi.coefficients import csc_coefficients_subtracted
     from lerchphi.engines import _branch_log, _log_series_terms
 
-    # real s, a and L (z < -1): every term exactly real, s > 1 included
-    for s in (0.75, 2.5, -1.3):
+    # real s, a and L (z < -1): every term exactly real, s > 1 and
+    # |s| >= 100 (1/Gamma(s) in the exponential) included
+    for s in (0.75, 2.5, -1.3, 150.5, -150.5):
         p = LerchPoint(-10.0, s, A03)
         terms = _log_series_terms(
             p, _branch_log(p), csc_coefficients_subtracted(A03, 5, 30).values)
