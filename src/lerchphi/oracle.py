@@ -15,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._quadrature import tanh_sinh, tanh_sinh_chunked
+from ._quadrature import tanh_sinh
 from ._types import LerchPoint
 from .errors import AccuracyError, DomainError
 
@@ -68,11 +68,12 @@ def quad_integral(z, s, a, rel_tol=1e-12):
     if abs(zc) > 1.0:
         x_max = max(x_max, math.log(abs(zc)) + 40.0)
 
-    head, err_head = tanh_sinh(f, 0.0, 1.0, rel_tol=rel_tol)
+    # a call of its own: the tail's stop rule leaves out the head's |f|
+    head, err_head, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=rel_tol)
     edges = [1.0]
     while edges[-1] < x_max:
         edges.append(min(2.0 * edges[-1], x_max))
-    tail, err_tail = tanh_sinh_chunked(f, edges, rel_tol=rel_tol)
+    tail, err_tail, _ = tanh_sinh(f, edges, rel_tol=rel_tol)
 
     # past x_max the integrand is below 2 x^(p-1) e^(-qx); the doubling
     # of x_max with ln|z| keeps |z e^(-x)| under e^(-40) there

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._quadrature import _tanh_sinh_chunked
+from ._quadrature import tanh_sinh
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 
 __all__ = [
@@ -293,8 +293,7 @@ def _abel_plana_integral(s, a, L):
     while edges[-1] < t_max:
         edges.append(min(4.0 * edges[-1], t_max))
     try:
-        value, err, mass = _tanh_sinh_chunked(integrand, edges,
-                                              _ABEL_PLANA_REL_TOL)
+        value, err, mass = tanh_sinh(integrand, edges, _ABEL_PLANA_REL_TOL)
     except OverflowError:  # e^(2 pi t) past t = 113, at |Re s| past ~97
         raise ConditioningError(f"the Abel-Plana integral at s = {s} "
                                 "reaches t past the double range of "

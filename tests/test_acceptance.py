@@ -14,7 +14,7 @@ import pytest
 
 from helpers import rel_err, sample
 from lerchphi._types import LerchPoint
-from lerchphi._quadrature import tanh_sinh_chunked
+from lerchphi._quadrature import tanh_sinh
 from lerchphi.coefficients import (csc_coefficients, csc_coefficients_contour,
                                    csc_coefficients_subtracted)
 from lerchphi.engines import (_branch_log, _integer_tail_size,
@@ -249,7 +249,7 @@ def test_criterion_6_factorial_series():
         failures.append("asymptotic drift does not shrink with |x|")
 
     xb, nb = 3.7, 4
-    val, _ = tanh_sinh_chunked(
+    val, _, _ = tanh_sinh(
         lambda t: math.exp(-xb * t) * (1.0 - math.exp(-t)) ** nb,
         [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
     closed = math.factorial(nb) / math.prod(xb + k for k in range(nb + 1))

@@ -5,7 +5,7 @@ import math
 
 import mpmath as mp
 
-from lerchphi._quadrature import _level_nodes, tanh_sinh, tanh_sinh_chunked
+from lerchphi._quadrature import _level_nodes, tanh_sinh
 
 ULP = 2.0 ** -52
 
@@ -26,10 +26,10 @@ def nodes_up_to(max_level):
 
 def test_smooth_integrand_stops_at_the_rounding_floor():
     # rel_tol = 2e-16 is below what a double sum can resolve, so a
-    # relative test alone would refine to max_level; the floor stops it
-    # levels earlier, a few ulp from the exact value
+    # relative test alone would refine to the last level, 10; the floor
+    # stops it levels earlier, a few ulp from the exact value
     f, calls = counted(lambda x: 1.0 / (1.0 + x * x))
-    value, err = tanh_sinh(f, 0.0, 1.0, rel_tol=2e-16, max_level=10)
+    value, err, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=2e-16)
     assert calls[0] <= nodes_up_to(6) < nodes_up_to(10)
     assert abs(value - math.pi / 4.0) <= 4.0 * ULP * (math.pi / 4.0)
     assert err < 1e-15
@@ -56,19 +56,19 @@ def test_cancelling_integrand_does_not_stop_early():
     mass = mp.quad(lambda t: abs(f_mp(t)), [0, 0.5, 1, 2])
     assert mass > 2.0 * abs(want)  # it does cancel
     floor = 16.0 * ULP * float(mass)
-    value, _ = tanh_sinh(f, 0.0, 2.0, rel_tol=2e-16, max_level=9)
+    value, _, _ = tanh_sinh(f, [0.0, 2.0], rel_tol=2e-16)
     assert abs(value - complex(want)) <= floor
 
 
 def test_scalar_chunks_past_the_rounding_of_the_whole_stop_at_once():
-    # tanh_sinh_chunked carries the integral of |f| over the chunks
-    # before into each chunk's stop rule
+    # tanh_sinh carries the integral of |f| over the chunks before into
+    # each chunk's stop rule
     f, calls = counted(lambda x: cmath.exp(-x))
-    value, _ = tanh_sinh_chunked(f, [0.0, 1.0, 40.0, 60.0], rel_tol=2e-16)
+    value, _, _ = tanh_sinh(f, [0.0, 1.0, 40.0, 60.0], rel_tol=2e-16)
     assert abs(value - (1.0 - math.exp(-60.0))) <= 8.0 * ULP
     g, alone = counted(lambda x: cmath.exp(-x))
-    tanh_sinh(g, 40.0, 60.0, rel_tol=2e-16)
+    tanh_sinh(g, [40.0, 60.0], rel_tol=2e-16)
     h, head = counted(lambda x: cmath.exp(-x))
-    tanh_sinh_chunked(h, [0.0, 1.0, 40.0], rel_tol=2e-16)
+    tanh_sinh(h, [0.0, 1.0, 40.0], rel_tol=2e-16)
     assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
 
