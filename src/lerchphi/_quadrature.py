@@ -1,13 +1,12 @@
 """Tanh-sinh quadrature for complex-valued integrands on finite intervals.
 
-One node map, one stop rule and one loop, in one function: ``tanh_sinh``
-integrates a run of chunks.  It serves the reference oracle and the
-kernel's Abel-Plana integral, which in turn serves the Abel-Plana engine
-and the Hurwitz-zeta integral route.  The node map is evaluated as an
-exact offset from whichever endpoint the node is near, so integrands
-with an endpoint singularity like x**(s-1), Re s > 0, lose nothing to
-cancellation: the integrand receives a coordinate whose distance to the
-endpoint is correct to full precision.
+One function, ``tanh_sinh``, for the reference oracle and for the
+kernel's Abel-Plana integral (the Abel-Plana engine and the Hurwitz-zeta
+integral route).  The node map is evaluated as an exact offset from
+whichever endpoint the node is near, so integrands with an endpoint
+singularity like x**(s-1), Re s > 0, lose nothing to cancellation: the
+integrand receives a coordinate whose distance to the endpoint is
+correct to full precision.
 """
 
 import functools
@@ -50,18 +49,16 @@ def tanh_sinh(f, edges, rel_tol=1e-13):
     """Integrate f over [edges[0], edges[-1]], one rule per chunk
     [edges[i], edges[i+1]]; returns (value, err_estimate, abs_integral).
 
-    f may return complex.  In each chunk the step halves until the
-    level's change is under rel_tol of the chunk's value, or under the
-    rounding floor, _FLOOR_ULPS of the integral of |f| so far.  That
-    integral counts the chunks before, so a chunk whose part is below
-    the rounding of the whole stops at its first refinement; within a
-    chunk it comes from the first level's nodes, so the refinements cost
-    no more than f itself.  It can miss a peak there, but is never below
-    |value|, so the larger of the two is used, and abs_integral returns
-    it for callers that bound rounding by it.  A chunk's error estimate
-    is its last level-to-level difference (double-exponential
-    convergence makes that conservative once the levels have locked on),
-    floored at a few ulp of its value; err_estimate sums them.
+    f may return complex.  A chunk's step halves until the level's change
+    is under rel_tol of its value, or under the rounding floor,
+    _FLOOR_ULPS of the integral of |f| over it and the chunks before, so
+    a chunk below the rounding of the whole stops at its first
+    refinement.  That integral comes from the first level's nodes, at no
+    extra cost; it can miss a peak, but is never below |value|, so the
+    larger is used and returned.  A chunk's error estimate is its last
+    level-to-level difference (conservative once double-exponential
+    convergence has locked on), floored at a few ulp of its value;
+    err_estimate sums them.
     """
     value = 0.0j
     err = 0.0
@@ -79,13 +76,12 @@ def tanh_sinh(f, edges, rel_tol=1e-13):
             mass += w * (abs(fb) + abs(fa))
         part = total * step
         abs_integral = done + mass * abs(step)
-        change = abs(part)
         for level in range(1, _MAX_LEVEL + 1):
             new = 0.0j
             for off, w in _level_nodes(level):
                 new += w * f(b - width * off) + w * f(a + width * off)
             prev = part
-            total = total + new
+            total += new
             step *= 0.5
             part = total * step
             change = abs(part - prev)

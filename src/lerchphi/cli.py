@@ -413,16 +413,16 @@ def cmd_coeffs(args):
 
 # ------------------------------------------------------------------ wiring
 
-def _add_point_flags(sub, required=True, defaults=False):
+def _add_point_flags(sub, defaults=False):
     sub.add_argument("--z", type=_complex_flag, metavar="RE,IM",
-                     required=required and not defaults,
+                     required=not defaults,
                      default=None, help="argument z as re,im")
     sub.add_argument("--s", type=_complex_flag, metavar="RE,IM",
-                     required=required and not defaults,
+                     required=not defaults,
                      default=complex(_SHOWCASE_S) if defaults else None,
                      help="exponent s as re,im")
     sub.add_argument("--a", type=_complex_flag, metavar="RE,IM",
-                     required=required and not defaults,
+                     required=not defaults,
                      default=complex(_SHOWCASE_A) if defaults else None,
                      help="shift a as re,im")
     sub.add_argument("--cut-side", choices=("above", "below"),

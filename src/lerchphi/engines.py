@@ -88,10 +88,13 @@ def _pair_term(p, n, L, sigma):
     # the n-th mirror term with its residue folded in:
     # -z^(-n) L^s gammastar(s, (a-n)L), entire in a, no branch to track
     s, a = p.s, p.a
+    z_n = p.z ** -n
+    if cmath.isnan(z_n):  # |z|^n past the double range, so z^(-n) is 0
+        z_n = 0.0
     w = (a - n) * L
     if w.real >= -_LOG_SPACE_W:
-        return -(p.z ** -n) * cmath.exp(s * cmath.log(L)) * gamma_star(s, w)
-    lead = -(p.z ** -n) * cmath.exp(s * (cmath.log(L) - cmath.log(w)))
+        return -z_n * cmath.exp(s * cmath.log(L)) * gamma_star(s, w)
+    lead = -z_n * cmath.exp(s * (cmath.log(L) - cmath.log(w)))
     expo = (-a * L - 1j * math.pi * sigma * n
             + s * cmath.log(L) - cmath.log(w))
     tail = _scaled_igamma_asymptotic(s, w)[0]
@@ -332,9 +335,10 @@ def _polylog_branch(S, L):
 def eval_integer_s_large_z(p, S, N_tail):
     """Exact large-z form for integer s = S.
 
-    The branch part is a finite logarithmic polynomial (empty when
-    S <= 0) and the rest is a geometric-type tail over the residues,
-    truncated at N_tail with an explicit bound.  At S >= 1 and integer
+    The branch part is the main theorem's logarithmic series, which
+    1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is a
+    geometric-type tail over the residues, truncated at N_tail with an
+    explicit bound.  At S >= 1 and integer
     a = k (k >= 1; LerchPoint refuses k <= 0) the residue poles collide
     and the polylogarithm takes over:
     Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
@@ -363,11 +367,8 @@ def eval_integer_s_large_z(p, S, N_tail):
         branch *= z_k
         size *= abs(z_k)
     elif S >= 1:
-        b = csc_coefficients(a, S).values
-        poly = 0.0j
-        for n in range(S):
-            poly += b[n] * L ** (S - 1 - n) / math.factorial(S - 1 - n)
-        branch = 2j * math.pi * cmath.exp(-a * L) * poly
+        terms = _log_series_terms(p, L, csc_coefficients(a, S).values)
+        branch = sum((t for t in terms if t is not None), 0.0j)
     zinv = 1.0 / p.z
     zp = 1.0 + 0.0j
     tail = 0.0j
@@ -474,7 +475,7 @@ def eval_main_theorem(p, N, m_override=None):
                         tuple(warnings))
 
 
-def residue_series(p, N, tol=1e-18, half_turns=None):
+def residue_series(p, N, half_turns=None):
     """Residue series content beyond the first N mirror pairs:
     -e^(-i pi s sigma) sum_{n>N} z^(-n) (n-a)^(-s).  Subtracting this
     (and the two explicit sums) from the function leaves exactly the
@@ -499,7 +500,7 @@ def residue_series(p, N, tol=1e-18, half_turns=None):
     while True:
         term = zp * (n - a) ** -s
         total += term
-        if abs(term) <= tol * max(abs(total), 1e-30) or n > N + 4000:
+        if abs(term) <= 1e-18 * max(abs(total), 1e-30) or n > N + 4000:
             break
         zp *= zinv
         n += 1
@@ -600,7 +601,7 @@ def _integer_tail_bound(az, S, a, N):
     return az ** (-N - 1) * abs(N + 1.0 - a) ** -S / (1.0 - ratio)
 
 
-def _integer_tail_size(az, S, a, target_tol, cap=4000):
+def _integer_tail_size(az, S, a, target_tol):
     n = 1
     if _near_integer(a, 0.0):
         # the bound holds from the tail term n = a on.  At S >= 1 the
@@ -609,11 +610,11 @@ def _integer_tail_size(az, S, a, target_tol, cap=4000):
         n = max(1, round(a.real))
         if S >= 1:
             target_tol = min(target_tol, 2.0 ** -53 * az ** -(n + 1))
-    while n < cap:
+    while n < 4000:
         if _integer_tail_bound(az, S, a, n) <= target_tol:
             return n
         n += 1
-    return cap
+    return 4000
 
 
 def eval_auto(p, target_tol=1e-10):

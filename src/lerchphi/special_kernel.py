@@ -271,10 +271,14 @@ def _abel_plana_integral(s, a, L):
     summation of sum_n z^n (a+n)^(-s), L = ln z, and at L = 0 that of
     Hermite's formula for zeta(s, a).
 
-    Chunked tanh-sinh over [0, 2, 8, ...] out to max(14, 6 + 1.1 |Re s|):
-    with |Im L| <= pi the integrand decays like e^(-pi t) at least, and
-    the range grows with |Re s| for the power |a + it|^(-Re s).  Returns
-    the value, the quadrature's error estimate, the integral of
+    One tanh_sinh call over the chunks [0, 2, 8, ...] out to
+    max(14, 6 + 1.1 |Re s|): with |Im L| <= pi the integrand decays like
+    e^(-pi t) at least, and the range grows with |Re s| for the power
+    |a + it|^(-Re s).  The weight is e^(-2 pi t) / (1 - e^(-2 pi t)),
+    its e^(-2 pi t) folded into the exponent of each power, so no part
+    leaves the double range before the integrand itself does, which at
+    z = 1 is where zeta does too, past Re s ~ -260 (ConditioningError).
+    Returns the value, the quadrature's error estimate, the integral of
     |integrand| (for the caller's rounding bound) and the number of
     integrand evaluations.
     """
@@ -284,9 +288,10 @@ def _abel_plana_integral(s, a, L):
         nonlocal evals
         evals += 1
         it_l = 1j * t * L
-        up = cmath.exp(it_l - s * cmath.log(a + 1j * t))
-        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t))
-        return 1j * (up - down) / math.expm1(2.0 * math.pi * t)
+        two_pi_t = 2.0 * math.pi * t
+        up = cmath.exp(it_l - s * cmath.log(a + 1j * t) - two_pi_t)
+        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t) - two_pi_t)
+        return 1j * (up - down) / -math.expm1(-two_pi_t)
 
     t_max = max(14.0, 6.0 + 1.1 * abs(s.real))
     edges = [0.0, 2.0]
@@ -294,10 +299,9 @@ def _abel_plana_integral(s, a, L):
         edges.append(min(4.0 * edges[-1], t_max))
     try:
         value, err, mass = tanh_sinh(integrand, edges, _ABEL_PLANA_REL_TOL)
-    except OverflowError:  # e^(2 pi t) past t = 113, at |Re s| past ~97
-        raise ConditioningError(f"the Abel-Plana integral at s = {s} "
-                                "reaches t past the double range of "
-                                "e^(2 pi t)") from None
+    except OverflowError:  # |a + it|^(-Re s) e^(-2 pi t) itself
+        raise ConditioningError(f"the Abel-Plana integrand at s = {s} is "
+                                "past the double range") from None
     return value, err, mass, evals
 
 
@@ -350,10 +354,6 @@ def hurwitz_zeta(s, a):
 # Incomplete gamma
 
 
-def _ln_factorial(m):
-    return math.lgamma(m + 1.0)
-
-
 def _h_ratio_minus_one_over_u(s, m, u):
     # (H(s) - 1)/u where H(s) = m! * (pi u / sin(pi u)) / Gamma(1 + m - u)
     # smoothly interpolates (s+m) Gamma(s) * (-1)^m m! near u = s + m = 0.
@@ -364,7 +364,7 @@ def _h_ratio_minus_one_over_u(s, m, u):
         return psi0 + 0.5 * u * (psi0 * psi0 - psi1
                                  + math.pi * math.pi / 3.0)
     piu = math.pi * u
-    ln_h = (_ln_factorial(m) - log_gamma(1.0 - s)
+    ln_h = (math.lgamma(m + 1.0) - log_gamma(1.0 - s)
             - cmath.log(cmath.sin(piu) / piu))
     return (cmath.exp(ln_h) - 1.0) / u
 

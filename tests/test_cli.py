@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from lerchphi._types import LerchPoint
@@ -155,14 +156,26 @@ def test_domain_errors_exit_2():
            ["eval", "--z", "-10,0", "--s", "0.75,0", "--a", "0.3,0",
             "--engine", "integer-s"],
            ["coeffs", "--a", "2,0", "--n-max", "2"],
-           # Gamma(200.5) and e^(2 pi t) of the Abel-Plana integral are
-           # past the double range: a conditioning error, not a traceback
-           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"],
-           ["eval", "--z", "1.5,0.5", "--s", "200.5,0", "--a", "0.3,0"])
+           # Gamma(200.5) is past the double range: a conditioning
+           # error, not a traceback
+           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"])
     for argv in bad:
         code, _, err = run_cli(argv)
         assert code == 2, argv
         assert err != ""
+
+
+def test_eval_band_past_re_s_97():
+    # the Abel-Plana integral reaches t_max = 226.55, past where
+    # e^(2 pi t) leaves the double range; the value is near 0.3^-200.5
+    code, out, _ = run_cli(["eval", "--z", "1.5,0.5", "--s", "200.5,0",
+                            "--a", "0.3,0", "--json"])
+    assert code == 0
+    (rec,) = json_lines(out)
+    assert rec["engine"] == "abel-plana"
+    got = complex(rec["value_re"], rec["value_im"])
+    want = complex(mp.lerchphi(1.5 + 0.5j, 200.5, 0.3))
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_accuracy_warnings_exit_3():

@@ -375,6 +375,9 @@ def test_integer_s_guards():
         eval_integer_s_large_z(LerchPoint(-5.0, 2.0, 3.0), 2, 2)
     with pytest.raises(DomainError):
         eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03), 2, 20)
+    # e^(-aL) = 10^400.3 in the first term of the logarithmic series
+    with pytest.raises(ConditioningError):
+        eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3), 2, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +869,14 @@ def test_auto_large_z_routes():
     whole_a = eval_auto(whole)
     assert whole_a.engine == "integer_s"
     assert rel_err(whole_a.value, reference_value(whole).value) < 1e-12
+
+
+def test_auto_where_z_to_the_n_overflows():
+    # the pair terms' z^(-n) is 0 once |z|^n is past the double range,
+    # where complex ** makes it nan
+    for z, s, a in ((2e9 + 1e9j, 0.75 + 0.5j, 37.3), (-1e20, S34, 30.3)):
+        rep = eval_auto(LerchPoint(z, s, a))
+        assert rel_err(rep.value, quad_integral(z, s, a).value) < 1e-12
 
 
 def test_auto_needs_no_mpmath():

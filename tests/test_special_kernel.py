@@ -199,6 +199,13 @@ def test_hurwitz_zeta_matches_reference():
         assert rel_err(hurwitz_zeta(s, a), expect) < 1e-11, (s, a)
 
 
+def test_hurwitz_zeta_far_left():
+    # t_max = 138.55 on the integral route, past where e^(2 pi t) leaves
+    # the double range
+    expect = complex(mp.zeta(-120.5, 0.3))
+    assert rel_err(hurwitz_zeta(-120.5, 0.3), expect) < 1e-13
+
+
 def test_hurwitz_zeta_complex_second_argument():
     for s, a in [(2.5, 1 + 1j), (-3.5 + 2j, 0.4 - 0.2j), (0.75 + 9j, 2.3 + 0.7j)]:
         expect = complex(mp.zeta(mp.mpc(s), mp.mpc(a)))
@@ -369,6 +376,9 @@ def test_overflow_past_the_double_range_is_a_conditioning_error():
     for s in (-200.5, 175.5, 200.5):
         with pytest.raises(ConditioningError):
             reciprocal_gamma(s)
+    # zeta(-300.5, 0.3) ~ e^865, its integral route's integrand with it
+    with pytest.raises(ConditioningError):
+        hurwitz_zeta(-300.5, 0.3)
 
 
 def test_asymptotic_tail_matches_reference_far_out():
