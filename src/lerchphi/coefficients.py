@@ -1,15 +1,15 @@
-"""Coefficient families feeding the large-argument engines.
+"""Coefficient family feeding the large-argument engines.
 
-Two families live here.  The pair coefficients b_n are the Taylor
-coefficients of 1/(2i sin(pi (a - t))) about t = 0; they weight the
-powers of the shifted logarithm in the pole-correction series, and the
-subtracted variant b_{n,N} removes the 2N+1 poles nearest the origin so
-the series keeps converging once the first N pole pairs are handled
-explicitly.  The subtracted table is built in one pass: a single
-kernel returns the alternating power sums sum_k (-1)^k (x + k)^(-p) for
-every order p at once, at the two anchors x = N+1 +/- a.  The log-power
-coefficients weight the expansion used by the logarithmic-series engine
-and are built from Hurwitz zeta values at half-shifted arguments.
+The pair coefficients b_n are the Taylor coefficients of
+1/(2i sin(pi (a - t))) about t = 0; they weight the powers of the
+shifted logarithm in the pole-correction series, and the subtracted
+variant b_{n,N} removes the 2N+1 poles nearest the origin so the series
+keeps converging once the first N pole pairs are handled explicitly.
+The subtracted table is built in one pass: a single kernel returns the
+alternating power sums sum_k (-1)^k (x + k)^(-p) for every order p at
+once, at the two anchors x = N+1 +/- a.  The same one-sided sums at
+x = a are the weights of the comparison expansion's unresummed
+logarithmic series (eval_fl_expansion).
 
 Everything here is plain double-precision arithmetic; the tables are
 small (counts in the tens, at most 200) and cached per
@@ -25,11 +25,13 @@ from itertools import accumulate, repeat
 from operator import add as _ADD, mul as _MUL
 
 from .errors import ConditioningError
-from .special_kernel import _BERNOULLI, digamma, hurwitz_zeta
+from .special_kernel import _BERNOULLI
 
 _TWO_PI_I = 2j * math.pi
 _MAGNITUDE_CAP = 1e280
 _COUNT_CAP = 200
+# trapezoid nodes of the contour cross-check
+_CONTOUR_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def csc_coefficients(a, count):
                             "recurrence")
 
 
-def csc_coefficients_contour(a, count, radius=None, nodes=512):
+def csc_coefficients_contour(a, count, radius=None):
     """The same coefficients from a trapezoid Cauchy integral.
 
     Entirely independent of the recurrence: samples the generating
@@ -111,15 +113,15 @@ def csc_coefficients_contour(a, count, radius=None, nodes=512):
     if radius is None:
         radius = 0.6 * nearest_pole_distance(ac)
     samples = []
-    for j in range(nodes):
-        t = radius * cmath.exp(_TWO_PI_I * j / nodes)
+    for j in range(_CONTOUR_NODES):
+        t = radius * cmath.exp(_TWO_PI_I * j / _CONTOUR_NODES)
         samples.append(1.0 / (2j * cmath.sin(cmath.pi * (ac - t))))
     out = []
     for n in range(count):
         acc = 0.0j
         for j, f in enumerate(samples):
-            acc += f * cmath.exp(-_TWO_PI_I * j * n / nodes)
-        out.append(acc / (nodes * radius ** n))
+            acc += f * cmath.exp(-_TWO_PI_I * j * n / _CONTOUR_NODES)
+        out.append(acc / (_CONTOUR_NODES * radius ** n))
     return tuple(out)
 
 
@@ -244,22 +246,3 @@ def csc_coefficients_subtracted(a, N, count, method="stable-zeta"):
     return CoefficientTable(complex(a), N,
                             _subtracted_values(complex(a), N, count, method),
                             method)
-
-
-def log_power_coefficients(s, a, count):
-    """Weights for the logarithmic-series engine.
-
-    Entry 0 is the digamma half-difference; entry n carries the falling
-    product (s-1)(s-2)...(s-n) against a Hurwitz zeta half-difference.
-    """
-    _check_count(count)
-    sc = complex(s)
-    ac = complex(a)
-    out = [0.5 * (digamma(0.5 * (ac + 1.0)) - digamma(0.5 * ac))]
-    fall = 1.0 + 0.0j
-    for n in range(1, count):
-        fall *= sc - n
-        diff = hurwitz_zeta(n + 1, 0.5 * ac) - hurwitz_zeta(n + 1,
-                                                            0.5 * (ac + 1.0))
-        out.append(fall * diff / 2.0 ** (n + 1))
-    return tuple(out)

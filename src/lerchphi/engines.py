@@ -25,8 +25,8 @@ import itertools
 import math
 
 from ._types import EngineReport
-from .coefficients import (csc_coefficients, csc_coefficients_subtracted,
-                           log_power_coefficients)
+from .coefficients import (_COUNT_CAP, _alternating_power_sums,
+                           csc_coefficients, csc_coefficients_subtracted)
 from .errors import AccuracyError, ConditioningError, DomainError
 from .special_kernel import (_BERNOULLI, _abel_plana_integral,
                              _near_gamma_pole, _scaled_igamma_asymptotic,
@@ -43,7 +43,6 @@ _DIRECT_CAP = 10 ** 6
 # cancellation between the pieces.  On the 96 near-one points of the
 # benchmark's ring pool the worst needed 9.6e-15; this keeps 4x room.
 _NEAR_ONE_ROUNDING = 4e-14
-_M_TABLE_CAP = 200
 # Abel-Plana form: the rounding allowed for on the integral of
 # |integrand| and on the explicit terms
 _AP_ULPS = 64.0 * 2.0 ** -52
@@ -273,14 +272,18 @@ def eval_abel_plana(p):
     head = 0.0j
     head_size = 0.0
     zk = 1.0 + 0.0j
-    while a.real <= 0.0:
-        term = zk * a ** -s
-        head += term
-        head_size += abs(term)
-        zk *= z
-        a += 1.0
+    try:
+        while a.real <= 0.0:
+            term = zk * a ** -s
+            head += term
+            head_size += abs(term)
+            zk *= z
+            a += 1.0
+        half = 0.5 * a ** -s
+    except OverflowError:
+        raise ConditioningError("a^(-s) is past the double range at "
+                                f"a = {a}, s = {s}") from None
     L = cmath.log(z)
-    half = 0.5 * a ** -s
     if L == 0.0:
         # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
         gterm = a ** (1.0 - s) / (s - 1.0)
@@ -430,7 +433,7 @@ def _main_theorem_estimate(p, N):
     remainder_estimate depends on the depth and the capped truncation,
     never on the value."""
     return remainder_estimate(p, N, min(choose_optimal_M(p, N),
-                                        _M_TABLE_CAP))
+                                        _COUNT_CAP))
 
 
 def eval_main_theorem(p, N, m_override=None):
@@ -458,7 +461,7 @@ def eval_main_theorem(p, N, m_override=None):
     L = _branch_log(p)
     M = choose_optimal_M(p, N) if m_override is None else int(m_override)
     warnings = []
-    m_eff = min(M, _M_TABLE_CAP)
+    m_eff = min(M, _COUNT_CAP)
     if m_eff < M:
         warnings.append("m-count-capped")
     coeffs = csc_coefficients_subtracted(a, N, m_eff).values
@@ -553,8 +556,12 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     """Comparison large-z expansion: entire pair terms plus the plain
     (unresummed) logarithmic series.
 
-    The logarithmic series is asymptotic with an accuracy floor; the
-    first omitted term is the reported estimate.
+    The logarithmic series is the main theorem's (_log_series_terms) with
+    the weights b_m = A_(m+1)(a) / (2 pi i), A_p the one-sided alternating
+    power sums sum_k (-1)^k (a + k)^(-p) of the coefficient kernel, so its
+    terms are e^(-aL) (s-1)...(s-m) A_(m+1)(a) L^(s-1-m) / Gamma(s).  It
+    is asymptotic with an accuracy floor; the first omitted term is the
+    reported estimate, and a term that underflows counts as 0.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:
@@ -564,19 +571,20 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
         raise DomainError("non-positive integer s zeroes the front factor; "
                           "use the integer-s engine")
+    if not 0 <= n_log_terms < _COUNT_CAP:
+        raise ValueError(f"n_log_terms must be in [0, {_COUNT_CAP - 1}], "
+                         f"got {n_log_terms}")
     L = _branch_log(p)
     sigma = _half_turns(p, L)
-    front = reciprocal_gamma(s) * cmath.exp(-a * L)
-    coeffs = log_power_coefficients(s, a, n_log_terms + 1)
-    log_part = 0.0j
-    for m in range(n_log_terms):
-        log_part += coeffs[m] * cmath.exp((s - 1.0 - m) * cmath.log(L))
+    weights = [w / (2j * math.pi)
+               for w in _alternating_power_sums(a, n_log_terms + 1)]
+    *kept, last = (0.0 if t is None else t
+                   for t in _log_series_terms(p, L, weights))
     pair_part = sum(_pair_term(p, n, L, sigma)
                     for n in range(1, n_z_terms + 1))
-    value = front * log_part + pair_part
-    est = abs(front * coeffs[n_log_terms]
-              * cmath.exp((s - 1.0 - n_log_terms) * cmath.log(L)))
-    return EngineReport(value, est, n_z_terms, n_log_terms, "fl_expansion")
+    value = sum(kept, 0.0j) + pair_part
+    return EngineReport(value, abs(last), n_z_terms, n_log_terms,
+                        "fl_expansion")
 
 
 def _integer_tail_bound(az, S, a, N):

@@ -22,6 +22,10 @@ from .errors import AccuracyError, DomainError
 _ACCEPT_BAR = 1e-10
 _SERIES_RADIUS = 0.95
 _CUT_EPS = (1e-6, 1e-7)
+_QUAD_REL_TOL = 1e-12
+_SERIES_DPS = 30
+# the two working precisions whose spread is the continuation's bar
+_CONTINUATION_DPS = (30, 40)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ def _cut_distance(z):
     return abs(z.imag)
 
 
-def quad_integral(z, s, a, rel_tol=1e-12):
+def quad_integral(z, s, a):
     """Gamma-normalized integral of x^(s-1) e^(-ax) / (1 - z e^(-x)).
 
     Needs Re s > 0, Re a > 0 and z off [1, inf).  The [0, 1] piece goes
@@ -64,16 +68,17 @@ def quad_integral(z, s, a, rel_tol=1e-12):
         return x ** (sc - 1.0) * cmath.exp(-ac * x) / (1.0 - zc * cmath.exp(-x))
 
     q = ac.real
-    x_max = max(50.0, (40.0 + abs(math.log(rel_tol))) / min(1.0, q))
+    x_max = max(50.0,
+                (40.0 + abs(math.log(_QUAD_REL_TOL))) / min(1.0, q))
     if abs(zc) > 1.0:
         x_max = max(x_max, math.log(abs(zc)) + 40.0)
 
     # a call of its own: the tail's stop rule leaves out the head's |f|
-    head, err_head, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=rel_tol)
+    head, err_head, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=_QUAD_REL_TOL)
     edges = [1.0]
     while edges[-1] < x_max:
         edges.append(min(2.0 * edges[-1], x_max))
-    tail, err_tail, _ = tanh_sinh(f, edges, rel_tol=rel_tol)
+    tail, err_tail, _ = tanh_sinh(f, edges, rel_tol=_QUAD_REL_TOL)
 
     # past x_max the integrand is below 2 x^(p-1) e^(-qx); the doubling
     # of x_max with ln|z| keeps |z e^(-x)| under e^(-40) there
@@ -94,7 +99,7 @@ def quad_integral(z, s, a, rel_tol=1e-12):
     return ReferenceValue(value, err_bar, "quadrature")
 
 
-def hp_series(z, s, a, dps=30):
+def hp_series(z, s, a):
     """Defining series summed in mpmath arithmetic; |z| <= 0.95 only."""
     import mpmath as mp
 
@@ -102,9 +107,9 @@ def hp_series(z, s, a, dps=30):
     if abs(zc) > _SERIES_RADIUS:
         raise DomainError("direct series reference restricted to "
                           f"|z| <= {_SERIES_RADIUS}")
-    with mp.workdps(dps):
+    with mp.workdps(_SERIES_DPS):
         zm, sm, am = mp.mpc(zc), mp.mpc(sc), mp.mpc(ac)
-        stop = mp.mpf(10) ** (-dps - 5)
+        stop = mp.mpf(10) ** (-_SERIES_DPS - 5)
         total = mp.mpc(0)
         zp = mp.mpc(1)
         n = 0
@@ -121,11 +126,12 @@ def hp_series(z, s, a, dps=30):
         az = abs(zc)
         tail = 2.0 * float(abs(term)) * az / (1.0 - az) if az else 0.0
         value = complex(total)
-    err_bar = tail + 10.0 ** (3 - dps) * abs(value) + 3e-16 * abs(value)
+    err_bar = (tail + 10.0 ** (3 - _SERIES_DPS) * abs(value)
+               + 3e-16 * abs(value))
     return ReferenceValue(value, err_bar, "hp_series")
 
 
-def hp_continuation(z, s, a, dps_low=30, dps_high=40):
+def hp_continuation(z, s, a):
     """mpmath's continuation at two precisions; their spread is the bar.
 
     For z exactly on [1, inf) mpmath resolves to the below-side limit;
@@ -136,7 +142,7 @@ def hp_continuation(z, s, a, dps_low=30, dps_high=40):
 
     zc, sc, ac = complex(z), complex(s), complex(a)
     vals = []
-    for dps in (dps_low, dps_high):
+    for dps in _CONTINUATION_DPS:
         with mp.workdps(dps):
             try:
                 vals.append(complex(mp.lerchphi(zc, sc, ac)))

@@ -158,7 +158,11 @@ def test_domain_errors_exit_2():
            ["coeffs", "--a", "2,0", "--n-max", "2"],
            # Gamma(200.5) is past the double range: a conditioning
            # error, not a traceback
-           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"])
+           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"],
+           # a^(-s) past the double range in the band, with and
+           # without the Re a <= 0 shift
+           ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "3.3,0"],
+           ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "-3.3,0"])
     for argv in bad:
         code, _, err = run_cli(argv)
         assert code == 2, argv

@@ -13,7 +13,6 @@ from lerchphi.coefficients import (
     csc_coefficients,
     csc_coefficients_contour,
     csc_coefficients_subtracted,
-    log_power_coefficients,
     nearest_pole_distance,
 )
 from lerchphi.errors import ConditioningError
@@ -22,7 +21,7 @@ from helpers import rel_err, sample
 
 # 2i * b_0(0.3) = 1/sin(0.3 pi) = golden ratio; frozen from mpmath dps 25
 B0_AT_03 = complex(0.0, -0.6180339887498948482)
-# falling product (s-1) times the n=1 zeta half-difference, s=3/4, a=0.3
+# (s-1) A_2(a), the comparison expansion's weight of order 1, at s=3/4, a=0.3
 LOGPOW_B1 = complex(-2.6624093380331364246, 0.0)
 
 
@@ -244,8 +243,9 @@ def test_argument_validation():
 
 
 def test_log_power_first_weights():
-    got = log_power_coefficients(0.75, 0.3, 2)
-    assert abs(got[1] - LOGPOW_B1) <= 1e-13 * abs(LOGPOW_B1)
-    # at a = 1 the digamma half-difference telescopes to log 2
-    lead = log_power_coefficients(2.0, 1.0, 1)[0]
+    # the comparison expansion's weights (s-1)...(s-m) A_(m+1)(a)
+    got = (0.75 - 1.0) * _alternating_power_sums(0.3 + 0.0j, 2)[1]
+    assert abs(got - LOGPOW_B1) <= 1e-13 * abs(LOGPOW_B1)
+    # at a = 1 the alternating sum is 1 - 1/2 + 1/3 - ... = log 2
+    lead = _alternating_power_sums(1.0 + 0.0j, 1)[0]
     assert abs(lead - math.log(2.0)) <= 1e-14

@@ -586,19 +586,49 @@ def test_fl_minimal_term_is_interior():
 
 
 def test_fl_terms_eventually_diverge():
-    from lerchphi.coefficients import log_power_coefficients
-    from lerchphi.engines import _branch_log
-    from lerchphi.special_kernel import reciprocal_gamma
-
+    # the estimate at truncation k is the size of term k
     p = LerchPoint(-10.0, S34, A03)
-    L = _branch_log(p)
-    front = reciprocal_gamma(p.s) * cmath.exp(-p.a * L)
-    coeffs = log_power_coefficients(p.s, p.a, 31)
-    mags = [abs(front * coeffs[m] * L ** (p.s - 1.0 - m)) for m in range(31)]
+    mags = [eval_fl_expansion(p, 0, k).abs_err_estimate for k in range(31)]
     low = min(range(31), key=mags.__getitem__)
     assert 0 < low < 6
     assert mags[30] > 1e30 * mags[low]
     assert mags[29] < mags[30]
+
+
+def test_fl_log_series_against_40_digits():
+    # the truncated series sum_(m<k) e^(-aL) (s-1)...(s-m) A_(m+1)(a)
+    # L^(s-1-m) / Gamma(s), its weights from the zeta and digamma
+    # half-differences A_1(a) = (psi((a+1)/2) - psi(a/2)) / 2 and
+    # A_p(a) = (zeta(p, a/2) - zeta(p, (a+1)/2)) / 2^p
+    def draw(rng):
+        z = cmath.rect(rng.uniform(3.0, 400.0),
+                       rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+        im = rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0
+        a = complex(rng.uniform(0.05, 6.0), im)
+        return LerchPoint(z, s, a), rng.randint(1, 20)
+
+    for p, k in sample(251, 24, draw):
+        got = eval_fl_expansion(p, 0, k)
+        with mp.workdps(40):
+            ms, ma = mp.mpc(p.s), mp.mpc(p.a)
+            ml = mp.log(-mp.mpc(p.z))
+            half, half1 = ma / 2, (ma + 1) / 2
+            fall = mp.exp(-ma * ml) * mp.rgamma(ms)
+            terms = []
+            for m in range(k + 1):
+                if m == 0:
+                    weight = (mp.digamma(half1) - mp.digamma(half)) / 2
+                else:
+                    fall *= ms - m
+                    weight = (mp.zeta(m + 1, half)
+                              - mp.zeta(m + 1, half1)) / 2 ** (m + 1)
+                terms.append(fall * weight * ml ** (ms - 1 - m))
+            want = complex(mp.fsum(terms[:k]))
+            scale = max(abs(want), max(float(abs(t)) for t in terms[:k]))
+            omitted = float(abs(terms[k]))
+        assert abs(got.value - want) <= 1e-13 * scale, (p, k)
+        assert abs(got.abs_err_estimate - omitted) <= 1e-13 * omitted, (p, k)
 
 
 def test_fl_preconditions_and_empty_truncation():
