@@ -24,6 +24,13 @@ _W_CENTRE = 0.5 * math.pi
 _FLOOR_ULPS = 16.0 * 2.0 ** -52
 # step-halving levels after the first, per chunk
 _MAX_LEVEL = 10
+# Once a level's change is this far under the one before, the rule is
+# in its double-exponential regime, where each level about doubles the
+# correct digits: the level just taken is then off by about
+# change^2 / |part|, and a chunk stops there when that, times the
+# safety factor, is under its stop bar.
+_QUADRATIC_DROP = 1e-3
+_QUADRATIC_SAFETY = 10.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,10 +62,13 @@ def tanh_sinh(f, edges, rel_tol=1e-13):
     a chunk below the rounding of the whole stops at its first
     refinement.  That integral comes from the first level's nodes, at no
     extra cost; it can miss a peak, but is never below |value|, so the
-    larger is used and returned.  A chunk's error estimate is its last
-    level-to-level difference (conservative once double-exponential
-    convergence has locked on), floored at a few ulp of its value;
-    err_estimate sums them.
+    larger is used and returned.  A chunk also stops one level earlier,
+    at a level whose change fell _QUADRATIC_DROP of the one before and
+    whose _QUADRATIC_SAFETY change^2 / |value| is under that bar.  A
+    chunk's error estimate is its last level-to-level difference
+    (conservative once double-exponential convergence has locked on),
+    or that squared quantity where the early stop fired, floored at a
+    few ulp of its value; err_estimate sums them.
     """
     value = 0.0j
     err = 0.0
@@ -76,6 +86,7 @@ def tanh_sinh(f, edges, rel_tol=1e-13):
             mass += w * (abs(fb) + abs(fa))
         part = total * step
         abs_integral = done + mass * abs(step)
+        last = 0.0  # the change of the level before; none at level 1
         for level in range(1, _MAX_LEVEL + 1):
             new = 0.0j
             for off, w in _level_nodes(level):
@@ -86,9 +97,18 @@ def tanh_sinh(f, edges, rel_tol=1e-13):
             part = total * step
             change = abs(part - prev)
             size = abs(part)
-            if change <= max(rel_tol * size,
-                             _FLOOR_ULPS * max(abs_integral, size)) + 1e-305:
+            bar = max(rel_tol * size,
+                      _FLOOR_ULPS * max(abs_integral, size)) + 1e-305
+            if change <= bar:
                 break
+            if size and change <= _QUADRATIC_DROP * last:
+                # the digits doubled: this level's own error is about
+                # change^2 / |part|, the next level's change
+                guess = _QUADRATIC_SAFETY * change * change / size
+                if guess <= bar:
+                    change = guess
+                    break
+            last = change
         value += part
         err += max(change, 5e-16 * abs(part))
         done = max(abs_integral, done + abs(part))

@@ -91,6 +91,7 @@ def _recurrence_values(a, count):
     return tuple(b[:count])
 
 
+@lru_cache(maxsize=64)
 def csc_coefficients(a, count):
     """b_0 .. b_{count-1} by the quadratic recurrence."""
     _check_count(count)

@@ -1,16 +1,17 @@
 """Evaluation strategies for the Lerch transcendent across the z-plane.
 
-Small |z| is the defining series.  The band around |z| = 1 has two
-engines: the Abel-Plana summation of the defining series (one incomplete
-gamma and one quadrature, any s), which eval_auto uses, and the
-branch-point expansion in powers of ln z.  Past |z| = e the work splits
-into an exact closed form for integer s (the polylogarithm's inversion
-formula at integer a), the resummed large-z theorem with optimally
-truncated logarithmic series, a slowly convergent symmetric
-incomplete-gamma expansion accelerated by repeated averaging, and a
-comparison expansion kept mainly to demonstrate its accuracy floor.
-eval_auto routes between them; it needs no mpmath, and this module
-does not import the oracle.
+Small |z| is the defining series.  Past |z| = 0.9 eval_auto uses the
+Abel-Plana summation of the defining series (one incomplete gamma and
+one quadrature, any z != 0 and any s), except at integer s past
+|z| = e, which has an exact closed form (the polylogarithm's inversion
+formula at integer a).  The other engines: the branch-point expansion in
+powers of ln z around z = 1; past |z| = e the resummed large-z theorem
+with optimally truncated logarithmic series and a slowly convergent
+symmetric incomplete-gamma expansion accelerated by repeated averaging,
+which eval_auto takes only where the Abel-Plana Gamma term leaves the
+double range; and a comparison expansion kept mainly to demonstrate its
+accuracy floor.  eval_auto needs no mpmath, and this module does not
+import the oracle.
 
 Branch bookkeeping: every large-z piece is written against
 L = log_neg_z(z, side), and the mirrored (-n) terms are folded with
@@ -28,10 +29,10 @@ from ._types import EngineReport
 from .coefficients import (_COUNT_CAP, _alternating_power_sums,
                            csc_coefficients, csc_coefficients_subtracted)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (_BERNOULLI, _abel_plana_integral,
+from .special_kernel import (_BERNOULLI, _abel_plana_integral, _log_neg,
                              _near_gamma_pole, _scaled_igamma_asymptotic,
                              gamma, gamma_star, hurwitz_zeta, log_gamma,
-                             log_neg_z, reciprocal_gamma, signed_pi,
+                             reciprocal_gamma, signed_pi,
                              upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
@@ -48,6 +49,12 @@ _NEAR_ONE_ROUNDING = 4e-14
 _AP_ULPS = 64.0 * 2.0 ** -52
 # rounding of the integer-a polylogarithm form, in ulps of its terms
 _POLYLOG_ULPS = 16.0 * 2.0 ** -52
+# floor of the main theorem's and the symmetric expansion's estimates,
+# in ulps of the sum of the sizes of their terms: the rounding of the
+# kernel's incomplete gamma values and of the sum.  At the two points of
+# the Abel-Plana gap in the tests the error was 3.7 and 3.2 ulps of it.
+# The integer-s closed form scales its log-series rounding by it too.
+_SUM_ULPS = 64.0 * 2.0 ** -52
 # rounding of the kernel's Gamma(1-s, w), in ulps of the sizes its
 # subtraction routes cancel from.  On 7,500 seeded band points with
 # |Im s| <= 8, checked against mpmath, 4 times the recurrence gauge plus
@@ -61,7 +68,7 @@ def _near_integer(s, tol=1e-12):
 
 
 def _branch_log(p):
-    return log_neg_z(p.z, p.cut_side).value
+    return _log_neg(p.z, p.cut_side)
 
 
 def _half_turns(p, L):
@@ -147,21 +154,36 @@ def eval_series_direct(p, tol=1e-12):
     az = abs(z)
     if az >= 1.0:
         raise DomainError("direct series needs |z| < 1")
-    inv_gap = 1.0 / (1.0 - az)
     total = 0.0j
     zp = 1.0 + 0.0j
+    geo = 1.0 / (1.0 - az)  # |z|^n / (1 - |z|)
+    # at real a + n > 0, |(a+n)^(-s)| is the float power (a+n)^(-Re s),
+    # and at real s too that power is the term's factor itself; where
+    # every term is real and z is too, the sum is a float sum (the real
+    # parts of the complex one)
+    real_a = a.imag == 0.0
+    real_s = s.imag == 0.0
+    if real_a and real_s and a.real > 0.0 and z.imag == 0.0:
+        z, zp, total = z.real, 1.0, 0.0
+    ar, minus_sr, minus_s = a.real, -s.real, -s
     n = 0
     while True:
-        bound = az ** n * abs(a + n) ** -s.real * inv_gap
+        positive = real_a and ar + n > 0.0
+        if positive:
+            size = (ar + n) ** minus_sr
+        else:
+            size = abs(a + n) ** minus_sr
+        bound = geo * size
         if n and bound < tol:
             break
         if n >= _DIRECT_CAP:
             raise AccuracyError("direct series hit the term cap",
                                 achieved=bound)
-        total += zp * (a + n) ** -s
+        total += zp * (size if positive and real_s else (a + n) ** minus_s)
         zp *= z
+        geo *= az
         n += 1
-    return EngineReport(total, bound, n, 0, "direct")
+    return EngineReport(complex(total), bound, n, 0, "direct")
 
 
 def eval_near_one(p, n_max=60):
@@ -264,7 +286,11 @@ def eval_abel_plana(p):
     Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1).  The estimate covers the
     quadrature's change, the rounding of the integral of |integrand|,
     and that of a^(-s)/2 and the Gamma term, so their cancellation
-    against the result.  n_terms counts integrand evaluations.
+    against the result.  n_terms counts integrand evaluations.  On the
+    real axis left of the cut, at real s and a > 0, the value is exactly
+    real.  ConditioningError where a factor or the value itself is past
+    the double range: past |z| = e that is Gamma(1-s, -aL) once
+    |a ln z| passes about 700.
     """
     z, s, a = p.z, p.s, p.a
     if z == 0.0:
@@ -292,9 +318,18 @@ def eval_abel_plana(p):
         gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
     integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
     value = head + zk * (half + gterm + integral)
+    if (z.imag == 0.0 and not p.on_cut and s.imag == 0.0
+            and p.a.imag == 0.0 and p.a.real > 0.0):
+        # Phi is real on the real axis left of the cut at real s and
+        # a > 0; the imaginary parts of the pieces cancel to rounding
+        value = complex(value.real, 0.0)
     est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
                       + _AP_ULPS * abs(half))
            + _AP_ULPS * head_size)
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        # z^k of the Re a <= 0 shift, and Phi with it
+        raise ConditioningError("the Abel-Plana value is past the double "
+                                f"range at z = {z}, a = {p.a}")
     return EngineReport(value, est, evals, 0, "abel_plana")
 
 
@@ -347,7 +382,9 @@ def eval_integer_s_large_z(p, S, N_tail):
     Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
     inversion (_polylog_branch).  Its Li_S(1/z) series and the finite
     sum are the same tail with the term n = k left out, so N_tail must
-    reach k.
+    reach k.  The estimate is the tail bound plus the rounding of the
+    terms, which near an integer a cancel: the branch part against the
+    tail term n ~ a.
     """
     S = int(S)
     if abs(p.s - S) > 1e-12:
@@ -360,6 +397,7 @@ def eval_integer_s_large_z(p, S, N_tail):
     branch = 0.0j
     skip = 0  # the colliding tail term, at integer a
     size = 0.0  # of the terms, for their rounding
+    rounding = 0.0
     if S >= 1 and _near_integer(a, 0.0):
         skip = round(a.real)
         if N_tail < skip:
@@ -371,24 +409,31 @@ def eval_integer_s_large_z(p, S, N_tail):
         size *= abs(z_k)
     elif S >= 1:
         terms = _log_series_terms(p, L, csc_coefficients(a, S).values)
-        branch = sum((t for t in terms if t is not None), 0.0j)
+        for m, t in enumerate(terms):
+            if t is not None:
+                branch += t
+                rounding += (m + 1) * abs(t)
+        # near an integer a the coefficients carry the rounding of a
+        # itself, |a| / dist(a, Z) ulps, and the recurrence adds to it
+        # order by order
+        rounding *= _SUM_ULPS * (1.0 + abs(a) / abs(a - round(a.real)))
     zinv = 1.0 / p.z
     zp = 1.0 + 0.0j
     tail = 0.0j
+    base = a.real if a.imag == 0.0 else a  # real powers at real a
     for n in range(1, N_tail + 1):
         zp *= zinv
         if n != skip:
-            term = zp * (n - a) ** -S
+            term = zp * (n - base) ** -S
             tail += term
             size += abs(term)
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
-    est = _integer_tail_bound(az, S, a, N_tail)
-    if skip or S < 0:
-        # summed to double precision (_integer_tail_size), or over terms
-        # that grow before they fall, where the rounding of the terms is
-        # no longer below the tail bound
-        est += _POLYLOG_ULPS * size
+    # the truncated tail, and the rounding of terms that can cancel: the
+    # tail against the branch part near an integer a, the polylogarithm
+    # form's, and terms that grow before they fall at S < 0
+    est = (_integer_tail_bound(az, S, a, N_tail) + _POLYLOG_ULPS * size
+           + rounding)
     return EngineReport(value, est, N_tail, max(S, 0), "integer_s")
 
 
@@ -429,9 +474,9 @@ def _mirror_terms(p):
 
 
 def _main_theorem_estimate(p, N):
-    """The estimate eval_main_theorem(p, N) reports, without building it:
-    remainder_estimate depends on the depth and the capped truncation,
-    never on the value."""
+    """The remainder part of the estimate eval_main_theorem(p, N)
+    reports, without building it: remainder_estimate depends on the
+    depth and the capped truncation, never on the value."""
     return remainder_estimate(p, N, min(choose_optimal_M(p, N),
                                         _COUNT_CAP))
 
@@ -443,7 +488,8 @@ def eval_main_theorem(p, N, m_override=None):
     Assembles the direct incomplete-gamma sum over a + n, the entire
     pair terms over a - n, and the subtracted-coefficient logarithmic
     series truncated at choose_optimal_M (or m_override).  The estimate
-    is remainder_estimate at the depth used.
+    is remainder_estimate at the depth used, floored at _SUM_ULPS of the
+    sizes of the terms summed.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:
@@ -458,6 +504,7 @@ def eval_main_theorem(p, N, m_override=None):
     terms = list(itertools.islice(_mirror_terms(p), N + 1))
     first = sum(t for t, _ in terms)
     pairs = sum(u for _, u in terms)
+    size = sum(abs(t) + abs(u) for t, u in terms)
     L = _branch_log(p)
     M = choose_optimal_M(p, N) if m_override is None else int(m_override)
     warnings = []
@@ -472,8 +519,9 @@ def eval_main_theorem(p, N, m_override=None):
                 warnings.append("m-term-underflow")
         else:
             second += t
+            size += abs(t)
     value = first + second + pairs
-    est = remainder_estimate(p, N, m_eff)
+    est = max(remainder_estimate(p, N, m_eff), _SUM_ULPS * size)
     return EngineReport(value, est, N, m_eff, "main_theorem",
                         tuple(warnings))
 
@@ -516,7 +564,9 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
     The mirror pairs decay like (-1)^n / n^2, so the raw series is slow;
     six levels of pairwise averaging of the partial sums squeeze out the
     alternating part.  Stops when the averaged increment drops under tol
-    (relative past magnitude 1), else flags the cap.
+    (relative past magnitude 1), else flags the cap.  The estimate is the
+    last increment, floored at _SUM_ULPS of the sizes of the terms
+    summed.
     """
     z, a = p.z, p.a
     if abs(z) <= 1.0:
@@ -526,6 +576,7 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
     levels = 6
     terms = _mirror_terms(p)
     value = next(terms)[0]
+    size = abs(value)
     # rows[k] is the latest value at averaging level k (level 0 holds the
     # partial sums); a new partial sum moves each level on by one average
     # of its two latest values, and the increment is the step at the top
@@ -539,6 +590,7 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
             break
         n += 1
         first, pair = next(terms)
+        size += abs(first) + abs(pair)
         avg = rows[0] + first + pair
         for k in range(min(len(rows), levels)):
             rows[k], avg = avg, 0.5 * (rows[k] + avg)
@@ -549,7 +601,8 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
         value = rows[-1] = avg
         if inc <= tol * max(1.0, abs(value)):
             break
-    return EngineReport(value, inc, n, 0, "symmetric_igamma", warnings)
+    return EngineReport(value, max(inc, _SUM_ULPS * size), n, 0,
+                        "symmetric_igamma", warnings)
 
 
 def eval_fl_expansion(p, n_z_terms, n_log_terms):
@@ -561,7 +614,9 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     power sums sum_k (-1)^k (a + k)^(-p) of the coefficient kernel, so its
     terms are e^(-aL) (s-1)...(s-m) A_(m+1)(a) L^(s-1-m) / Gamma(s).  It
     is asymptotic with an accuracy floor; the first omitted term is the
-    reported estimate, and a term that underflows counts as 0.
+    reported estimate, and a term that underflows counts as 0.  Terms
+    past the double range (n_log_terms from about 160 at |z| = 10) raise
+    ConditioningError.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:
@@ -583,6 +638,9 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
     pair_part = sum(_pair_term(p, n, L, sigma)
                     for n in range(1, n_z_terms + 1))
     value = sum(kept, 0.0j) + pair_part
+    if not (cmath.isfinite(value) and cmath.isfinite(last)):
+        raise ConditioningError("the logarithmic series is past the double "
+                                f"range by n_log_terms = {n_log_terms}")
     return EngineReport(value, abs(last), n_z_terms, n_log_terms,
                         "fl_expansion")
 
@@ -590,22 +648,25 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
 def _integer_tail_bound(az, S, a, N):
     """Bound on |sum_{n>N} z^(-n) (n-a)^(-S)|, the integer-s tail past
     n = N: its first term over 1 - r, r bounding the ratio of each term to
-    the one before.  At S >= 0, r = 1/|z|.  At S < 0 the terms grow like
-    n^|S|: with |n+1-a| <= |n-a| + 1 and |n-a| >= d for n > N,
+    the one before.  Let d be the least |n-a| for n > N, which is
+    |N+1-a| unless Re a > N + 1.  At S >= 0, r = 1/|z| and the first term
+    is |z|^(-N-1) d^(-S), since every |n-a|^(-S) is at most d^(-S).  At
+    S < 0 the terms grow like n^|S|: with |n+1-a| <= |n-a| + 1,
     r = (1 + 1/d)^|S| / |z|, which at real a < N + 1 is
-    |(N+2-a)/(N+1-a)|^|S| / |z|.  Infinite when r >= 1.
+    |(N+2-a)/(N+1-a)|^|S| / |z|.  Infinite when r >= 1 or d = 0.
     """
     ratio = 1.0 / az
-    if S < 0:
-        d = abs(N + 1.0 - a)
-        if a.real > N + 1.0:  # the terms reach n = Re a after N + 1
-            k = math.floor(a.real)
-            d = min(abs(k - a), abs(k + 1.0 - a))
-        if d == 0.0:
-            return math.inf
-        ratio *= (1.0 + 1.0 / d) ** -S
-        if ratio >= 1.0:
-            return math.inf
+    d = abs(N + 1.0 - a)
+    if a.real > N + 1.0:  # the terms reach n = Re a after N + 1
+        k = math.floor(a.real)
+        d = min(abs(k - a), abs(k + 1.0 - a))
+    if d == 0.0:
+        return math.inf
+    if S >= 0:
+        return az ** (-N - 1) * d ** -S / (1.0 - ratio)
+    ratio *= (1.0 + 1.0 / d) ** -S
+    if ratio >= 1.0:
+        return math.inf
     return az ** (-N - 1) * abs(N + 1.0 - a) ** -S / (1.0 - ratio)
 
 
@@ -618,49 +679,48 @@ def _integer_tail_size(az, S, a, target_tol):
         n = max(1, round(a.real))
         if S >= 1:
             target_tol = min(target_tol, 2.0 ** -53 * az ** -(n + 1))
-    while n < 4000:
+    while n < 4000 and (S < 0 or a.real > n + 1.0):
         if _integer_tail_bound(az, S, a, n) <= target_tol:
             return n
+        n += 1
+    # _integer_tail_bound at S >= 0 and Re a <= n + 1, its
+    # |z|^(-n-1) / (1 - 1/|z|) carried from one n to the next
+    geo = az ** (-n - 1) / (1.0 - 1.0 / az)
+    base = a.real if a.imag == 0.0 else a
+    while n < 4000:
+        if geo * abs(n + 1.0 - base) ** -S <= target_tol:
+            return n
+        geo /= az
         n += 1
     return 4000
 
 
-def eval_auto(p, target_tol=1e-10):
-    """Dispatcher.
+def _large_z_ladder(p, target_tol):
+    """The route past e where the Abel-Plana engine cannot answer: the
+    resummed theorem's depth N doubles until its estimate meets
+    target_tol (N capped by min(40, |z| - 1)), with the symmetric
+    expansion as the convergent fallback.  If nothing attains the target
+    the best report is returned with a warning.
 
-    Inside |z| <= 0.9 the direct series wins.  The band up to |z| = e
-    goes to the Abel-Plana engine, integer s included.  Past e, integer
-    s takes the exact closed form (at integer a, the polylogarithm's);
-    otherwise the resummed theorem's depth N doubles until
-    its estimate meets target_tol (N capped by min(40, |z| - 1)), with
-    the symmetric expansion as the convergent fallback.  If nothing
-    attains the target the best report is returned with a warning.
-
-    The estimate at a depth is known before the theorem is built
-    (_main_theorem_estimate), so only the first depth that meets the
-    target is built.  The rejected depths are built, in ladder order,
-    only when the fallback misses too and the best report is wanted.
+    The remainder part of the estimate at a depth is known before the
+    theorem is built (_main_theorem_estimate), so only a depth whose
+    remainder meets the target is built.  The rejected depths are built,
+    in ladder order, only when the fallback misses too and the best
+    report is wanted.
     The errors that stop the ladder do not depend on the depth, so the
     result is the one of building every depth in turn.
     """
-    z, s, a = p.z, p.s, p.a
-    az = abs(z)
-    if az <= 0.9:
-        return eval_series_direct(p, tol=target_tol)
-    if az < math.e:
-        return eval_abel_plana(p)
-    if _near_integer(s):
-        S = round(s.real)
-        n_tail = _integer_tail_size(az, S, a, target_tol)
-        return eval_integer_s_large_z(p, S, n_tail)
-
-    n_cap = min(40, int(az) - 1)
+    a = p.a
+    n_cap = min(40, int(abs(p.z)) - 1)
     n_depth = max(math.ceil(a.real) + 2, 1)
     rejected = []
     while a.real < n_depth <= n_cap:
         try:
             if _main_theorem_estimate(p, n_depth) <= target_tol:
-                return eval_main_theorem(p, n_depth)
+                # the rounding floor can still put the report past it
+                rep = eval_main_theorem(p, n_depth)
+                if rep.abs_err_estimate <= target_tol:
+                    return rep
         except (DomainError, ConditioningError):
             break
         rejected.append(n_depth)
@@ -681,3 +741,36 @@ def eval_auto(p, target_tol=1e-10):
     return EngineReport(best.value, best.abs_err_estimate, best.n_terms,
                         best.m_terms, best.engine,
                         best.warnings + ("target-tol-unmet",))
+
+
+def eval_auto(p, target_tol=1e-10):
+    """Dispatcher.
+
+    Inside |z| <= 0.9 the direct series wins.  Past it, integer s at
+    |z| >= e takes the exact closed form (at integer a, the
+    polylogarithm's) where its estimate, rounding included, meets
+    target_tol (relative past magnitude 1), and every other point goes
+    to the Abel-Plana engine, Re a <= 0 included.  Where that engine's
+    Gamma term leaves the double range (|a ln z| past about 700, a
+    ConditioningError) and Re a > 0, the point takes the resummed
+    theorem's depth ladder with the symmetric expansion as its fallback
+    (_large_z_ladder).  The Abel-Plana engine does not read target_tol;
+    it answers to about double precision.
+    """
+    z, s, a = p.z, p.s, p.a
+    az = abs(z)
+    if az <= 0.9:
+        return eval_series_direct(p, tol=target_tol)
+    if az >= math.e and _near_integer(s):
+        S = round(s.real)
+        n_tail = _integer_tail_size(az, S, a, target_tol)
+        rep = eval_integer_s_large_z(p, S, n_tail)
+        # near an integer a the closed form's branch part and tail cancel
+        if rep.abs_err_estimate <= target_tol * max(1.0, abs(rep.value)):
+            return rep
+    try:
+        return eval_abel_plana(p)
+    except ConditioningError:
+        if az < math.e or a.real <= 0.0:  # the ladder needs Re a > 0
+            raise
+    return _large_z_ladder(p, target_tol)

@@ -108,14 +108,22 @@ def log_neg_z(z, side="above"):
     selects the limit: "above" means z approached from Im z > 0, giving
     arg(-z) = -pi; "below" gives +pi.
     """
-    sp = signed_pi(side)  # validates side even when unused
     zc = complex(z)
+    value = _log_neg(zc, side)
+    if zc.imag == 0.0 and zc.real > 0.0:
+        tag = "above-cut" if side == "above" else "below-cut"
+        return BranchedLog(value, tag)
+    return BranchedLog(value, "off-cut")
+
+
+def _log_neg(zc, side):
+    """log_neg_z(zc, side).value for complex zc, without the record."""
+    sp = signed_pi(side)  # validates side even when unused
     if zc == 0:
         raise DomainError("log_neg_z undefined at z = 0")
     if zc.imag == 0.0 and zc.real > 0.0:
-        tag = "above-cut" if side == "above" else "below-cut"
-        return BranchedLog(complex(math.log(zc.real), sp), tag)
-    return BranchedLog(cmath.log(-zc), "off-cut")
+        return complex(math.log(zc.real), sp)
+    return cmath.log(-zc)
 
 
 def _nonpositive_integer(v):
@@ -283,14 +291,19 @@ def _abel_plana_integral(s, a, L):
     integrand evaluations.
     """
     evals = 0
+    real_a = a.imag == 0.0
 
     def integrand(t):
         nonlocal evals
         evals += 1
         it_l = 1j * t * L
         two_pi_t = 2.0 * math.pi * t
-        up = cmath.exp(it_l - s * cmath.log(a + 1j * t) - two_pi_t)
-        down = cmath.exp(-it_l - s * cmath.log(a - 1j * t) - two_pi_t)
+        log_up = cmath.log(a + 1j * t)
+        # at real a, log(a - it) is the conjugate of log(a + it), bit for bit
+        log_down = (log_up.conjugate() if real_a
+                    else cmath.log(a - 1j * t))
+        up = cmath.exp(it_l - s * log_up - two_pi_t)
+        down = cmath.exp(-it_l - s * log_down - two_pi_t)
         return 1j * (up - down) / -math.expm1(-two_pi_t)
 
     t_max = max(14.0, 6.0 + 1.1 * abs(s.real))

@@ -156,9 +156,13 @@ def test_domain_errors_exit_2():
            ["eval", "--z", "-10,0", "--s", "0.75,0", "--a", "0.3,0",
             "--engine", "integer-s"],
            ["coeffs", "--a", "2,0", "--n-max", "2"],
-           # Gamma(200.5) is past the double range: a conditioning
-           # error, not a traceback
-           ["eval", "--z", "-10,0", "--s", "200.5,0", "--a", "0.3,0"],
+           # z^31 of the Re a <= 0 shift is past the double range, and
+           # Phi with it: a conditioning error, not a traceback
+           ["eval", "--z", "-1e20,0", "--s", "0.75,0", "--a", "-30.3,0"],
+           # the comparison expansion's terms pass the double range from
+           # n_log = 161: a conditioning error, not a usage error
+           ["sweep", "--mode", "terms-vs-error", "--z", "-10,0",
+            "--engine", "fl", "--depth-max", "199"],
            # a^(-s) past the double range in the band, with and
            # without the Re a <= 0 shift
            ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "3.3,0"],
@@ -180,6 +184,20 @@ def test_eval_band_past_re_s_97():
     got = complex(rec["value_re"], rec["value_im"])
     want = complex(mp.lerchphi(1.5 + 0.5j, 200.5, 0.3))
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_eval_large_z_at_s_200_5():
+    # past e the Abel-Plana engine answers where the theorem's Gamma(s)
+    # leaves the double range; the value is near 0.3^-200.5 and real
+    code, out, _ = run_cli(["eval", "--z", "-10,0", "--s", "200.5,0",
+                            "--a", "0.3,0", "--json"])
+    assert code == 0
+    (rec,) = json_lines(out)
+    assert rec["engine"] == "abel-plana"
+    assert rec["value_im"] == 0.0
+    want = complex(mp.lerchphi(-10, 200.5, 0.3))
+    assert abs(rec["value_re"] - want) <= 1e-14 * abs(want)
+    assert abs(rec["value_re"] - want) <= rec["est_err"]
 
 
 def test_accuracy_warnings_exit_3():

@@ -11,6 +11,8 @@ import pytest
 from helpers import rel_err, sample
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
+    _integer_tail_size,
+    _large_z_ladder,
     choose_optimal_M,
     eval_abel_plana,
     eval_auto,
@@ -38,6 +40,10 @@ PHI_HALF_2_1 = 1.1644810529300250118
 # binary64 z agrees to 4e-14.  The value is sensitive to z at level 3e7, so
 # anchors computed at the exact decimal 0.999999 differ in the 10th digit.
 NEAR_ONE_LIMIT_Z1M6 = 113.29627935124659
+
+# a point of the Abel-Plana engine's gap past e: |a ln z| ~ 800, where
+# Gamma(1 - s, -a ln z) leaves the double range
+GAP_Z, GAP_S, GAP_A = 2e9 + 1e9j, 0.75 + 0.5j, 37.3
 
 # one-sided limit onto the cut at z = 10, s = 3/4, a = 0.3 approached from
 # above; frozen from the reference suite (offset 1e-6, drift there ~5e-8)
@@ -362,6 +368,29 @@ def test_integer_s_estimate_covers_growing_terms():
         assert rep.engine == "integer_s"
         want = complex(mp.lerchphi(mp.mpc(z, 1e-30), S, a))
         assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, a)
+
+
+def test_integer_s_estimate_covers_cancellation_near_integer_a():
+    # near an integer a the tail term n ~ a is about dist(a, Z)^(-S) and
+    # the branch part cancels it, so the closed form loses digits that
+    # its estimate must count; at Re a > N + 1 the tail bound must reach
+    # past n = a (the second point stopped at N = 3 and was 6.4e-10
+    # off).  eval_auto takes the Abel-Plana engine where the closed
+    # form's estimate misses the target
+    for z, S, a in ((-5.1018029397 - 30.247006994j, 5, 1.9415601466),
+                    (-336.45026866 - 196.10806777j, 2, 5.99933),
+                    (-9.4455204707 - 1.1734338282j, 1, 1.00012),
+                    (5.4790327708 - 0.2395280616j, 2, 5.00029)):
+        p = LerchPoint(z, float(S), a)
+        ref = hp_continuation(z, S, a)
+        n_tail = _integer_tail_size(abs(z), S, p.a, 1e-10)
+        rep = eval_integer_s_large_z(p, S, n_tail)
+        assert abs(rep.value - ref.value) <= rep.abs_err_estimate, p
+        auto = eval_auto(p)
+        assert abs(auto.value - ref.value) <= auto.abs_err_estimate, p
+        assert auto.abs_err_estimate <= 1e-10 * max(1.0, abs(auto.value))
+        assert auto.engine == ("integer_s" if S == 2 and a > 5.9
+                               else "abel_plana")
 
 
 def test_integer_s_guards():
@@ -887,10 +916,16 @@ def test_auto_band_routes():
 
 
 def test_auto_large_z_routes():
-    main = eval_auto(LerchPoint(-10.0, S34, A03), target_tol=1e-6)
-    assert main.engine == "main_theorem"
-    assert main.abs_err_estimate <= 1e-6
-    assert abs(main.value - 1.0889334) < 2e-6
+    # past e every non-integer s takes the Abel-Plana engine, Re a <= 0
+    # included; at real z left of the cut, real s and a > 0 its value is
+    # exactly real
+    ap = eval_auto(LerchPoint(-10.0, S34, A03), target_tol=1e-6)
+    assert ap.engine == "abel_plana"
+    assert ap.abs_err_estimate <= 1e-13
+    assert ap.value.imag == 0.0
+    assert abs(ap.value - 1.0889334) < 2e-6
+    ref = hp_continuation(-10.0, S34, A03)
+    assert abs(ap.value - ref.value) <= ap.abs_err_estimate + ref.err_bar
     ints = eval_auto(LerchPoint(-10.0, 2.0, A03))
     assert ints.engine == "integer_s"
     ref = reference_value(LerchPoint(-10.0, 2.0, A03))
@@ -899,6 +934,16 @@ def test_auto_large_z_routes():
     whole_a = eval_auto(whole)
     assert whole_a.engine == "integer_s"
     assert rel_err(whole_a.value, reference_value(whole).value) < 1e-12
+    # where Gamma(1 - s, -a ln z) leaves the double range the resummed
+    # theorem answers (the depth ladder), or the symmetric expansion
+    # when |z| < 5 leaves it no depth
+    assert eval_auto(LerchPoint(GAP_Z, GAP_S, GAP_A)).engine == "main_theorem"
+    assert eval_auto(LerchPoint(-3.5, S34, 600.3)).engine == \
+        "symmetric_igamma"
+    # Re a <= 0 past the double range of z^k in the a-shift is a
+    # conditioning error, not a ladder route
+    with pytest.raises(ConditioningError):
+        eval_auto(LerchPoint(-1e20, S34, -30.3))
 
 
 def test_auto_where_z_to_the_n_overflows():
@@ -909,12 +954,95 @@ def test_auto_where_z_to_the_n_overflows():
         assert rel_err(rep.value, quad_integral(z, s, a).value) < 1e-12
 
 
+def _mp_integral_reference(z, s, a):
+    """Phi by mpmath's quadrature of the integral representation
+    Gamma(s)^-1 int_0^oo x^(s-1) e^(-ax) / (1 - z e^(-x)) dx at 30 digits
+    (Re s > 0, Re a > 0, z off [1, oo)); it shares no code with the
+    engines or the oracle."""
+    with mp.workdps(30):
+        zc, sc, ac = mp.mpc(z), mp.mpc(s), mp.mpc(a)
+        value = mp.quad(lambda x: x ** (sc - 1) * mp.exp(-ac * x)
+                        / (1 - zc * mp.exp(-x)),
+                        [0, 0.25, 0.5, 1, 2, 4, 8, 16, 32, mp.inf])
+        return complex(value / mp.gamma(sc))
+
+
+def test_gap_points_have_honest_nonzero_estimates():
+    # in the Abel-Plana engine's gap the ladder answers; its theorem's
+    # remainder estimate underflows to 0 there, and the rounding floor
+    # of the terms summed is what is left.  The symmetric expansion, run
+    # far past what doubles resolve, is floored the same way
+    for z, s, a in ((GAP_Z, GAP_S, GAP_A), (-1e20, S34, 30.3)):
+        p = LerchPoint(z, s, a)
+        with pytest.raises(ConditioningError):
+            eval_abel_plana(p)
+        want = _mp_integral_reference(z, s, a)
+        for rep in (eval_auto(p), eval_symmetric_igamma(p, tol=1e-18)):
+            assert rep.abs_err_estimate > 0.0, (p, rep.engine)
+            assert abs(rep.value - want) <= rep.abs_err_estimate, \
+                (p, rep.engine)
+        assert eval_auto(p).engine == "main_theorem"
+
+
+def test_auto_estimate_is_honest_past_e():
+    # seeded points at e <= |z| <= 400: real a in (-3, 5), so Re a <= 0
+    # too, real, integer and complex s, a fifth of them on the cut from
+    # either side; against mpmath's lerchphi at 30 and 40 digits
+    # (hp_continuation, which agrees with the a-shift identity at
+    # negative a), at z +/- i 1e-30 on the cut
+    def draw(rng):
+        r = math.exp(rng.uniform(1.0, math.log(400.0)))
+        z = (r if rng.random() < 0.2
+             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        kind = rng.random()
+        if kind < 0.15:
+            s = complex(rng.randint(-2, 5), 0.0)
+        elif kind < 0.4:
+            s = complex(rng.uniform(-3.0, 6.0), 0.0)
+        else:
+            s = complex(rng.uniform(-3.0, 6.0), rng.uniform(-6.0, 6.0))
+        return LerchPoint(z, s, rng.uniform(-3.0, 5.0),
+                          rng.choice(("above", "below")))
+
+    points = sample(1105, 14, draw)
+    # the draws reach every case named above
+    assert {p.cut_side for p in points if p.on_cut} == {"above", "below"}
+    assert sum(p.a.real <= 0.0 for p in points) >= 3
+    engines = set()
+    for p in points:
+        z = p.z
+        if p.on_cut:
+            z = complex(z.real, 1e-30 if p.cut_side == "above" else -1e-30)
+        ref = hp_continuation(z, p.s, p.a)
+        rep = eval_auto(p)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
+        engines.add(rep.engine)
+    assert engines == {"abel_plana", "integer_s"}
+
+
+def test_abel_plana_is_exactly_real_left_of_the_cut():
+    # Phi is real on the real axis below z = 1 at real s and a > 0; the
+    # imaginary parts of the engine's pieces cancel to rounding, which
+    # the engine drops (at -10, 200.5, 0.3 it was 3.5e90)
+    for z, s, a in ((-10.0, S34, A03), (-10.0, 200.5, A03), (-1.5, 2.5, 0.7),
+                    (0.95, -1.5, 3.3), (-400.0, 3.0, 0.45)):
+        rep = eval_abel_plana(LerchPoint(z, s, a))
+        assert rep.value.imag == 0.0, (z, s, a)
+        assert rel_err(rep.value, complex(mp.lerchphi(z, s, a))) < 1e-13
+    # off the axis, at complex s or at a < 0 the value is complex
+    for z, s, a in ((-10.0 + 1e-3j, S34, A03), (-10.0, S34 + 0.1j, A03),
+                    (-10.0, S34, -0.3), (1.5, S34, A03)):
+        assert eval_abel_plana(LerchPoint(z, s, a)).value.imag != 0.0
+
+
 def test_auto_needs_no_mpmath():
     # one eval_auto per route in a process where mpmath cannot be
     # imported; the reports must be those of this process
     points = [(0.5, 2.0, 1.0, 1e-10), (cmath.rect(1.4, 0.5), 2.5, 0.7, 1e-10),
               (-10.0, 2.0, A03, 1e-10), (-10.0, 2.0, 1.0, 1e-10),
-              (-10.0, S34, A03, 1e-6), (-3.5, S34, A03, 1e-10)]
+              (-10.0, S34, A03, 1e-6), (GAP_Z, GAP_S, GAP_A, 1e-10),
+              (-3.5, S34, 600.3, 1e-10)]
     script = f"""
 import sys
 import lerchphi.engines as engines
@@ -935,27 +1063,43 @@ for z, s, a, tol in {points!r}:
         assert line == repr((r.value, r.abs_err_estimate, r.engine))
         engines.append(r.engine)
     assert engines == ["direct", "abel_plana", "integer_s", "integer_s",
-                       "main_theorem", "symmetric_igamma"]
+                       "abel_plana", "main_theorem", "symmetric_igamma"]
 
 
 def test_auto_integer_a_falls_back_to_symmetric():
-    # integer a poisons the pair coefficients; the pair form is entire
-    rep = eval_auto(LerchPoint(-10.0, S34, 2.0))
-    assert rep.engine == "symmetric_igamma"
-    ref = reference_value(LerchPoint(-10.0, S34, 2.0))
-    assert abs(rep.value - ref.value) < 1e-8
+    # integer a poisons the unsubtracted pair coefficients; the
+    # Abel-Plana engine has no such coefficients, and where it cannot
+    # answer (a = 600) the theorem's subtracted tables hit a pole and the
+    # ladder falls back to the symmetric pair form, which is entire in a
+    p = LerchPoint(-10.0, S34, 2.0)
+    rep = eval_auto(p)
+    assert rep.engine == "abel_plana"
+    assert rel_err(rep.value, reference_value(p).value) < 1e-13
+    assert _large_z_ladder(p, 1e-10).engine == "symmetric_igamma"
+    gap = eval_auto(LerchPoint(-10.0, S34, 600.0))
+    assert gap.engine == "symmetric_igamma"
+    assert abs(gap.value - quad_integral(-10.0, S34, 600.0).value) < 1e-10
 
 
 def test_auto_symmetric_fallback_and_best_effort():
-    # |z| between e and 5 leaves no admissible theorem depth
-    rep = eval_auto(LerchPoint(-3.5, S34, A03))
-    assert rep.engine == "symmetric_igamma"
-    assert not rep.warnings
-    assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(rep.value))
-    ref = quad_integral(-3.5, S34, A03)
-    assert abs(rep.value - ref.value) < 1e-8
-    hard = eval_auto(LerchPoint(-3.5, S34, A03), target_tol=1e-30)
+    # |z| between e and 5 leaves the ladder no admissible theorem depth,
+    # so it takes the symmetric expansion; eval_auto sends such a point
+    # there only where the Abel-Plana engine cannot answer (a = 600.3)
+    for a in (A03, 600.3):
+        rep = _large_z_ladder(LerchPoint(-3.5, S34, a), 1e-10)
+        assert rep.engine == "symmetric_igamma"
+        assert not rep.warnings
+        assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(rep.value))
+        ref = quad_integral(-3.5, S34, a)
+        assert abs(rep.value - ref.value) < 1e-8
+    assert eval_auto(LerchPoint(-3.5, S34, 600.3)) == rep
+    hard = eval_auto(LerchPoint(-3.5, S34, 600.3), target_tol=1e-30)
     assert "target-tol-unmet" in hard.warnings
+    assert "target-tol-unmet" in _large_z_ladder(
+        LerchPoint(-3.5, S34, A03), 1e-30).warnings
+    ap = eval_auto(LerchPoint(-3.5, S34, A03))
+    assert ap.engine == "abel_plana"
+    assert abs(ap.value - quad_integral(-3.5, S34, A03).value) < 1e-13
 
 
 def _ladder_building_every_depth(p, target_tol=1e-10):
@@ -986,8 +1130,10 @@ def _ladder_building_every_depth(p, target_tol=1e-10):
 
 
 def test_auto_estimate_first_matches_every_depth_ladder():
-    # the dispatcher builds only the accepted depth; its report must be
-    # the one of building the whole ladder in order
+    # the ladder builds only the accepted depth; its report must be the
+    # one of building the whole ladder in order.  eval_auto takes it
+    # only in the Abel-Plana engine's gap, so the seeded points call it
+    # directly
     def draw(rng):
         z = cmath.rect(math.exp(rng.uniform(1.0, math.log(400.0))),
                        rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
@@ -1001,10 +1147,12 @@ def test_auto_estimate_first_matches_every_depth_ladder():
              (LerchPoint(5.3 + 10.5j, 0.73 + 5.97j, 2.85), 1e-16)]
     reports = []
     for p, tol in sample(2311, 16, draw) + unmet:
-        got = eval_auto(p, target_tol=tol)
+        got = _large_z_ladder(p, tol)
         assert got == _ladder_building_every_depth(p, target_tol=tol), p
         reports.append(got)
     assert {r.engine for r in reports} == {"main_theorem", "symmetric_igamma"}
     best = reports[-len(unmet):]
     assert [r.engine for r in best] == ["symmetric_igamma", "main_theorem"]
     assert all("target-tol-unmet" in r.warnings for r in best)
+    for p in (LerchPoint(GAP_Z, GAP_S, GAP_A), LerchPoint(-3.5, S34, 600.3)):
+        assert eval_auto(p) == _ladder_building_every_depth(p), p

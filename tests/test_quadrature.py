@@ -5,6 +5,7 @@ import math
 
 import mpmath as mp
 
+from lerchphi import _quadrature
 from lerchphi._quadrature import _level_nodes, tanh_sinh
 
 ULP = 2.0 ** -52
@@ -72,3 +73,23 @@ def test_scalar_chunks_past_the_rounding_of_the_whole_stop_at_once():
     tanh_sinh(h, [0.0, 1.0, 40.0], rel_tol=2e-16)
     assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
 
+
+
+def test_quadratic_convergence_stops_a_level_early(monkeypatch):
+    # 1/(x^2 + c^2) on [0, 1] is atan(1/c) / c.  At rel_tol 1e-8 a level
+    # whose change fell 1000x from the one before is in the rule's
+    # digit-doubling regime; 10 change^2 / |part| is under the stop bar
+    # there, so the chunk stops without the level that would have shown
+    # a change under it, and reports that quantity as its error
+    for c in (0.3, 0.03):
+        exact = math.atan(1.0 / c) / c
+        f, calls = counted(lambda x: 1.0 / (x * x + c * c))
+        value, err, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=1e-8)
+        assert abs(value - exact) <= err
+        assert err > 1e-13 * exact  # the squared change, not the floor
+        with monkeypatch.context() as m:
+            m.setattr(_quadrature, "_QUADRATIC_DROP", 0.0)  # never fires
+            g, old = counted(lambda x: 1.0 / (x * x + c * c))
+            value_old, err_old, _ = tanh_sinh(g, [0.0, 1.0], rel_tol=1e-8)
+        assert calls[0] < old[0]
+        assert abs(value_old - exact) <= err_old
