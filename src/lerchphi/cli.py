@@ -28,7 +28,7 @@ from .engines import (_integer_tail_size, choose_optimal_M, eval_abel_plana,
                       eval_auto, eval_fl_expansion, eval_integer_s_large_z,
                       eval_main_theorem, eval_near_one, eval_series_direct,
                       eval_symmetric_igamma, residue_series)
-from .errors import AccuracyError, ConditioningError, DomainError
+from .errors import AccuracyError, ConditioningError, DomainError, LerchError
 from .factorial_series import eval_factorial, series_states
 from .oracle import reference_value
 
@@ -307,11 +307,10 @@ def _record(param_name, param_value, rep, ref, value=None):
             "m_terms": rep.m_terms}
 
 
-def _sweep_terms_vs_error(args):
+def _sweep_terms_vs_error(args, rows):
     p = _sweep_point(args)
     ref = _safe_reference(p)
     depth = args.depth_max
-    rows = []
     if args.engine == "main":
         for k in range(1, depth + 1):
             rows.append(_record("N", float(k), eval_main_theorem(p, k), ref))
@@ -327,10 +326,9 @@ def _sweep_terms_vs_error(args):
     else:
         args.parser.error("--mode terms-vs-error supports "
                           "--engine main, symmetric or fl")
-    return _SWEEP_FIELDS, rows
 
 
-def _sweep_m_landscape(args):
+def _sweep_m_landscape(args, rows):
     p = _sweep_point(args)
     ref = _safe_reference(p)
     N = args.n if args.n is not None else _SHOWCASE_N
@@ -340,18 +338,15 @@ def _sweep_m_landscape(args):
     # the logarithmic-series truncation, which otherwise floors under
     # the residue tail before the landscape bottoms out
     tail = residue_series(p, N)
-    rows = []
     for m in list(range(1, m_top + 1)) + [pick]:
         rep = eval_main_theorem(p, N, m_override=m)
         name = "M" if len(rows) < m_top else "M_opt"
         rows.append(_record(name, float(m), rep, ref,
                             value=rep.value + tail))
-    return _SWEEP_FIELDS, rows
 
 
-def _sweep_z_scaling(args):
+def _sweep_z_scaling(args, rows):
     N = args.n if args.n is not None else _SHOWCASE_N
-    rows = []
     z = args.z_base
     for _ in range(args.count):
         p = LerchPoint(z, args.s, args.a, args.cut_side)
@@ -368,27 +363,34 @@ def _sweep_z_scaling(args):
                      "est_err": scale * rep.abs_err_estimate,
                      "n_terms": rep.n_terms, "m_terms": rep.m_terms})
         z = z * args.factor
-    return _SWEEP_FIELDS, rows
 
 
-def _sweep_factorial_trace(args):
+def _sweep_factorial_trace(args, rows):
     p = _sweep_point(args)
-    rows = []
     for st in series_states(p, args.count):
         rows.append({"n": st.n_terms - 1, "abs_term": st.last_term_mag,
                      "partial_re": st.partial.real,
                      "partial_im": st.partial.imag})
-    return _TRACE_FIELDS, rows
 
 
-_SWEEP_MODES = {"terms-vs-error": _sweep_terms_vs_error,
-                "m-landscape": _sweep_m_landscape,
-                "z-scaling": _sweep_z_scaling,
-                "factorial-trace": _sweep_factorial_trace}
+# mode -> (function appending its rows to a list, the rows' fields)
+_SWEEP_MODES = {"terms-vs-error": (_sweep_terms_vs_error, _SWEEP_FIELDS),
+                "m-landscape": (_sweep_m_landscape, _SWEEP_FIELDS),
+                "z-scaling": (_sweep_z_scaling, _SWEEP_FIELDS),
+                "factorial-trace": (_sweep_factorial_trace, _TRACE_FIELDS)}
 
 
 def cmd_sweep(args):
-    fieldnames, rows = _SWEEP_MODES[args.mode](args)
+    sweep, fieldnames = _SWEEP_MODES[args.mode]
+    rows = []
+    try:
+        sweep(args, rows)
+    except LerchError:
+        # the rows before the step that raised are still printed, and
+        # the error then sets the exit code
+        if rows:
+            _emit_rows(fieldnames, rows, args.json)
+        raise
     _emit_rows(fieldnames, rows, args.json)
     return 0
 

@@ -283,7 +283,10 @@ def eval_abel_plana(p):
     Hermite's for zeta(s, a).  The Gamma term is continued along the
     integral path (_abel_plana_gamma_term); on the cut arg(-L) is set by
     the point's side, as in log_neg_z.  Re a <= 0 is first shifted by
-    Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1).  The estimate covers the
+    Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1), and so is a complex a until
+    Re a >= 1: one of (a +/- it)^(-s) has its branch point at
+    t = |Im a|, only Re a from the integration path, where the
+    quadrature would need many more nodes.  The estimate covers the
     quadrature's change, the rounding of the integral of |integrand|,
     and that of a^(-s)/2 and the Gamma term, so their cancellation
     against the result.  n_terms counts integrand evaluations.  On the
@@ -299,7 +302,7 @@ def eval_abel_plana(p):
     head_size = 0.0
     zk = 1.0 + 0.0j
     try:
-        while a.real <= 0.0:
+        while a.real <= 0.0 or (a.imag and a.real < 1.0):
             term = zk * a ** -s
             head += term
             head_size += abs(term)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._quadrature import tanh_sinh
+from ._quadrature import _HALF_LINE_REACH, tanh_sinh
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 
 _EULER = 0.5772156649015328606
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 
 # B_2 .. B_24 as exact rationals; converted below to the float constants the
 # three asymptotic series actually need.
@@ -79,6 +80,13 @@ _IGAMMA_SERIES_CAP = 1400
 # truncation error and the Stokes term it leaves out are under this
 _IGAMMA_TAIL_TOL = 1e-13
 _ABEL_PLANA_REL_TOL = 1e-15
+# the Abel-Plana integral's tail past its reach is under e^-40 |a^(-s)|
+_AP_TAIL_EXPONENT = 40.0
+# past this bound on the log of the Abel-Plana integrand over a^(-s),
+# a^(-s) is folded into each node's exponent (headroom under e^709 for
+# the sum over the nodes)
+_AP_FOLD_PEAK = 600.0
+_ULP = 2.0 ** -52
 _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
 
@@ -273,48 +281,135 @@ def _zeta_hermite(s, a):
             + integral)
 
 
+def _abel_plana_reach(s, a, L):
+    """T past which the tail of _abel_plana_integral is provably under
+    e^-_AP_TAIL_EXPONENT |a^(-s)|.
+
+    For t >= T each of the two terms of the integrand is at most
+    e^(pi |Im s| / 2) R^(-Re s) e^(-kappa t) / (1 - e^(-2 pi T)), with
+    kappa = 2 pi - |Im L| >= pi and R the larger of |a +/- it| where
+    Re s < 0, the smaller where Re s >= 0.  Its log falls at a rate of at
+    least kappa' = kappa - max(0, -Re s) / R(T) past T, so the tail is
+    under twice that bound at T over kappa'.  From the T of the
+    exponential factor alone, T doubles or halves until the bar is
+    bracketed, and two bisections in log T then take it to within 19%
+    of the least such T.
+    """
+    kappa = _TWO_PI - abs(L.imag)
+    p = -s.real
+    alpha, beta = a.real, abs(a.imag)
+    # log of 2 e^(pi |Im s| / 2) / |a^(-s)| e^_AP_TAIL_EXPONENT
+    excess = (math.log(2.0) + 0.5 * math.pi * abs(s.imag)
+              - p * math.log(abs(a)) - s.imag * cmath.phase(a)
+              + _AP_TAIL_EXPONENT)
+
+    def above_bar(t):
+        if p > 0.0:
+            r = math.hypot(alpha, t + beta)
+            slope = kappa - p / r
+            if slope <= 0.0:
+                return True
+        else:
+            r = math.hypot(alpha, max(0.0, t - beta))
+            slope = kappa
+        return (excess + p * math.log(r) - kappa * t
+                - math.log(-math.expm1(-_TWO_PI * t) * slope)) > 0.0
+
+    # start from the least T of the exponential factor alone
+    hi = max(excess / kappa, 1e-3)
+    if above_bar(hi):
+        lo = 2.0 * hi
+        while above_bar(lo):
+            lo *= 2.0
+        lo, hi = 0.5 * lo, lo
+    else:
+        lo = 0.5 * hi
+        while not above_bar(lo):
+            lo *= 0.5
+        hi = 2.0 * lo
+    for _ in range(2):
+        mid = math.sqrt(lo * hi)
+        if above_bar(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _abel_plana_integral(s, a, L):
     """i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt with
     f(x) = e^(xL) (a+x)^(-s), Re a > 0: the integral of the Abel-Plana
     summation of sum_n z^n (a+n)^(-s), L = ln z, and at L = 0 that of
     Hermite's formula for zeta(s, a).
 
-    One tanh_sinh call over the chunks [0, 2, 8, ...] out to
-    max(14, 6 + 1.1 |Re s|): with |Im L| <= pi the integrand decays like
-    e^(-pi t) at least, and the range grows with |Re s| for the power
-    |a + it|^(-Re s).  The weight is e^(-2 pi t) / (1 - e^(-2 pi t)),
-    its e^(-2 pi t) folded into the exponent of each power, so no part
-    leaves the double range before the integrand itself does, which at
-    z = 1 is where zeta does too, past Re s ~ -260 (ConditioningError).
+    One tanh_sinh call on the half line, in the variable t / sigma with
+    sigma = T / _HALF_LINE_REACH: the rule's last node falls on the T of
+    _abel_plana_reach, past which the tail is provably under its bar, so
+    the scale of the map follows the integrand's decay.
+
+    With tau = t/a, c = -(s/2) ln(1 + tau^2) - 2 pi t and
+    d = i (tL - s atan(tau)), the integrand is
+    a^(-s) 2i e^c sinh(d) / (1 - e^(-2 pi t)).  Near t = 0 the difference
+    of the two terms comes out of sinh(d) without cancellation; where
+    |d| >= 1 it is e^(c+d) - e^(c-d), so sinh does not overflow where e^c
+    is small.  a^(-s) is rounded once, by pow: as exp(-s ln a) inside
+    every node it carried the rounding of -s ln a, ~200 ulps at
+    s = 200.5, a = 0.3, into every node alike.  Where Re s << 0 and
+    |a| < 1 the integrand over a^(-s) can pass e^709 while the integrand
+    does not; there -s ln a is folded into c instead, and the estimate
+    carries the rounding of that exponent.  ConditioningError where the
+    integral itself is past the double range (at z = 1, where zeta is).
     Returns the value, the quadrature's error estimate, the integral of
     |integrand| (for the caller's rounding bound) and the number of
     integrand evaluations.
     """
     evals = 0
+    sigma = _abel_plana_reach(s, a, L) / _HALF_LINE_REACH
+    # the log of a bound on |integrand| / |a^(-s)|: e^(pi |Im s|) for the
+    # arguments, and the peak of (|a| + t)^(-Re s) e^(-kappa t) / |a|^(-Re s)
+    p = -s.real
+    kappa = _TWO_PI - abs(L.imag)
+    peak = math.pi * abs(s.imag)
+    if p > kappa * abs(a):
+        peak += p * (math.log(p / (kappa * abs(a))) - 1.0) + kappa * abs(a)
+    fold = peak > _AP_FOLD_PEAK
+    c0 = -s * cmath.log(a) if fold else 0.0
+    half_s = 0.5 * s
     real_a = a.imag == 0.0
+    re_a = a.real
 
-    def integrand(t):
+    def integrand(x):
         nonlocal evals
         evals += 1
-        it_l = 1j * t * L
-        two_pi_t = 2.0 * math.pi * t
-        log_up = cmath.log(a + 1j * t)
-        # at real a, log(a - it) is the conjugate of log(a + it), bit for bit
-        log_down = (log_up.conjugate() if real_a
-                    else cmath.log(a - 1j * t))
-        up = cmath.exp(it_l - s * log_up - two_pi_t)
-        down = cmath.exp(-it_l - s * log_down - two_pi_t)
-        return 1j * (up - down) / -math.expm1(-two_pi_t)
+        t = sigma * x
+        two_pi_t = _TWO_PI * t
+        if real_a:
+            tau = t / re_a
+            c = c0 - half_s * math.log1p(tau * tau) - two_pi_t
+            d = 1j * (t * L - s * math.atan2(t, re_a))
+        else:
+            tau = t / a
+            c = c0 - half_s * cmath.log(1.0 + tau * tau) - two_pi_t
+            d = 1j * (t * L - s * cmath.atan(tau))
+        if abs(d) < 1.0:
+            diff = 2.0 * cmath.exp(c) * cmath.sinh(d)
+        else:
+            diff = cmath.exp(c + d) - cmath.exp(c - d)
+        return diff / -math.expm1(-two_pi_t)
 
-    t_max = max(14.0, 6.0 + 1.1 * abs(s.real))
-    edges = [0.0, 2.0]
-    while edges[-1] < t_max:
-        edges.append(min(4.0 * edges[-1], t_max))
     try:
-        value, err, mass = tanh_sinh(integrand, edges, _ABEL_PLANA_REL_TOL)
-    except OverflowError:  # |a + it|^(-Re s) e^(-2 pi t) itself
+        front = 1.0 if fold else a ** -s
+        value, err, mass = tanh_sinh(integrand, [0.0, math.inf],
+                                     _ABEL_PLANA_REL_TOL)
+    except OverflowError:
+        front = value = mass = math.inf
+    scale = abs(front) * sigma
+    value *= 1j * sigma * front
+    mass *= scale
+    if not (cmath.isfinite(value) and math.isfinite(mass)):
         raise ConditioningError(f"the Abel-Plana integrand at s = {s} is "
-                                "past the double range") from None
+                                "past the double range")
+    err = scale * err + 2.0 * _ULP * abs(c0) * mass
     return value, err, mass, evals
 
 

@@ -302,6 +302,22 @@ def test_sweep_terms_vs_error_fl_diverges():
         rows[0]["abs_err_vs_reference"]
 
 
+def test_sweep_prints_the_rows_before_a_depth_raises():
+    # the comparison expansion's terms pass the double range at
+    # n_log = 161: the rows 1..160 are printed, then the conditioning
+    # error sets the exit code
+    code, out, err = run_cli(["sweep", "--mode", "terms-vs-error",
+                              "--z", "-10,0", "--s", "0.75,0",
+                              "--a", "0.3,0", "--engine", "fl",
+                              "--depth-max", "199"])
+    assert code == 2
+    rows = csv_rows(out)
+    assert rows[0][:2] == ["param_name", "param_value"]
+    assert [r[:2] for r in rows[1:]] == [["n_log", str(k)]
+                                         for k in range(1, 161)]
+    assert err.startswith("lerchphi: conditioning error")
+
+
 # ----------------------------------------------------------------- coeffs
 
 def test_coeffs_golden_rows():

@@ -302,6 +302,99 @@ def test_abel_plana_shifts_nonpositive_a():
     assert rep.abs_err_estimate >= abs(z) ** 2 * step.abs_err_estimate
 
 
+def test_abel_plana_steps_complex_a_to_re_a_one():
+    # at complex a the branch point of (a + it)^(-s) or (a - it)^(-s)
+    # lies Re a from the integration path, at t = |Im a|; the engine
+    # steps such a to Re a >= 1 first, and the half-line rule then needs
+    # no more nodes than elsewhere (2037 and 2007 before the step, and
+    # the second point was 8.2e-10 off)
+    a = 0.05 - 0.3j
+    with mp.workdps(30):
+        wants = (complex(mp.lerchphi(1.5j, 2.5, a)), complex(mp.zeta(6, a)))
+    for z, s, want in zip((1.5j, 1.0), (2.5, 6.0), wants):
+        rep = eval_abel_plana(LerchPoint(z, s, a))
+        assert rep.n_terms <= 140, (z, s)
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (z, s)
+        assert rel_err(rep.value, want) < 1e-12, (z, s)
+
+
+def test_abel_plana_tail_is_cut_where_its_bound_is_under_the_floor():
+    # near the negative axis at Re s < 0 the integrand decays only like
+    # e^(-(2 pi - |Im L|) t) |a + it|^(-Re s) e^(pi |Im s| / 2); a fixed
+    # end at t = max(14, 6 + 1.1 |Re s|) left 1.3e-11 out here against
+    # an estimate of 2.7e-12
+    p = LerchPoint(-2.786464933654975 - 0.2801932546958694j,
+                   -6.844729180990214 + 2.2595641957126738j,
+                   1.6595992904621812)
+    with mp.workdps(30):
+        want = complex(mp.lerchphi(p.z, p.s, p.a))
+    rep = eval_abel_plana(p)
+    assert abs(rep.value - want) <= rep.abs_err_estimate
+    assert abs(rep.value - want) < 1e-13 * abs(want)
+
+
+def test_abel_plana_oscillating_integrand_refines_past_the_digit_doubling():
+    # at |z| ~ 2000 the integrand turns like e^(i t ln|z|) where the
+    # half-line map spaces its nodes like t h: its digits went
+    # 3.8 -> 8.2 -> 12.4 over three levels, so the squared change
+    # promised 5e-16 where the value was 3.7e-7 off.  The half-line
+    # chunk also needs change^2 / (the change before) under its bar
+    p = LerchPoint(-1804.5321487177443 + 878.4758527519269j,
+                   -13.719812672564693 + 4.767157939658071j,
+                   1.259000535514974 + 1.6406341415056946j)
+    with mp.workdps(30):
+        want = complex(mp.lerchphi(p.z, p.s, p.a))
+    rep = eval_abel_plana(p)
+    assert abs(rep.value - want) <= rep.abs_err_estimate
+
+
+def _mp_lerchphi_is_principal(z, a):
+    # mpmath's lerchphi takes Gamma(1 - s, -a ln z) on its principal
+    # branch, after stepping a to Re a >= 1; that is the continuation
+    # only while arg a + arg(-ln z) stays inside (-pi, pi)
+    a_mp = a + max(0, math.ceil(1.0 - a.real))
+    return abs(cmath.phase(a_mp) + cmath.phase(-cmath.log(z))) < math.pi - 0.1
+
+
+def draw_abel_plana_point(rng, r_min=0.9, r_max=1e4):
+    """|z| log-uniform in [r_min, r_max] off the positive axis,
+    Re s in (-12, 8), |Im s| < 8; real a in (0.05, 4), or in four of ten
+    draws a complex a where mpmath's lerchphi is the continuation."""
+    while True:
+        z = cmath.rect(math.exp(rng.uniform(math.log(r_min),
+                                            math.log(r_max))),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        s = complex(rng.uniform(-12.0, 8.0), rng.uniform(-8.0, 8.0))
+        if rng.random() >= 0.4:
+            return LerchPoint(z, s, rng.uniform(0.05, 4.0))
+        a = complex(rng.uniform(0.05, 3.0), rng.uniform(-1.5, 1.5))
+        if _mp_lerchphi_is_principal(z, a):
+            return LerchPoint(z, s, a)
+
+
+def test_abel_plana_evaluations_past_e():
+    # the half-line rule's cost: the median point at |z| >= e takes no
+    # more than two refinements of its first level, 140 evaluations
+    # (273 with the chunks [0, 2, 8, 14] it replaced)
+    points = sample(1212, 40, lambda rng: draw_abel_plana_point(
+        rng, math.e, 400.0))
+    counts = sorted(eval_abel_plana(p).n_terms for p in points)
+    assert counts[len(counts) // 2] <= 140
+
+
+def test_abel_plana_estimate_is_honest_on_seeded_points():
+    # 60 seeded points at 0.9 <= |z| <= 1e4, Re s on both sides of 0 and
+    # complex a, against mpmath's lerchphi at 30 digits
+    points = sample(1213, 60, draw_abel_plana_point)
+    assert sum(p.s.real < 0.0 for p in points) >= 20
+    assert sum(p.a.imag != 0.0 for p in points) >= 15
+    for p in points:
+        with mp.workdps(30):
+            want = complex(mp.lerchphi(p.z, p.s, p.a))
+        rep = eval_abel_plana(p)
+        assert abs(rep.value - want) <= rep.abs_err_estimate, p
+
+
 # ---------------------------------------------------------------------------
 # exact closed form at integer s
 

@@ -1,4 +1,5 @@
-"""Tanh-sinh rule: where refinement stops, on one interval and on chunks."""
+"""Tanh-sinh rule: where refinement stops, on one interval and on chunks;
+the half-line rule against closed forms."""
 
 import cmath
 import math
@@ -6,7 +7,7 @@ import math
 import mpmath as mp
 
 from lerchphi import _quadrature
-from lerchphi._quadrature import _level_nodes, tanh_sinh
+from lerchphi._quadrature import _half_line_nodes, _level_nodes, tanh_sinh
 
 ULP = 2.0 ** -52
 
@@ -23,6 +24,11 @@ def counted(f):
 def nodes_up_to(max_level):
     """Integrand evaluations of one interval refined through max_level."""
     return 1 + 2 * sum(len(_level_nodes(k)) for k in range(max_level + 1))
+
+
+def nodes_on_half_line(max_level):
+    """Integrand evaluations of a half line refined through max_level."""
+    return sum(len(_half_line_nodes(k)) for k in range(max_level + 1))
 
 
 def test_smooth_integrand_stops_at_the_rounding_floor():
@@ -74,7 +80,6 @@ def test_scalar_chunks_past_the_rounding_of_the_whole_stop_at_once():
     assert calls[0] - head[0] == nodes_up_to(1) < alone[0]
 
 
-
 def test_quadratic_convergence_stops_a_level_early(monkeypatch):
     # 1/(x^2 + c^2) on [0, 1] is atan(1/c) / c.  At rel_tol 1e-8 a level
     # whose change fell 1000x from the one before is in the rule's
@@ -93,3 +98,37 @@ def test_quadratic_convergence_stops_a_level_early(monkeypatch):
             value_old, err_old, _ = tanh_sinh(g, [0.0, 1.0], rel_tol=1e-8)
         assert calls[0] < old[0]
         assert abs(value_old - exact) <= err_old
+
+
+def test_half_line_rule_against_closed_forms():
+    # edges [0, inf]: the map x = exp(u - e^-u) on an oscillating
+    # integrand, one with an endpoint singularity, and one that decays
+    # like e^(-pi t) t^6; the reported error covers the true one at a
+    # tight and a loose tolerance
+    cases = (
+        (lambda t: math.exp(-t) * math.cos(5.0 * t), 1.0 / 26.0),
+        (lambda t: math.exp(-t) / math.sqrt(t), math.sqrt(math.pi)),
+        (lambda t: t ** 6 * math.exp(-math.pi * t),
+         math.factorial(6) / math.pi ** 7),
+    )
+    for f, exact in cases:
+        for rel_tol in (1e-13, 1e-8):
+            g, calls = counted(f)
+            value, err, mass = tanh_sinh(g, [0.0, math.inf], rel_tol)
+            assert abs(value - exact) <= err, (exact, rel_tol)
+            assert err <= max(rel_tol, 1e-15) * exact
+            assert mass >= abs(value)
+            assert calls[0] < nodes_on_half_line(_quadrature._MAX_LEVEL)
+
+
+def test_half_line_chunk_after_finite_chunks():
+    # [0, 1] by the tanh-sinh map, [1, oo) by the half-line map: the
+    # integral of e^-t, and the nodes of the last chunk start at 1
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return cmath.exp(-t)
+    value, err, _ = tanh_sinh(f, [0.0, 1.0, math.inf], rel_tol=1e-14)
+    assert abs(value - 1.0) <= err <= 1e-14
+    assert min(t for t in seen if t >= 1.0) == 1.0 + _half_line_nodes(0)[0][0]
