@@ -1,15 +1,25 @@
-"""Parameter and report records shared by the engines and the oracle."""
+"""Parameter and report records shared by the engines and the oracle.
+
+Every record in the package (these two, BranchedLog, CoefficientTable,
+ReferenceValue and FactorialSeriesState) is an immutable named tuple:
+fields read by name, assignment raises AttributeError, equal records
+hash alike and the repr reads ``LerchPoint(z=..., s=..., ...)``.  Being
+tuples, they also unpack (``value, est, n, m, engine, warnings = rep``),
+have a ``len`` and compare equal to a plain tuple holding the same
+fields.  LerchPoint and EngineReport convert and validate in
+``__new__``, and ``_make``/``_replace`` go through it too.
+"""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 _CUT_SIDES = ("above", "below")
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class LerchPoint:
+class LerchPoint(namedtuple("LerchPoint", "z s a cut_side")):
     """Validated (z, s, a) triple plus the branch side used on the cut.
 
     cut_side selects the limit taken when z lands exactly on [1, inf):
@@ -17,44 +27,45 @@ class LerchPoint:
     there.  Off the cut the flag is ignored.
     """
 
-    z: complex
-    s: complex
-    a: complex
-    cut_side: str = "above"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "a", complex(self.a))
-        if self.cut_side not in _CUT_SIDES:
+    def __new__(cls, z, s, a, cut_side="above"):
+        z, s, a = complex(z), complex(s), complex(a)
+        if cut_side not in _CUT_SIDES:
             raise ValueError(f"cut_side must be one of {_CUT_SIDES}, "
-                             f"got {self.cut_side!r}")
-        a = self.a
+                             f"got {cut_side!r}")
         if a.imag == 0.0 and a.real <= 0.0 and a.real == round(a.real):
             raise DomainError(f"a = {a} makes a term of the defining "
                               "series singular")
-        if self.z == 1.0 and self.s.real <= 1.0:
+        if z == 1.0 and s.real <= 1.0:
             raise DomainError("z = 1 is the branch point; no finite value "
                               "for Re s <= 1")
+        return _tuple_new(cls, (z, s, a, cut_side))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def on_cut(self):
         return self.z.imag == 0.0 and self.z.real >= 1.0
 
 
-@dataclass(frozen=True)
-class EngineReport:
+class EngineReport(namedtuple("EngineReport", "value abs_err_estimate "
+                                              "n_terms m_terms engine "
+                                              "warnings")):
     """A computed value together with the engine's own accounting."""
 
-    value: complex
-    abs_err_estimate: float
-    n_terms: int
-    m_terms: int
-    engine: str
-    warnings: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        e = self.abs_err_estimate
-        if not (math.isfinite(e) and e >= 0.0):
+    def __new__(cls, value, abs_err_estimate, n_terms, m_terms, engine,
+                warnings=()):
+        if not (math.isfinite(abs_err_estimate) and abs_err_estimate >= 0.0):
             raise ValueError(f"abs_err_estimate must be finite and >= 0, "
-                             f"got {e}")
+                             f"got {abs_err_estimate}")
+        return _tuple_new(cls, (value, abs_err_estimate, n_terms, m_terms,
+                                engine, warnings))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -19,7 +19,7 @@ small (counts in the tens, at most 200) and cached per
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add as _ADD, mul as _MUL
@@ -34,18 +34,15 @@ _COUNT_CAP = 200
 _CONTOUR_NODES = 512
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(namedtuple("CoefficientTable", "a N values method")):
     """An immutable run of coefficients with its provenance.
 
     N is the subtraction depth: -1 marks the unsubtracted family, any
     N >= 0 means the poles at a + m for |m| <= N have been removed.
+    method is "recurrence", "stable-zeta" or "direct-sum".
     """
 
-    a: complex
-    N: int
-    values: tuple
-    method: str  # "recurrence" | "stable-zeta" | "direct-sum"
+    __slots__ = ()
 
 
 def nearest_pole_distance(a):
@@ -126,23 +123,23 @@ def csc_coefficients_contour(a, count, radius=None):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _boole_rows():
-    # row m holds w_(2m+1) (p)_(2m+1) for p = 1 .. _COUNT_CAP, where
-    # w_j = (2^(j+1) - 1) B_(j+1) / (j+1)! are the Euler-Boole weights
-    # of 1/(e^t + 1) = 1/2 - sum_(j odd) w_j t^j
+    # built on first use; row m holds w_(2m+1) (p)_(2m+1) for
+    # p = 1 .. _COUNT_CAP, where w_j = (2^(j+1) - 1) B_(j+1) / (j+1)! are
+    # the Euler-Boole weights of 1/(e^t + 1) = 1/2 - sum_(j odd) w_j t^j
     rows = []
     rising = [float(p) for p in range(1, _COUNT_CAP + 1)]
-    for m, b in enumerate(_BERNOULLI):
+    for m, (n, d) in enumerate(_BERNOULLI):
         j = 2 * m + 1
         if m:
             rising = [r * (p + j - 2) * (p + j - 1)
                       for p, r in enumerate(rising, 1)]
-        w = float((2 ** (j + 1) - 1) * b / math.factorial(j + 1))
-        rows.append([w * r for r in rising])
-    return rows
+        w = (2 ** (j + 1) - 1) * n / (d * math.factorial(j + 1))
+        rows.append(tuple(w * r for r in rising))
+    return tuple(rows)
 
 
-_BOOLE_ROWS = _boole_rows()
 # the Euler-Boole tail starts at X >= _BOOLE_SLOPE * (count + 12), where
 # its first omitted term is under 1.1e-13 of the tail for every order;
 # a slope of 0.55 lost digits (4.6e-11 at a = 1.619, N = 24, count = 20)
@@ -169,8 +166,9 @@ def _alternating_power_sums(x, count):
     growth = [math.log(abs(x + k)) - ln_x for k in range(k_direct)]
     inv_x = 1.0 / (x + k_direct)
     inv_x2 = inv_x * inv_x
-    horner = _BOOLE_ROWS[-1][:count]
-    for row in reversed(_BOOLE_ROWS[:-1]):
+    rows = _boole_rows()
+    horner = rows[-1][:count]
+    for row in reversed(rows[:-1]):
         horner = list(map(_ADD, map(_MUL, horner, repeat(inv_x2)), row))
     powers = accumulate(repeat(inv_x, count), _MUL)
     sign = -1.0 if k_direct % 2 else 1.0

@@ -363,7 +363,8 @@ def _polylog_branch(S, L):
         elif j % 2:
             continue
         elif j <= 2 * len(_BERNOULLI):
-            c = (float(_BERNOULLI[j // 2 - 1]) * (-1) ** (j // 2)
+            num, den = _BERNOULLI[j // 2 - 1]
+            c = (num / den * (-1) ** (j // 2)
                  * _TWO_PI ** j / math.factorial(j))
         else:  # -2 zeta(j), j >= 26: five terms reach 1e-18
             c = -2.0 * sum(n ** -j for n in range(1, 6))

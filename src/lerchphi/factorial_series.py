@@ -22,7 +22,7 @@ consecutive terms below tolerance), reported as the heuristic it is.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._types import EngineReport
 from .engines import residue_series
@@ -40,16 +40,11 @@ _QUIET_RUN = 5
 _GROWTH_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
-class FactorialSeriesState:
+class FactorialSeriesState(namedtuple("FactorialSeriesState",
+                                      "x s a partial n_terms last_term_mag")):
     """Snapshot of the rearranged series after a fixed number of terms."""
 
-    x: complex
-    s: complex
-    a: complex
-    partial: complex
-    n_terms: int
-    last_term_mag: float
+    __slots__ = ()
 
 
 def p_n_direct(x, s, n):

@@ -13,7 +13,7 @@ the engines run without it, and it is an optional dependency (the
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._quadrature import tanh_sinh
 from ._types import LerchPoint
@@ -28,11 +28,11 @@ _SERIES_DPS = 30
 _CONTINUATION_DPS = (30, 40)
 
 
-@dataclass(frozen=True)
-class ReferenceValue:
-    value: complex
-    err_bar: float
-    method: str  # "quadrature" | "hp_series" | "hp_continuation"
+class ReferenceValue(namedtuple("ReferenceValue", "value err_bar method")):
+    """A reference value, its error bar and the route that made it:
+    "quadrature", "hp_series" or "hp_continuation"."""
+
+    __slots__ = ()
 
     @property
     def accepted(self):

@@ -25,8 +25,7 @@ exponentially small against its terms.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from ._quadrature import _HALF_LINE_REACH, tanh_sinh
@@ -50,25 +49,26 @@ _EULER = 0.5772156649015328606
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# B_2 .. B_24 as exact rationals; converted below to the float constants the
-# three asymptotic series actually need.
+# B_2 .. B_24 as exact (numerator, denominator) pairs.  The float
+# constants below divide one int by another, which Python rounds
+# correctly, so each is the double nearest its rational value.
 _BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
-    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
-    Fraction(854513, 138), Fraction(-236364091, 2730),
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730),
 ]
 
 # Stirling series for log gamma: sum_k c_k / s^(2k-1), c_k = B_2k/((2k-1)(2k))
-_STIRLING = [float(b / ((2 * k + 1) * (2 * k + 2)))
-             for k, b in enumerate(_BERNOULLI)]
+_STIRLING = [n / (d * (2 * k + 1) * (2 * k + 2))
+             for k, (n, d) in enumerate(_BERNOULLI)]
 
 # Euler-Maclaurin factors B_2k/(2k)! for the Hurwitz zeta correction sum
-_EM_FACT = [float(b / math.factorial(2 * k + 2))
-            for k, b in enumerate(_BERNOULLI)]
+_EM_FACT = [n / (d * math.factorial(2 * k + 2))
+            for k, (n, d) in enumerate(_BERNOULLI)]
 
 # digamma asymptotic factors B_2k/(2k), truncated at k = 8
-_DIGAMMA_FACT = [float(b / (2 * k + 2)) for k, b in enumerate(_BERNOULLI[:8])]
+_DIGAMMA_FACT = [n / (d * (2 * k + 2))
+                 for k, (n, d) in enumerate(_BERNOULLI[:8])]
 
 
 # Tolerances and iteration caps, tuned so the documented accuracy targets
@@ -91,12 +91,11 @@ _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
 
 
-@dataclass(frozen=True)
-class BranchedLog:
-    """A log value plus which side of the cut produced it."""
+class BranchedLog(namedtuple("BranchedLog", "value side")):
+    """A log value plus which side of the cut produced it; side is
+    "above-cut", "below-cut" or "off-cut"."""
 
-    value: complex
-    side: str  # "above-cut" | "below-cut" | "off-cut"
+    __slots__ = ()
 
 
 def signed_pi(side):
