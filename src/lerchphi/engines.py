@@ -8,10 +8,12 @@ formula at integer a).  The other engines: the branch-point expansion in
 powers of ln z around z = 1; past |z| = e the resummed large-z theorem
 with optimally truncated logarithmic series and a slowly convergent
 symmetric incomplete-gamma expansion accelerated by repeated averaging,
-which eval_auto takes only where the Abel-Plana Gamma term leaves the
-double range; and a comparison expansion kept mainly to demonstrate its
-accuracy floor.  eval_auto needs no mpmath, and this module does not
-import the oracle.
+which eval_auto takes only where the Abel-Plana engine raises
+ConditioningError (its Gamma term past the double range once |a ln z|
+passes about 700, or a^(-s), 1/Gamma(s) or the integral past it),
+building the theorem's depths in order and then the symmetric one; and
+a comparison expansion kept mainly to demonstrate its accuracy floor.
+eval_auto needs no mpmath, and this module does not import the oracle.
 
 Branch bookkeeping: every large-z piece is written against
 L = log_neg_z(z, side), and the mirrored (-n) terms are folded with
@@ -32,8 +34,7 @@ from .errors import AccuracyError, ConditioningError, DomainError
 from .special_kernel import (_BERNOULLI, _abel_plana_integral, _log_neg,
                              _near_gamma_pole, _scaled_igamma_asymptotic,
                              gamma, gamma_star, hurwitz_zeta, log_gamma,
-                             reciprocal_gamma, signed_pi,
-                             upper_incomplete_gamma)
+                             reciprocal_gamma, upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
 # past this |Re w| the incomplete-gamma factors are carried in log space
@@ -201,13 +202,11 @@ def eval_near_one(p, n_max=60):
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         raise DomainError("positive integer s hits a gamma pole here; "
                           "use eval_abel_plana")
-    if p.on_cut:
-        neg_ln = complex(math.log(abs(ln_z)), signed_pi(p.cut_side))
-        sing = gamma(1.0 - s) * cmath.exp((s - 1.0) * neg_ln)
-    elif ln_z == 0.0:
-        sing = 0.0j  # only reachable for Re s > 1 where the power vanishes
+    if ln_z == 0.0:
+        sing = 0.0j  # z = 1, so Re s > 1, where the power vanishes
     else:
-        sing = gamma(1.0 - s) * cmath.exp((s - 1.0) * cmath.log(-ln_z))
+        sing = (gamma(1.0 - s)
+                * cmath.exp((s - 1.0) * _log_neg(ln_z, p.cut_side)))
     warnings = ()
     acc = 0.0j
     lp = 1.0 + 0.0j  # (ln z)^n / n!
@@ -247,10 +246,7 @@ def _abel_plana_gamma_term(p, s, a, L):
     computes apart, and by _AP_GAMMA_ULPS of the sizes a subtraction
     route cancels from.
     """
-    if p.on_cut:
-        log_neg_l = complex(math.log(abs(L)), signed_pi(p.cut_side))
-    else:
-        log_neg_l = cmath.log(-L)
+    log_neg_l = _log_neg(L, p.cut_side)
     w = -a * L
     if w.imag == 0.0:
         w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
@@ -477,14 +473,6 @@ def _mirror_terms(p):
         yield _first_sum_term(p, n, L, sigma), _pair_term(p, n, L, sigma)
 
 
-def _main_theorem_estimate(p, N):
-    """The remainder part of the estimate eval_main_theorem(p, N)
-    reports, without building it: remainder_estimate depends on the
-    depth and the capped truncation, never on the value."""
-    return remainder_estimate(p, N, min(choose_optimal_M(p, N),
-                                        _COUNT_CAP))
-
-
 def eval_main_theorem(p, N, m_override=None):
     """Resummed large-z theorem at depth N with the optimally truncated
     logarithmic series.
@@ -699,52 +687,41 @@ def _integer_tail_size(az, S, a, target_tol):
     return 4000
 
 
-def _large_z_ladder(p, target_tol):
-    """The route past e where the Abel-Plana engine cannot answer: the
-    resummed theorem's depth N doubles until its estimate meets
-    target_tol (N capped by min(40, |z| - 1)), with the symmetric
-    expansion as the convergent fallback.  If nothing attains the target
-    the best report is returned with a warning.
+def _meets_target(rep, target_tol):
+    """Whether a report's estimate meets target_tol, relative past
+    magnitude 1 (the criterion the symmetric expansion stops on)."""
+    return rep.abs_err_estimate <= target_tol * max(1.0, abs(rep.value))
 
-    The remainder part of the estimate at a depth is known before the
-    theorem is built (_main_theorem_estimate), so only a depth whose
-    remainder meets the target is built.  The rejected depths are built,
-    in ladder order, only when the fallback misses too and the best
-    report is wanted.
-    The errors that stop the ladder do not depend on the depth, so the
-    result is the one of building every depth in turn.
-    """
+
+def _unmet(rep):
+    return rep._replace(warnings=rep.warnings + ("target-tol-unmet",))
+
+
+def _large_z_ladder(p, target_tol):
+    """The route past e where the Abel-Plana engine cannot answer.  The
+    resummed theorem is built at depths N = ceil(Re a) + 2, 2N, ... up
+    to min(40, |z| - 1), and the first depth whose estimate meets
+    target_tol answers.  Failing that, the symmetric expansion answers
+    if it meets the target; failing both, the report with the smallest
+    estimate comes back with "target-tol-unmet"."""
     a = p.a
     n_cap = min(40, int(abs(p.z)) - 1)
     n_depth = max(math.ceil(a.real) + 2, 1)
-    rejected = []
+    built = []
     while a.real < n_depth <= n_cap:
         try:
-            if _main_theorem_estimate(p, n_depth) <= target_tol:
-                # the rounding floor can still put the report past it
-                rep = eval_main_theorem(p, n_depth)
-                if rep.abs_err_estimate <= target_tol:
-                    return rep
+            rep = eval_main_theorem(p, n_depth)
         except (DomainError, ConditioningError):
             break
-        rejected.append(n_depth)
+        if rep.abs_err_estimate <= target_tol:
+            return rep
+        built.append(rep)
         n_depth *= 2
     fallback = eval_symmetric_igamma(p, N_max=400, tol=target_tol)
-    # same mixed absolute/relative criterion the engine stops on
-    if (not fallback.warnings and fallback.abs_err_estimate
-            <= target_tol * max(1.0, abs(fallback.value))):
+    if not fallback.warnings and _meets_target(fallback, target_tol):
         return fallback
-    candidates = []
-    for n_depth in rejected:
-        try:
-            candidates.append(eval_main_theorem(p, n_depth))
-        except (DomainError, ConditioningError):
-            break
-    candidates.append(fallback)
-    best = min(candidates, key=lambda r: r.abs_err_estimate)
-    return EngineReport(best.value, best.abs_err_estimate, best.n_terms,
-                        best.m_terms, best.engine,
-                        best.warnings + ("target-tol-unmet",))
+    built.append(fallback)
+    return _unmet(min(built, key=lambda r: r.abs_err_estimate))
 
 
 def eval_auto(p, target_tol=1e-10):
@@ -754,12 +731,14 @@ def eval_auto(p, target_tol=1e-10):
     |z| >= e takes the exact closed form (at integer a, the
     polylogarithm's) where its estimate, rounding included, meets
     target_tol (relative past magnitude 1), and every other point goes
-    to the Abel-Plana engine, Re a <= 0 included.  Where that engine's
-    Gamma term leaves the double range (|a ln z| past about 700, a
-    ConditioningError) and Re a > 0, the point takes the resummed
-    theorem's depth ladder with the symmetric expansion as its fallback
-    (_large_z_ladder).  The Abel-Plana engine does not read target_tol;
-    it answers to about double precision.
+    to the Abel-Plana engine, Re a <= 0 included.  That engine does not
+    read target_tol; it answers to about double precision, and a report
+    whose estimate misses the target carries "target-tol-unmet".  Where
+    it raises ConditioningError (Gamma(1-s, -a ln z) past the double
+    range once |a ln z| passes about 700, or a^(-s), 1/Gamma(s) or the
+    integral past it) at |z| >= e and Re a > 0, the point takes the
+    resummed theorem's depth ladder with the symmetric expansion as its
+    fallback (_large_z_ladder).
     """
     z, s, a = p.z, p.s, p.a
     az = abs(z)
@@ -770,11 +749,12 @@ def eval_auto(p, target_tol=1e-10):
         n_tail = _integer_tail_size(az, S, a, target_tol)
         rep = eval_integer_s_large_z(p, S, n_tail)
         # near an integer a the closed form's branch part and tail cancel
-        if rep.abs_err_estimate <= target_tol * max(1.0, abs(rep.value)):
+        if _meets_target(rep, target_tol):
             return rep
     try:
-        return eval_abel_plana(p)
+        rep = eval_abel_plana(p)
     except ConditioningError:
         if az < math.e or a.real <= 0.0:  # the ladder needs Re a > 0
             raise
-    return _large_z_ladder(p, target_tol)
+        return _large_z_ladder(p, target_tol)
+    return rep if _meets_target(rep, target_tol) else _unmet(rep)

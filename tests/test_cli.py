@@ -208,6 +208,24 @@ def test_accuracy_warnings_exit_3():
     assert "n-cap-reached" in out     # value still printed, warning shown
 
 
+def test_auto_abel_plana_past_the_target_exits_3():
+    # the Abel-Plana engine answers, but its estimate misses the target
+    for s, a in (("-150.5,0", "0.3,0"), ("0.75,-90", "2.3,0")):
+        code, out, _ = run_cli(["eval", "--z", "-10,0", "--s", s, "--a", a])
+        assert code == 3, s
+        assert "engine  = abel-plana" in out
+        assert "warnings = target-tol-unmet" in out
+
+
+def test_eval_near_one_at_z_equal_one():
+    code, out, _ = run_cli(["eval", "--z", "1,0", "--s", "2.5,0", "--a",
+                            "0.5,0", "--engine", "near-one", "--json"])
+    assert code == 0
+    (rec,) = json_lines(out)
+    got = complex(rec["value_re"], rec["value_im"])
+    assert abs(got - complex(mp.zeta(2.5, 0.5))) <= 1e-13 * abs(got)
+
+
 # ----------------------------------------------------------------- table1
 
 def test_table1_passes():

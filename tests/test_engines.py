@@ -221,6 +221,16 @@ def test_near_one_estimate_is_honest_on_random_points():
         assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(want)), z
 
 
+def test_near_one_at_z_equal_one():
+    # z = 1 sits on the cut, where ln z = 0 leaves no singular piece: the
+    # sum is zeta(s, a), from either side
+    want = hurwitz_zeta(2.5, 0.5)
+    for side in ("above", "below"):
+        rep = eval_near_one(LerchPoint(1.0, 2.5, 0.5, side))
+        assert rel_err(rep.value, want) < 1e-13
+        assert abs(rep.value - want) <= rep.abs_err_estimate
+
+
 def test_near_one_refusals():
     for s in (1.0, 2.0, 5.0):
         with pytest.raises(DomainError):
@@ -1039,6 +1049,18 @@ def test_auto_large_z_routes():
         eval_auto(LerchPoint(-1e20, S34, -30.3))
 
 
+def test_auto_flags_abel_plana_reports_that_miss_the_target():
+    # the Abel-Plana engine does not read target_tol; where its estimate
+    # misses it (relative past magnitude 1) eval_auto says so, and the
+    # report is otherwise the engine's
+    for z, s, a in ((-10.0, -150.5, A03), (-10.0, S34 - 90.0j, 2.3)):
+        p = LerchPoint(z, s, a)
+        rep = eval_auto(p)
+        assert rep.warnings == ("target-tol-unmet",), p
+        assert rep.abs_err_estimate > 1e-10 * max(1.0, abs(rep.value)), p
+        assert rep._replace(warnings=()) == eval_abel_plana(p), p
+
+
 def test_auto_where_z_to_the_n_overflows():
     # the pair terms' z^(-n) is 0 once |z|^n is past the double range,
     # where complex ** makes it nan
@@ -1075,6 +1097,61 @@ def test_gap_points_have_honest_nonzero_estimates():
             assert abs(rep.value - want) <= rep.abs_err_estimate, \
                 (p, rep.engine)
         assert eval_auto(p).engine == "main_theorem"
+
+
+def _mp_gap_reference(z, s, a, dps):
+    """Phi by mpmath's quadrature of the integral representation
+    Gamma(s)^-1 int_0^oo x^(s-1) e^(-ax) / (1 - z e^(-x)) dx at dps
+    digits, split at multiples of 1/|a|, the scale on which e^(-ax)
+    decays.  On the first piece the integrand's Taylor polynomial of
+    degree 2 is integrated exactly against x^(s-1), so the quadrature
+    sees no x^(s-1) singularity at small Re s; the integrand is scaled
+    by z a^s, so the integral is of order Gamma(s) (Re s > 0,
+    Re a > 0, z off [1, oo))."""
+    with mp.workdps(dps):
+        zc, sc, ac = mp.mpc(z), mp.mpc(s), mp.mpc(a)
+        h = 1 / abs(ac)
+        scale = zc * ac ** sc
+
+        def g(x):
+            return scale * mp.exp(-ac * x) / (1 - zc * mp.exp(-x))
+
+        c = mp.taylor(g, 0, 2)
+        head = sum(ck * h ** (sc + k) / (sc + k) for k, ck in enumerate(c))
+        head += mp.quad(lambda x: x ** (sc - 1)
+                        * (g(x) - c[0] - x * (c[1] + x * c[2])), [0, h])
+        tail = mp.quad(lambda x: x ** (sc - 1) * g(x),
+                       [h * 4 ** k for k in range(4)] + [mp.inf])
+        return (head + tail) / (scale * mp.gamma(sc))
+
+
+def test_auto_estimate_is_honest_in_the_abel_plana_gap():
+    # seeded points with a ln|z| in (800, 1000), where Gamma(1 - s, -aL)
+    # leaves the double range and eval_auto takes the ladder: the theorem
+    # where min(40, |z| - 1) leaves a depth past Re a, else the symmetric
+    # expansion, whose error can be 1e-4 of the value while its estimate
+    # meets the target absolutely.  Against the quadrature at 30 and 40
+    # digits
+    def draw(rng):
+        log_r = rng.uniform(2.0, 50.0)
+        z = cmath.rect(math.exp(log_r),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        a = complex(rng.uniform(800.0, 1000.0) / log_r,
+                    rng.uniform(-1.0, 1.0) if rng.random() < 0.3 else 0.0)
+        s = complex(rng.uniform(0.1, 6.0), rng.uniform(-6.0, 6.0))
+        return LerchPoint(z, s, a)
+
+    engines = set()
+    for p in sample(1414, 8, draw):
+        with pytest.raises(ConditioningError):
+            eval_abel_plana(p)
+        rep = eval_auto(p)
+        engines.add(rep.engine)
+        ref30 = _mp_gap_reference(p.z, p.s, p.a, 30)
+        ref40 = _mp_gap_reference(p.z, p.s, p.a, 40)
+        assert abs(ref30 - ref40) <= 1e-20 * abs(ref40), p
+        assert abs(rep.value - complex(ref40)) <= rep.abs_err_estimate, p
+    assert engines == {"main_theorem", "symmetric_igamma"}
 
 
 def test_auto_estimate_is_honest_past_e():
