@@ -199,14 +199,18 @@ def eval_near_one(p, n_max=60):
     ln_z = cmath.log(z)
     if abs(ln_z) >= _TWO_PI:
         raise DomainError("near-one expansion needs |ln z| < 2 pi")
+    if ln_z == 0.0:
+        # z = 1: the sum is zeta(s, a), where the singular piece and the
+        # terms past n = 0 vanish (the first of which is on zeta's pole
+        # at s = 2)
+        value = hurwitz_zeta(s, a)
+        est = _NEAR_ONE_ROUNDING * abs(value) + 1e-15 * abs(value)
+        return EngineReport(value, est, 0, 0, "near_one")
     if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
         raise DomainError("positive integer s hits a gamma pole here; "
                           "use eval_abel_plana")
-    if ln_z == 0.0:
-        sing = 0.0j  # z = 1, so Re s > 1, where the power vanishes
-    else:
-        sing = (gamma(1.0 - s)
-                * cmath.exp((s - 1.0) * _log_neg(ln_z, p.cut_side)))
+    sing = (gamma(1.0 - s)
+            * cmath.exp((s - 1.0) * _log_neg(ln_z, p.cut_side)))
     warnings = ()
     acc = 0.0j
     lp = 1.0 + 0.0j  # (ln z)^n / n!

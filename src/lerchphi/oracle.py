@@ -1,10 +1,12 @@
 """Independent reference values used as ground truth in tests and reports.
 
-Nothing here shares arithmetic with the production engines.  The
-quadrature route integrates the real-axis integral representation with
-the local tanh-sinh rule; the two high-precision routes run inside
-mpmath.  Every result carries an explicit error bar and a method tag so
-callers can decide whether it is tight enough to adjudicate a claim.
+Nothing here shares arithmetic with the production engines: of the
+package this module imports only the errors.  All three routes run
+inside mpmath: the quadrature route integrates the real-axis integral
+representation with mpmath's quad, the other two sum the defining series
+or take mpmath's continuation.  Every result carries an explicit error
+bar and a method tag so callers can decide whether it is tight enough
+to adjudicate a claim.
 
 mpmath is imported by the functions that use it, not with this module:
 the engines run without it, and it is an optional dependency (the
@@ -15,14 +17,12 @@ import cmath
 import math
 from collections import namedtuple
 
-from ._quadrature import tanh_sinh
-from ._types import LerchPoint
 from .errors import AccuracyError, DomainError
 
 _ACCEPT_BAR = 1e-10
 _SERIES_RADIUS = 0.95
 _CUT_EPS = (1e-6, 1e-7)
-_QUAD_REL_TOL = 1e-12
+_QUAD_DPS = 30
 _SERIES_DPS = 30
 # the two working precisions whose spread is the continuation's bar
 _CONTINUATION_DPS = (30, 40)
@@ -47,12 +47,19 @@ def _cut_distance(z):
 
 
 def quad_integral(z, s, a):
-    """Gamma-normalized integral of x^(s-1) e^(-ax) / (1 - z e^(-x)).
+    """Gamma-normalized integral of x^(s-1) e^(-ax) / (1 - z e^(-x)) over
+    [0, oo), by mpmath's quadrature at _QUAD_DPS digits.
 
-    Needs Re s > 0, Re a > 0 and z off [1, inf).  The [0, 1] piece goes
-    through the double-exponential rule, whose endpoint-offset sampling
-    absorbs the x^(s-1) singularity; the rest is summed over doubling
-    chunks out to where an explicit exponential majorant takes over.
+    Needs Re s > 0, Re a > 0 and z off [1, inf).  On the head [0, h],
+    h = 1/|a| the scale on which e^(-ax) decays, the degree-2 Taylor
+    polynomial P of g = e^(-ax) / (1 - z e^(-x)) is integrated exactly
+    against x^(s-1), and the quadrature takes x^(s-1) (g - P), which
+    vanishes like x^(s+2): no x^(s-1) singularity is left for it to
+    miss at small Re s.  The tail [h, oo) is split at 4^k h, and at
+    ln|z|, where 1 - z e^(-x) comes closest to 0, when that lies past
+    the head.  g is scaled so that the integral of the modulus is about
+    1, the scale on which mp.quad's error estimates are absolute; their
+    sum is the bar.
     """
     import mpmath as mp
 
@@ -64,35 +71,33 @@ def quad_integral(z, s, a):
     if zc.imag == 0.0 and zc.real >= 1.0:
         raise DomainError("pole on the integration path: z in [1, inf)")
 
-    def f(x):
-        return x ** (sc - 1.0) * cmath.exp(-ac * x) / (1.0 - zc * cmath.exp(-x))
+    with mp.workdps(_QUAD_DPS):
+        zm, sm, am = mp.mpc(zc), mp.mpc(sc), mp.mpc(ac)
+        # the integral of x^(Re s - 1) e^(-x Re a)
+        mass = mp.gamma(sc.real) * mp.mpf(ac.real) ** -sc.real
 
-    q = ac.real
-    x_max = max(50.0,
-                (40.0 + abs(math.log(_QUAD_REL_TOL))) / min(1.0, q))
-    if abs(zc) > 1.0:
-        x_max = max(x_max, math.log(abs(zc)) + 40.0)
+        def g(x):
+            return mp.exp(-am * x) / (mass * (1 - zm * mp.exp(-x)))
 
-    # a call of its own: the tail's stop rule leaves out the head's |f|
-    head, err_head, _ = tanh_sinh(f, [0.0, 1.0], rel_tol=_QUAD_REL_TOL)
-    edges = [1.0]
-    while edges[-1] < x_max:
-        edges.append(min(2.0 * edges[-1], x_max))
-    tail, err_tail, _ = tanh_sinh(f, edges, rel_tol=_QUAD_REL_TOL)
-
-    # past x_max the integrand is below 2 x^(p-1) e^(-qx); the doubling
-    # of x_max with ln|z| keeps |z e^(-x)| under e^(-40) there
-    p = sc.real
-    trunc = 2.0 * x_max ** max(p - 1.0, 0.0) * math.exp(-q * x_max) / q
-    if p > 1.0:
-        trunc /= max(1.0 - (p - 1.0) / (q * x_max), 0.5)
-
-    with mp.workdps(30):
-        inv_gamma = complex(1.0 / mp.gamma(mp.mpc(sc)))
-    raw = head + tail
-    value = inv_gamma * raw
-    err_bar = abs(inv_gamma) * (err_head + err_tail + trunc) \
-        + 5e-16 * abs(value)
+        c = mp.taylor(g, 0, 2)
+        h = 1 / abs(am)
+        head = sum(ck * h ** (sm + k) / (sm + k) for k, ck in enumerate(c))
+        rest, err_head = mp.quad(
+            lambda x: x ** (sm - 1) * (g(x) - c[0] - x * (c[1] + x * c[2])),
+            [0, h], error=True)
+        path = [h * 4 ** k for k in range(4)]
+        ln_r = mp.log(abs(zm))  # -inf at z = 0
+        if ln_r > h:
+            path = sorted(path + [ln_r])
+        tail, err_tail = mp.quad(lambda x: x ** (sm - 1) * g(x),
+                                 path + [mp.inf], error=True)
+        front = mass / mp.gamma(sm)
+        value = complex(front * (head + rest + tail))
+        # mp.quad's estimates and the working precision's rounding, on
+        # the scale where the modulus integrates to about 1
+        err_bar = float(abs(front) * (err_head + err_tail
+                                      + mp.mpf(10) ** (3 - _QUAD_DPS)))
+    err_bar += 5e-16 * abs(value)
     if err_bar > 1e-6 * (abs(value) + 1.0):
         raise AccuracyError("quadrature refinement stagnated",
                             achieved=err_bar)

@@ -398,8 +398,7 @@ def _abel_plana_integral(s, a, L):
 
     try:
         front = 1.0 if fold else a ** -s
-        value, err, mass = tanh_sinh(integrand, [0.0, math.inf],
-                                     _ABEL_PLANA_REL_TOL)
+        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL)
     except OverflowError:
         front = value = mass = math.inf
     scale = abs(front) * sigma

@@ -218,12 +218,16 @@ def test_auto_abel_plana_past_the_target_exits_3():
 
 
 def test_eval_near_one_at_z_equal_one():
-    code, out, _ = run_cli(["eval", "--z", "1,0", "--s", "2.5,0", "--a",
-                            "0.5,0", "--engine", "near-one", "--json"])
-    assert code == 0
-    (rec,) = json_lines(out)
-    got = complex(rec["value_re"], rec["value_im"])
-    assert abs(got - complex(mp.zeta(2.5, 0.5))) <= 1e-13 * abs(got)
+    # at integer s too, where the expansion's later terms would hit
+    # zeta's pole at s = 1
+    for s in ("2.5,0", "2,0"):
+        code, out, _ = run_cli(["eval", "--z", "1,0", "--s", s, "--a",
+                                "0.5,0", "--engine", "near-one", "--json"])
+        assert code == 0, s
+        (rec,) = json_lines(out)
+        got = complex(rec["value_re"], rec["value_im"])
+        want = complex(mp.zeta(float(s.split(",")[0]), 0.5))
+        assert abs(got - want) <= 1e-13 * abs(got), s
 
 
 # ----------------------------------------------------------------- table1

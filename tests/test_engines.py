@@ -223,12 +223,15 @@ def test_near_one_estimate_is_honest_on_random_points():
 
 def test_near_one_at_z_equal_one():
     # z = 1 sits on the cut, where ln z = 0 leaves no singular piece: the
-    # sum is zeta(s, a), from either side
-    want = hurwitz_zeta(2.5, 0.5)
-    for side in ("above", "below"):
-        rep = eval_near_one(LerchPoint(1.0, 2.5, 0.5, side))
-        assert rel_err(rep.value, want) < 1e-13
-        assert abs(rep.value - want) <= rep.abs_err_estimate
+    # sum is zeta(s, a), from either side.  At integer s too: no term
+    # past n = 0 is evaluated, and at s = 2 the first of them would be
+    # zeta's pole; zeta(2, 1/2) = pi^2/2
+    for s, want in ((2.5, hurwitz_zeta(2.5, 0.5)), (2.0, math.pi ** 2 / 2)):
+        for side in ("above", "below"):
+            rep = eval_near_one(LerchPoint(1.0, s, 0.5, side))
+            assert rep.n_terms == 0
+            assert rel_err(rep.value, want) < 1e-13
+            assert abs(rep.value - want) <= rep.abs_err_estimate
 
 
 def test_near_one_refusals():

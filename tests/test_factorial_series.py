@@ -50,8 +50,7 @@ def test_moment_matches_quadrature_oracle():
     def integrand(t):
         return math.exp(-x * t) * t ** -s * (1.0 - math.exp(-t)) ** n
 
-    val, err, _ = tanh_sinh(integrand,
-                           [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0])
+    val, err, _ = tanh_sinh(integrand)
     assert err < 1e-12
     oracle = (cmath.exp(-2j * math.pi * s) - 1.0) * val
     assert abs(oracle - p_n_direct(x, s, n)) <= 1e-9
@@ -111,8 +110,7 @@ def test_beta_identity_against_quadrature():
     def integrand(t):
         return math.exp(-x * t) * (1.0 - math.exp(-t)) ** n
 
-    val, err, _ = tanh_sinh(integrand,
-                           [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    val, err, _ = tanh_sinh(integrand)
     closed = math.factorial(n) / math.prod(x + k for k in range(n + 1))
     assert err < 1e-12
     assert abs(val - closed) <= 1e-10

@@ -1,5 +1,6 @@
-"""Importing the engines or the command line loads no standard-library
-module that the numerics never use (tests/import_footprint.py)."""
+"""Importing the engines, the command line or the oracle loads no
+standard-library module that the numerics never use, nor mpmath
+(tests/import_footprint.py)."""
 
 import os
 import subprocess
@@ -11,7 +12,8 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-@pytest.mark.parametrize("module", ["lerchphi.engines", "lerchphi.cli"])
+@pytest.mark.parametrize("module", ["lerchphi.engines", "lerchphi.cli",
+                                    "lerchphi.oracle"])
 def test_import_footprint(module):
     # a fresh interpreter: this one has loaded inspect for pytest
     path = os.environ.get("PYTHONPATH")

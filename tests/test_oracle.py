@@ -1,9 +1,13 @@
 """Reference oracle: quadrature route, high-precision routes, routing."""
 
+import ast
 import cmath
 import math
 
+import mpmath as mp
 import pytest
+
+import lerchphi.oracle
 
 from lerchphi._types import LerchPoint
 from lerchphi.engines import eval_abel_plana, eval_symmetric_igamma
@@ -52,6 +56,42 @@ def test_quad_domain_guards():
         quad_integral(-5.0, -0.5, 0.3)
     with pytest.raises(DomainError):
         quad_integral(-5.0, 0.75, -0.3)
+
+
+def test_quad_meets_its_bar_at_small_re_s():
+    # small Re s, where most of the integral sits in the x^(s-1) peak at
+    # 0, and large |Im s|, where x^(s-1) turns without end there: both
+    # quad_integral and reference_value (which routes these points to
+    # it) must lie within their bars of mpmath's lerchphi at 40 digits
+    points = ((-5.0, 0.3, 0.3), (-1.5 + 0.5j, 0.2, 0.3), (0.97j, 0.1, 0.3),
+              (-1.2211 - 0.0552j, 0.3033 - 7.4971j, 3.6152),
+              (-0.9196 + 0.2875j, 0.2956 + 1.9303j, 3.0624 + 0.4478j))
+    for z, s, a in points:
+        with mp.workdps(40):
+            want = complex(mp.lerchphi(z, s, a))
+        for ref in (quad_integral(z, s, a),
+                    reference_value(LerchPoint(z, s, a))):
+            assert ref.method == "quadrature" and ref.accepted, (z, s, a)
+            assert abs(ref.value - want) <= ref.err_bar, (z, s, a)
+
+
+def test_oracle_shares_no_module_with_the_engines():
+    # of the package the oracle may import the point type and the errors
+    # only: its arithmetic is its own and mpmath's
+    with open(lerchphi.oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.add(node.module)
+            elif node.module.split(".")[0] == "lerchphi":
+                imported.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[2]
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "lerchphi")
+    assert imported <= {"_types", "errors"}
 
 
 def test_quad_vs_series_random_cloud():
