@@ -1,18 +1,17 @@
 """Evaluation strategies for the Lerch transcendent across the z-plane.
 
-Small |z| is the defining series.  Past |z| = 0.9 eval_auto uses the
-Abel-Plana summation of the defining series (one incomplete gamma and
-one quadrature, any z != 0 and any s), except at integer s past
-|z| = e, which has an exact closed form (the polylogarithm's inversion
-formula at integer a).  The other engines: the branch-point expansion in
-powers of ln z around z = 1; past |z| = e the resummed large-z theorem
-with optimally truncated logarithmic series and a slowly convergent
-symmetric incomplete-gamma expansion accelerated by repeated averaging,
-which eval_auto takes only where the Abel-Plana engine raises
-ConditioningError (its Gamma term past the double range once |a ln z|
-passes about 700, or a^(-s), 1/Gamma(s) or the integral past it),
-building the theorem's depths in order and then the symmetric one; and
-a comparison expansion kept mainly to demonstrate its accuracy floor.
+Small |z| is the defining series.  Past |z| = 0.9, and where the series
+misses the target, eval_auto uses the Abel-Plana summation of the
+defining series (one incomplete gamma and one quadrature, any z != 0
+and any s), which past |z| = 1 shifts a down where Gamma(1-s, -a ln z)
+would leave the double range, moving the residue terms
+z^(-k) (a-k)^(-s) into its head; integer s past |z| = e has an exact
+closed form (the polylogarithm's inversion formula at integer a).  The
+other engines: the branch-point expansion in powers of ln z around
+z = 1; past |z| = e the resummed large-z theorem with optimally
+truncated logarithmic series and a slowly convergent symmetric
+incomplete-gamma expansion accelerated by repeated averaging; and a
+comparison expansion kept mainly to demonstrate its accuracy floor.
 eval_auto needs no mpmath, and this module does not import the oracle.
 
 Branch bookkeeping: every large-z piece is written against
@@ -40,6 +39,9 @@ _TWO_PI = 2.0 * math.pi
 # past this |Re w| the incomplete-gamma factors are carried in log space
 _LOG_SPACE_W = 600.0
 _DIRECT_CAP = 10 ** 6
+# rounding of the direct series in ulps of the sum of its terms' sizes;
+# on 700 seeded points with Re s down to -30 the error reached 23
+_DIRECT_ULPS = 64.0 * 2.0 ** -52
 # rounding of the near-one sum relative to its largest piece (the
 # singular part or a zeta term): the kernel's zeta values and the
 # cancellation between the pieces.  On the 96 near-one points of the
@@ -62,6 +64,9 @@ _SUM_ULPS = 64.0 * 2.0 ** -52
 # 64 ulps of those sizes was never under the kernel's error by more than
 # 1.03x; the engine doubles both.
 _AP_GAMMA_ULPS = 128.0 * 2.0 ** -52
+# eval_abel_plana steps a down while log |Gamma(1-s, -aL)| or
+# -log |e^(-aL) (-L)^(s-1)| is past this
+_AP_LOG_MAX = 600.0
 
 
 def _near_integer(s, tol=1e-12):
@@ -148,8 +153,10 @@ def _log_series_terms(p, L, coeffs):
 def eval_series_direct(p, tol=1e-12):
     """Defining power series, valid inside the unit disk.
 
-    Stops once the geometric tail bound drops under tol; that bound is
-    the reported estimate.
+    Stops once the tail bound, the next term over 1 - r, drops under tol;
+    r bounds the ratio of each later term to the one before, |z| times
+    (1 + 1/|a+n|)^(-Re s) at Re s < 0, where the terms grow before they
+    fall.  The estimate adds _DIRECT_ULPS of the sum of their sizes.
     """
     z, s, a = p.z, p.s, p.a
     az = abs(z)
@@ -158,6 +165,7 @@ def eval_series_direct(p, tol=1e-12):
     total = 0.0j
     zp = 1.0 + 0.0j
     geo = 1.0 / (1.0 - az)  # |z|^n / (1 - |z|)
+    mass = 0.0  # of the terms, over 1 - |z|
     # at real a + n > 0, |(a+n)^(-s)| is the float power (a+n)^(-Re s),
     # and at real s too that power is the term's factor itself; where
     # every term is real and z is too, the sum is a float sum (the real
@@ -172,19 +180,26 @@ def eval_series_direct(p, tol=1e-12):
         positive = real_a and ar + n > 0.0
         if positive:
             size = (ar + n) ** minus_sr
-        else:
-            size = abs(a + n) ** minus_sr
+        else:  # e^|Im s arg(a+n)| bounds that factor of later terms
+            size = (abs(a + n) ** minus_sr
+                    * math.exp(abs(s.imag * cmath.phase(a + n))))
         bound = geo * size
+        if minus_sr > 0.0:
+            ratio = az * (1.0 + 1.0 / abs(a + n)) ** minus_sr
+            bound = (bound * (1.0 - az) / (1.0 - ratio)
+                     if ratio < 1.0 and ar + n > 0.0 else math.inf)
         if n and bound < tol:
             break
         if n >= _DIRECT_CAP:
             raise AccuracyError("direct series hit the term cap",
                                 achieved=bound)
         total += zp * (size if positive and real_s else (a + n) ** minus_s)
+        mass += geo * size
         zp *= z
         geo *= az
         n += 1
-    return EngineReport(complex(total), bound, n, 0, "direct")
+    est = bound + _DIRECT_ULPS * (1.0 - az) * mass
+    return EngineReport(complex(total), est, n, 0, "direct")
 
 
 def eval_near_one(p, n_max=60):
@@ -268,9 +283,16 @@ def _abel_plana_gamma_term(p, s, a, L):
         jump = _TWO_PI * 1j * k * turn * reciprocal_gamma(s)
         upper = turn * turn * upper - jump
         err = abs(turn) ** 2 * err + _AP_ULPS * abs(jump)
-    front = cmath.exp(-a * L + (s - 1.0) * log_neg_l)
+    expo = -a * L + (s - 1.0) * log_neg_l
+    if expo.real > 709.0:
+        raise ConditioningError("e^(-aL) (-L)^(s-1) is past the double "
+                                f"range at a = {a}, s = {s}")
+    front = cmath.exp(expo)
     value = front * upper
-    return value, abs(front) * err + _AP_ULPS * abs(value)
+    err = abs(front) * err + _AP_ULPS * abs(value)
+    if abs(front) < 1e-300 and upper:  # what its underflow loses
+        err += math.exp(min(expo.real + math.log(abs(upper)), 700.0))
+    return value, err
 
 
 def eval_abel_plana(p):
@@ -282,22 +304,23 @@ def eval_abel_plana(p):
     the integral by the kernel's _abel_plana_integral, which at L = 0 is
     Hermite's for zeta(s, a).  The Gamma term is continued along the
     integral path (_abel_plana_gamma_term); on the cut arg(-L) is set by
-    the point's side, as in log_neg_z.  Re a <= 0 is first shifted by
-    Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1), and so is a complex a until
-    Re a >= 1: one of (a +/- it)^(-s) has its branch point at
-    t = |Im a|, only Re a from the integration path, where the
-    quadrature would need many more nodes.  The estimate covers the
-    quadrature's change, the rounding of the integral of |integrand|,
-    and that of a^(-s)/2 and the Gamma term, so their cancellation
-    against the result.  n_terms counts integrand evaluations.  On the
-    real axis left of the cut, at real s and a > 0, the value is exactly
-    real.  ConditioningError where a factor or the value itself is past
-    the double range: past |z| = e that is Gamma(1-s, -aL) once
-    |a ln z| passes about 700.
+    the point's side, as in log_neg_z.  Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1)
+    shifts a up out of Re a <= 0, and a complex a to Re a >= 1 (one of
+    (a +/- it)^(-s) has its branch point Re a from the path); past |z| = 1
+    it shifts a down while Re a > 1 and a factor of the Gamma term would
+    leave the double range (_AP_LOG_MAX), which at huge |z| leaves most of
+    the value in the head z^(-k) (a-k)^(-s).  The estimate covers the
+    quadrature's change and the rounding of the integral of |integrand|,
+    the head, a^(-s)/2 and the Gamma term, so their cancellation against
+    the result.  n_terms counts integrand evaluations.  The value is
+    exactly real on the real axis left of the cut at real s and a > 0.
+    ConditioningError where a factor or the value is past the double
+    range and the shift cannot mend it.
     """
     z, s, a = p.z, p.s, p.a
     if z == 0.0:
         raise DomainError("Abel-Plana form needs z != 0")
+    L = cmath.log(z)
     head = 0.0j
     head_size = 0.0
     zk = 1.0 + 0.0j
@@ -308,11 +331,20 @@ def eval_abel_plana(p):
             head_size += abs(term)
             zk *= z
             a += 1.0
+        while L.real > 0.0 and a.real > 1.0:
+            w = a * L
+            if w.real - min(s.real * math.log(abs(w)),
+                            (s.real - 1.0) * math.log(abs(L))) <= _AP_LOG_MAX:
+                break
+            zk /= z
+            a -= 1.0
+            term = zk * a ** -s
+            head -= term  # weighted below: a^(-s) rounds like s ln a
+            head_size += abs(term) * (1.0 + abs(s * cmath.log(a)) / 64.0)
         half = 0.5 * a ** -s
     except OverflowError:
         raise ConditioningError("a^(-s) is past the double range at "
                                 f"a = {a}, s = {s}") from None
-    L = cmath.log(z)
     if L == 0.0:
         # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
         gterm = a ** (1.0 - s) / (s - 1.0)
@@ -328,7 +360,7 @@ def eval_abel_plana(p):
         value = complex(value.real, 0.0)
     est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
                       + _AP_ULPS * abs(half))
-           + _AP_ULPS * head_size)
+           + _AP_ULPS * head_size + 2.0 ** -1070)  # subnormal rounding
     if not (cmath.isfinite(value) and math.isfinite(est)):
         # z^k of the Re a <= 0 shift, and Phi with it
         raise ConditioningError("the Abel-Plana value is past the double "
@@ -697,68 +729,29 @@ def _meets_target(rep, target_tol):
     return rep.abs_err_estimate <= target_tol * max(1.0, abs(rep.value))
 
 
-def _unmet(rep):
-    return rep._replace(warnings=rep.warnings + ("target-tol-unmet",))
-
-
-def _large_z_ladder(p, target_tol):
-    """The route past e where the Abel-Plana engine cannot answer.  The
-    resummed theorem is built at depths N = ceil(Re a) + 2, 2N, ... up
-    to min(40, |z| - 1), and the first depth whose estimate meets
-    target_tol answers.  Failing that, the symmetric expansion answers
-    if it meets the target; failing both, the report with the smallest
-    estimate comes back with "target-tol-unmet"."""
-    a = p.a
-    n_cap = min(40, int(abs(p.z)) - 1)
-    n_depth = max(math.ceil(a.real) + 2, 1)
-    built = []
-    while a.real < n_depth <= n_cap:
-        try:
-            rep = eval_main_theorem(p, n_depth)
-        except (DomainError, ConditioningError):
-            break
-        if rep.abs_err_estimate <= target_tol:
-            return rep
-        built.append(rep)
-        n_depth *= 2
-    fallback = eval_symmetric_igamma(p, N_max=400, tol=target_tol)
-    if not fallback.warnings and _meets_target(fallback, target_tol):
-        return fallback
-    built.append(fallback)
-    return _unmet(min(built, key=lambda r: r.abs_err_estimate))
-
-
 def eval_auto(p, target_tol=1e-10):
     """Dispatcher.
 
-    Inside |z| <= 0.9 the direct series wins.  Past it, integer s at
-    |z| >= e takes the exact closed form (at integer a, the
-    polylogarithm's) where its estimate, rounding included, meets
-    target_tol (relative past magnitude 1), and every other point goes
-    to the Abel-Plana engine, Re a <= 0 included.  That engine does not
-    read target_tol; it answers to about double precision, and a report
-    whose estimate misses the target carries "target-tol-unmet".  Where
-    it raises ConditioningError (Gamma(1-s, -a ln z) past the double
-    range once |a ln z| passes about 700, or a^(-s), 1/Gamma(s) or the
-    integral past it) at |z| >= e and Re a > 0, the point takes the
-    resummed theorem's depth ladder with the symmetric expansion as its
-    fallback (_large_z_ladder).
+    The direct series inside |z| <= 0.9, and the closed form at integer s
+    past |z| = e (at integer a, the polylogarithm's), answer where their
+    estimates, rounding included, meet target_tol (relative past
+    magnitude 1).  Every other point goes to the Abel-Plana engine, which
+    answers to about double precision or raises ConditioningError; its
+    report carries "target-tol-unmet" where it misses the target.
     """
     z, s, a = p.z, p.s, p.a
     az = abs(z)
     if az <= 0.9:
-        return eval_series_direct(p, tol=target_tol)
-    if az >= math.e and _near_integer(s):
+        rep = eval_series_direct(p, tol=target_tol)
+        if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
+            return rep
+    elif az >= math.e and _near_integer(s):
         S = round(s.real)
         n_tail = _integer_tail_size(az, S, a, target_tol)
         rep = eval_integer_s_large_z(p, S, n_tail)
         # near an integer a the closed form's branch part and tail cancel
         if _meets_target(rep, target_tol):
             return rep
-    try:
-        rep = eval_abel_plana(p)
-    except ConditioningError:
-        if az < math.e or a.real <= 0.0:  # the ladder needs Re a > 0
-            raise
-        return _large_z_ladder(p, target_tol)
-    return rep if _meets_target(rep, target_tol) else _unmet(rep)
+    rep = eval_abel_plana(p)
+    return rep if _meets_target(rep, target_tol) else rep._replace(
+        warnings=rep.warnings + ("target-tol-unmet",))

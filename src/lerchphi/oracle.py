@@ -105,34 +105,41 @@ def quad_integral(z, s, a):
 
 
 def hp_series(z, s, a):
-    """Defining series summed in mpmath arithmetic; |z| <= 0.95 only."""
+    """Defining series summed in mpmath arithmetic; |z| <= 0.95 only.
+
+    Where the terms cancel (Re s < 0) the sum is run again with as many
+    more digits as its largest term stands above it, and the bar counts
+    10^(3 - dps) of that term."""
     import mpmath as mp
 
     zc, sc, ac = complex(z), complex(s), complex(a)
     if abs(zc) > _SERIES_RADIUS:
         raise DomainError("direct series reference restricted to "
                           f"|z| <= {_SERIES_RADIUS}")
-    with mp.workdps(_SERIES_DPS):
-        zm, sm, am = mp.mpc(zc), mp.mpc(sc), mp.mpc(ac)
-        stop = mp.mpf(10) ** (-_SERIES_DPS - 5)
-        total = mp.mpc(0)
-        zp = mp.mpc(1)
-        n = 0
-        while True:
-            term = zp / (am + n) ** sm
-            total += term
-            if n >= 4 and abs(term) <= stop * max(abs(total), mp.mpf(1)):
-                break
-            if n > 200_000:
-                raise AccuracyError("series reference did not settle",
-                                    achieved=float(abs(term)))
-            zp *= zm
-            n += 1
-        az = abs(zc)
-        tail = 2.0 * float(abs(term)) * az / (1.0 - az) if az else 0.0
-        value = complex(total)
-    err_bar = (tail + 10.0 ** (3 - _SERIES_DPS) * abs(value)
-               + 3e-16 * abs(value))
+    extra, lost = -1, 0
+    while extra < min(lost, 300):
+        extra = lost
+        with mp.workdps(_SERIES_DPS + extra):
+            zm, sm, am = mp.mpc(zc), mp.mpc(sc), mp.mpc(ac)
+            stop = mp.mpf(10) ** (-_SERIES_DPS - extra - 5)
+            total, big, zp, n = mp.mpc(0), mp.mpf(0), mp.mpc(1), 0
+            while True:
+                term = zp / (am + n) ** sm
+                total += term
+                big = max(big, abs(term))
+                if n >= 4 and abs(term) <= stop * max(abs(total), 1):
+                    break
+                if n > 200_000:
+                    raise AccuracyError("series reference did not settle",
+                                        achieved=float(abs(term)))
+                zp *= zm
+                n += 1
+            # the digits cancelled: all of them where total is rounding
+            lost = int(mp.log10(big / max(abs(total), big * stop)))
+    tail = 2.0 * float(abs(term)) * abs(zc) / (1.0 - abs(zc)) if zc else 0.0
+    value = complex(total)
+    err_bar = (tail + float(max(big, abs(total)))
+               * 10.0 ** (3 - _SERIES_DPS - extra) + 3e-16 * abs(value))
     return ReferenceValue(value, err_bar, "hp_series")
 
 

@@ -173,6 +173,17 @@ def test_domain_errors_exit_2():
         assert err != ""
 
 
+def test_gamma_term_past_the_double_range_exits_2():
+    # e^(-aL) (-L)^(s-1) overflows: a one-line conditioning error
+    for z, s, a in (("0.95,0", "0.75,0", "20000.3,0"),
+                    ("-7.39e19,0", "195.19,3.28", "0.861,0")):
+        code, out, err = run_cli(["eval", "--z", z, "--s", s, "--a", a])
+        assert code == 2, z
+        assert out == ""
+        assert err.startswith("lerchphi: conditioning error: ")
+        assert err.count("\n") == 1
+
+
 def test_eval_band_past_re_s_97():
     # the Abel-Plana integral reaches t_max = 226.55, past where
     # e^(2 pi t) leaves the double range; the value is near 0.3^-200.5

@@ -12,7 +12,6 @@ from helpers import rel_err, sample
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
     _integer_tail_size,
-    _large_z_ladder,
     choose_optimal_M,
     eval_abel_plana,
     eval_auto,
@@ -25,7 +24,8 @@ from lerchphi.engines import (
     remainder_estimate,
 )
 from lerchphi.errors import AccuracyError, ConditioningError, DomainError
-from lerchphi.oracle import hp_continuation, quad_integral, reference_value
+from lerchphi.oracle import (hp_continuation, hp_series, quad_integral,
+                             reference_value)
 from lerchphi.special_kernel import hurwitz_zeta
 
 S34 = 0.75
@@ -41,8 +41,9 @@ PHI_HALF_2_1 = 1.1644810529300250118
 # anchors computed at the exact decimal 0.999999 differ in the 10th digit.
 NEAR_ONE_LIMIT_Z1M6 = 113.29627935124659
 
-# a point of the Abel-Plana engine's gap past e: |a ln z| ~ 800, where
-# Gamma(1 - s, -a ln z) leaves the double range
+# a point of the Abel-Plana engine's former gap past e: |a ln z| ~ 800,
+# where Gamma(1 - s, -a ln z) leaves the double range unless a is
+# stepped down
 GAP_Z, GAP_S, GAP_A = 2e9 + 1e9j, 0.75 + 0.5j, 37.3
 
 # one-sided limit onto the cut at z = 10, s = 3/4, a = 0.3 approached from
@@ -1040,14 +1041,12 @@ def test_auto_large_z_routes():
     whole_a = eval_auto(whole)
     assert whole_a.engine == "integer_s"
     assert rel_err(whole_a.value, reference_value(whole).value) < 1e-12
-    # where Gamma(1 - s, -a ln z) leaves the double range the resummed
-    # theorem answers (the depth ladder), or the symmetric expansion
-    # when |z| < 5 leaves it no depth
-    assert eval_auto(LerchPoint(GAP_Z, GAP_S, GAP_A)).engine == "main_theorem"
-    assert eval_auto(LerchPoint(-3.5, S34, 600.3)).engine == \
-        "symmetric_igamma"
+    # where Gamma(1 - s, -a ln z) would leave the double range the same
+    # engine answers, a stepped down
+    assert eval_auto(LerchPoint(GAP_Z, GAP_S, GAP_A)).engine == "abel_plana"
+    assert eval_auto(LerchPoint(-3.5, S34, 600.3)).engine == "abel_plana"
     # Re a <= 0 past the double range of z^k in the a-shift is a
-    # conditioning error, not a ladder route
+    # conditioning error
     with pytest.raises(ConditioningError):
         eval_auto(LerchPoint(-1e20, S34, -30.3))
 
@@ -1086,20 +1085,20 @@ def _mp_integral_reference(z, s, a):
 
 
 def test_gap_points_have_honest_nonzero_estimates():
-    # in the Abel-Plana engine's gap the ladder answers; its theorem's
-    # remainder estimate underflows to 0 there, and the rounding floor
-    # of the terms summed is what is left.  The symmetric expansion, run
-    # far past what doubles resolve, is floored the same way
+    # in the Abel-Plana engine's former gap it answers with a stepped
+    # down, where z^(-K) scales most of its pieces to nothing and the
+    # head's rounding is what is left of the estimate.  The symmetric
+    # expansion, run far past what doubles resolve, is floored at the
+    # rounding of its terms
     for z, s, a in ((GAP_Z, GAP_S, GAP_A), (-1e20, S34, 30.3)):
         p = LerchPoint(z, s, a)
-        with pytest.raises(ConditioningError):
-            eval_abel_plana(p)
         want = _mp_integral_reference(z, s, a)
         for rep in (eval_auto(p), eval_symmetric_igamma(p, tol=1e-18)):
             assert rep.abs_err_estimate > 0.0, (p, rep.engine)
             assert abs(rep.value - want) <= rep.abs_err_estimate, \
                 (p, rep.engine)
-        assert eval_auto(p).engine == "main_theorem"
+        assert eval_auto(p) == eval_abel_plana(p)
+        assert rel_err(eval_auto(p).value, want) <= 1e-13, p
 
 
 def _mp_gap_reference(z, s, a, dps):
@@ -1130,10 +1129,10 @@ def _mp_gap_reference(z, s, a, dps):
 
 def test_auto_estimate_is_honest_in_the_abel_plana_gap():
     # seeded points with a ln|z| in (800, 1000), where Gamma(1 - s, -aL)
-    # leaves the double range and eval_auto takes the ladder: the theorem
-    # where min(40, |z| - 1) leaves a depth past Re a, else the symmetric
-    # expansion, whose error can be 1e-4 of the value while its estimate
-    # meets the target absolutely.  Against the quadrature at 30 and 40
+    # leaves the double range and the Abel-Plana engine steps a down.
+    # The resummed theorem and the symmetric expansion answered here
+    # before, the latter up to 1e-4 of the value off while its estimate
+    # met the target absolutely.  Against the quadrature at 30 and 40
     # digits
     def draw(rng):
         log_r = rng.uniform(2.0, 50.0)
@@ -1146,15 +1145,14 @@ def test_auto_estimate_is_honest_in_the_abel_plana_gap():
 
     engines = set()
     for p in sample(1414, 8, draw):
-        with pytest.raises(ConditioningError):
-            eval_abel_plana(p)
         rep = eval_auto(p)
         engines.add(rep.engine)
         ref30 = _mp_gap_reference(p.z, p.s, p.a, 30)
         ref40 = _mp_gap_reference(p.z, p.s, p.a, 40)
         assert abs(ref30 - ref40) <= 1e-20 * abs(ref40), p
         assert abs(rep.value - complex(ref40)) <= rep.abs_err_estimate, p
-    assert engines == {"main_theorem", "symmetric_igamma"}
+        assert rel_err(rep.value, complex(ref40)) <= 1e-13, p
+    assert engines == {"abel_plana"}
 
 
 def test_auto_estimate_is_honest_past_e():
@@ -1215,7 +1213,7 @@ def test_auto_needs_no_mpmath():
     points = [(0.5, 2.0, 1.0, 1e-10), (cmath.rect(1.4, 0.5), 2.5, 0.7, 1e-10),
               (-10.0, 2.0, A03, 1e-10), (-10.0, 2.0, 1.0, 1e-10),
               (-10.0, S34, A03, 1e-6), (GAP_Z, GAP_S, GAP_A, 1e-10),
-              (-3.5, S34, 600.3, 1e-10)]
+              (-3.5, S34, 600.3, 1e-10), (-0.5, -25.0, 0.7, 1e-10)]
     script = f"""
 import sys
 import lerchphi.engines as engines
@@ -1236,96 +1234,103 @@ for z, s, a, tol in {points!r}:
         assert line == repr((r.value, r.abs_err_estimate, r.engine))
         engines.append(r.engine)
     assert engines == ["direct", "abel_plana", "integer_s", "integer_s",
-                       "abel_plana", "main_theorem", "symmetric_igamma"]
+                       "abel_plana", "abel_plana", "abel_plana", "abel_plana"]
 
 
 def test_auto_integer_a_falls_back_to_symmetric():
     # integer a poisons the unsubtracted pair coefficients; the
-    # Abel-Plana engine has no such coefficients, and where it cannot
-    # answer (a = 600) the theorem's subtracted tables hit a pole and the
-    # ladder falls back to the symmetric pair form, which is entire in a
+    # Abel-Plana engine has no such coefficients, and it answers at
+    # a = 600 too, a stepped down, where eval_auto once fell back to the
+    # symmetric pair form, which is entire in a
     p = LerchPoint(-10.0, S34, 2.0)
     rep = eval_auto(p)
     assert rep.engine == "abel_plana"
-    assert rel_err(rep.value, reference_value(p).value) < 1e-13
-    assert _large_z_ladder(p, 1e-10).engine == "symmetric_igamma"
+    ref = reference_value(p).value
+    assert rel_err(rep.value, ref) < 1e-13
+    assert abs(eval_symmetric_igamma(p, tol=1e-10).value - ref) < 1e-9
     gap = eval_auto(LerchPoint(-10.0, S34, 600.0))
-    assert gap.engine == "symmetric_igamma"
-    assert abs(gap.value - quad_integral(-10.0, S34, 600.0).value) < 1e-10
+    assert gap.engine == "abel_plana"
+    want = quad_integral(-10.0, S34, 600.0).value
+    assert abs(gap.value - want) < 1e-10
+    assert abs(gap.value - want) <= gap.abs_err_estimate
+    assert rel_err(gap.value, want) <= 1e-13
 
 
 def test_auto_symmetric_fallback_and_best_effort():
-    # |z| between e and 5 leaves the ladder no admissible theorem depth,
-    # so it takes the symmetric expansion; eval_auto sends such a point
-    # there only where the Abel-Plana engine cannot answer (a = 600.3)
+    # |z| between e and 5 leaves the resummed theorem no admissible depth,
+    # so the symmetric expansion serves there as an engine; eval_auto
+    # takes the Abel-Plana engine at a = 600.3 too, a stepped down
     for a in (A03, 600.3):
-        rep = _large_z_ladder(LerchPoint(-3.5, S34, a), 1e-10)
+        rep = eval_symmetric_igamma(LerchPoint(-3.5, S34, a), N_max=400,
+                                    tol=1e-10)
         assert rep.engine == "symmetric_igamma"
         assert not rep.warnings
         assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(rep.value))
         ref = quad_integral(-3.5, S34, a)
         assert abs(rep.value - ref.value) < 1e-8
-    assert eval_auto(LerchPoint(-3.5, S34, 600.3)) == rep
+    gap = eval_auto(LerchPoint(-3.5, S34, 600.3))
+    assert gap.engine == "abel_plana"
+    assert abs(gap.value - ref.value) <= gap.abs_err_estimate
+    assert rel_err(gap.value, ref.value) <= 1e-13
     hard = eval_auto(LerchPoint(-3.5, S34, 600.3), target_tol=1e-30)
     assert "target-tol-unmet" in hard.warnings
-    assert "target-tol-unmet" in _large_z_ladder(
-        LerchPoint(-3.5, S34, A03), 1e-30).warnings
+    assert "target-tol-unmet" in eval_auto(
+        LerchPoint(-3.5, S34, A03), target_tol=1e-30).warnings
     ap = eval_auto(LerchPoint(-3.5, S34, A03))
     assert ap.engine == "abel_plana"
     assert abs(ap.value - quad_integral(-3.5, S34, A03).value) < 1e-13
 
 
-def _ladder_building_every_depth(p, target_tol=1e-10):
-    """The large-z part of eval_auto as it reads when every ladder depth
-    is built in turn and kept as a candidate."""
-    a = p.a
-    candidates = []
-    n_cap = min(40, int(abs(p.z)) - 1)
-    n_depth = max(math.ceil(a.real) + 2, 1)
-    while a.real < n_depth <= n_cap:
-        try:
-            rep = eval_main_theorem(p, n_depth)
-        except (DomainError, ConditioningError):
-            break
-        candidates.append(rep)
-        if rep.abs_err_estimate <= target_tol:
-            return rep
-        n_depth *= 2
-    fallback = eval_symmetric_igamma(p, N_max=400, tol=target_tol)
-    if (not fallback.warnings and fallback.abs_err_estimate
-            <= target_tol * max(1.0, abs(fallback.value))):
-        return fallback
-    candidates.append(fallback)
-    best = min(candidates, key=lambda r: r.abs_err_estimate)
-    return EngineReport(best.value, best.abs_err_estimate, best.n_terms,
-                        best.m_terms, best.engine,
-                        best.warnings + ("target-tol-unmet",))
+def test_abel_plana_steps_a_down_inside_e():
+    # at 1 < |z| < e with Re(a ln z) past 700, where Gamma(1 - s, -aL)
+    # leaves the double range and no other engine of eval_auto's answers;
+    # on the cut and off it
+    for z in (2.0, -2.0, 1.5 - 1.5j):
+        p = LerchPoint(z, S34, 2000.3)
+        rep = eval_auto(p)
+        assert rep.engine == "abel_plana" and not rep.warnings, z
+        ref = reference_value(p)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), z
+        assert rel_err(rep.value, ref.value) <= 1e-12, z
 
 
-def test_auto_estimate_first_matches_every_depth_ladder():
-    # the ladder builds only the accepted depth; its report must be the
-    # one of building the whole ladder in order.  eval_auto takes it
-    # only in the Abel-Plana engine's gap, so the seeded points call it
-    # directly
+def test_auto_raises_conditioning_error_past_the_double_range():
+    # e^(-aL) (-L)^(s-1) of the Gamma term is past the double range: a
+    # typed error, not an OverflowError
+    for z, s, a in ((0.95, S34, 20000.3),
+                    (-7.39e19, 195.19 + 3.28j, 0.861)):
+        with pytest.raises(ConditioningError):
+            eval_auto(LerchPoint(z, s, a))
+
+
+def test_auto_direct_series_estimate_is_honest():
+    # seeded points at |z| <= 0.9 with Re s down to -30, where the terms
+    # grow before they fall and cancel: the direct series answers where
+    # its estimate, the rounding of the sum included, meets the target,
+    # and hands the rest to the Abel-Plana engine.  Against the
+    # defining series in mpmath, which adds the digits its terms cancel
     def draw(rng):
-        z = cmath.rect(math.exp(rng.uniform(1.0, math.log(400.0))),
-                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
-        s = complex(rng.uniform(0.1, 6.0), rng.uniform(-6.0, 6.0))
-        return LerchPoint(z, s, rng.uniform(0.05, 4.0)), 1e-10
+        z = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(-30.0, 2.0),
+                    rng.uniform(-6.0, 6.0) if rng.random() < 0.3 else 0.0)
+        a = complex(rng.uniform(0.05, 4.0),
+                    rng.uniform(-2.0, 2.0) if rng.random() < 0.3 else 0.0)
+        return LerchPoint(z, s, a)
 
-    # at 1e-16 nothing meets the target: the rejected depths (3; 5 and
-    # 10) are built after the fallback hits its cap, and the best report
-    # is the fallback's in the first point, depth 10's in the second
-    unmet = [(LerchPoint(4.2 + 0.4j, 2.5 + 5.0j, 0.58), 1e-16),
-             (LerchPoint(5.3 + 10.5j, 0.73 + 5.97j, 2.85), 1e-16)]
-    reports = []
-    for p, tol in sample(2311, 16, draw) + unmet:
-        got = _large_z_ladder(p, tol)
-        assert got == _ladder_building_every_depth(p, target_tol=tol), p
-        reports.append(got)
-    assert {r.engine for r in reports} == {"main_theorem", "symmetric_igamma"}
-    best = reports[-len(unmet):]
-    assert [r.engine for r in best] == ["symmetric_igamma", "main_theorem"]
-    assert all("target-tol-unmet" in r.warnings for r in best)
-    for p in (LerchPoint(GAP_Z, GAP_S, GAP_A), LerchPoint(-3.5, S34, 600.3)):
-        assert eval_auto(p) == _ladder_building_every_depth(p), p
+    points = sample(1616, 40, draw) + [LerchPoint(-0.5, -25.0, 0.7),
+                                       LerchPoint(0.9j, -30.0, 0.5),
+                                       LerchPoint(-0.9, -20.0, 0.3)]
+    engines = set()
+    for p in points:
+        rep = eval_auto(p)
+        engines.add(rep.engine)
+        ref = hp_series(p.z, p.s, p.a)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
+        direct = eval_series_direct(p, tol=1e-10)
+        assert abs(direct.value - ref.value) <= (direct.abs_err_estimate
+                                                 + ref.err_bar), p
+    assert engines == {"direct", "abel_plana"}
+    # the direct sum is 1.6e13 off there, cancelling from terms of 1e28
+    assert eval_auto(LerchPoint(-0.5, -25.0, 0.7)).engine == "abel_plana"

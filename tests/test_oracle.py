@@ -115,6 +115,39 @@ def test_series_frozen_value():
     assert abs(hp_series(0.0, 1.3, 0.7).value - 0.7 ** -1.3) <= 1e-14
 
 
+def _series_120_digits(z, s, a):
+    # the defining series at 120 digits, until a term is 1e-110 of the
+    # largest one
+    with mp.workdps(120):
+        zm, sm, am = mp.mpc(z), mp.mpc(s), mp.mpc(a)
+        total, big, zp, n = mp.mpc(0), mp.mpf(0), mp.mpc(1), 0
+        while True:
+            term = zp / (am + n) ** sm
+            total += term
+            big = max(big, abs(term))
+            if n > 10 and abs(term) < mp.mpf(10) ** -110 * big:
+                return complex(total)
+            zp *= zm
+            n += 1
+
+
+def test_series_bar_holds_where_the_terms_cancel():
+    # at Re s < 0 the terms grow before they fall and cancel by many
+    # digits; the sum adds them, and the bar counts the largest term
+    def draw(rng):
+        z = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(-30.0, 2.0),
+                    rng.uniform(-6.0, 6.0) if rng.random() < 0.3 else 0.0)
+        return z, s, complex(rng.uniform(0.05, 4.0), 0.0)
+
+    for z, s, a in [(0.9j, -30.0, 0.5), (-0.9, -20.0, 0.3)] + sample(
+            1717, 10, draw):
+        r = hp_series(z, s, a)
+        want = _series_120_digits(z, s, a)
+        assert abs(r.value - want) <= r.err_bar, (z, s, a)
+        assert r.err_bar <= 1e-15 * abs(want), (z, s, a)
+
+
 def test_series_radius_guard():
     with pytest.raises(DomainError):
         hp_series(0.96, 2.0, 1.0)
