@@ -32,7 +32,8 @@ from .coefficients import (_COUNT_CAP, _alternating_power_sums,
 from .errors import AccuracyError, ConditioningError, DomainError
 from .special_kernel import (_BERNOULLI, _abel_plana_integral, _log_neg,
                              _near_gamma_pole, _scaled_igamma_asymptotic,
-                             gamma, gamma_star, hurwitz_zeta, log_gamma,
+                             _upper_incomplete_gamma_and_err, gamma,
+                             gamma_star, hurwitz_zeta, log_gamma,
                              reciprocal_gamma, upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
@@ -58,12 +59,15 @@ _POLYLOG_ULPS = 16.0 * 2.0 ** -52
 # the Abel-Plana gap in the tests the error was 3.7 and 3.2 ulps of it.
 # The integer-s closed form scales its log-series rounding by it too.
 _SUM_ULPS = 64.0 * 2.0 ** -52
-# rounding of the kernel's Gamma(1-s, w), in ulps of the sizes its
-# subtraction routes cancel from.  On 7,500 seeded band points with
-# |Im s| <= 8, checked against mpmath, 4 times the recurrence gauge plus
-# 64 ulps of those sizes was never under the kernel's error by more than
-# 1.03x; the engine doubles both.
-_AP_GAMMA_ULPS = 128.0 * 2.0 ** -52
+# the Gamma term's Gamma(1-s, w) carries the kernel's bound for the route
+# it takes, plus this many ulps of the sizes a subtraction route cancels
+# from (|Gamma(1-s, w)|, |w^(1-s) e^(-w)| and |Gamma(1-s)|): the
+# rounding of the arguments 1 - s and w = -aL, which the kernel does not
+# see.  On 7,500 seeded band draws and 2,000 at e < |z| <= 1e4, against
+# mpmath at the exact arguments, the kernel's bound alone was never
+# under the error (worst err/bound 0.32), while 128 ulps of the sizes
+# alone, without it, missed at 53 draws by up to 15.7x.
+_AP_GAMMA_ULPS = 8.0 * 2.0 ** -52
 # eval_abel_plana steps a down while log |Gamma(1-s, -aL)| or
 # -log |e^(-aL) (-L)^(s-1)| is past this
 _AP_LOG_MAX = 600.0
@@ -260,23 +264,20 @@ def _abel_plana_gamma_term(p, s, a, L):
           + (1 - e^(2 pi i k (1-s))) Gamma(1-s),
     whose last term is -2 pi i k e^(i pi k (1-s)) / Gamma(s) by
     reflection, entire in s, so positive integer s takes the same route.
-    The kernel's rounding is gauged by the recurrence
-    Gamma(1-s, w) = -s Gamma(-s, w) + w^(-s) e^(-w), whose sides it
-    computes apart, and by _AP_GAMMA_ULPS of the sizes a subtraction
-    route cancels from.
+    The kernel's error is the bound of the route it takes (the rounding
+    of what that route sums and subtracts, and what it truncates), plus
+    _AP_GAMMA_ULPS of the sizes a subtraction route cancels from.
     """
     log_neg_l = _log_neg(L, p.cut_side)
     w = -a * L
     if w.imag == 0.0:
         w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
-    upper = upper_incomplete_gamma(1.0 - s, w)
+    upper, err = _upper_incomplete_gamma_and_err(1.0 - s, w)
     ln_w = cmath.log(w)
-    edge = cmath.exp(-s * ln_w - w)  # w^(-s) e^(-w)
-    gauge = abs(upper + s * upper_incomplete_gamma(-s, w) - edge)
-    sizes = abs(upper) + abs(edge * w)
+    sizes = abs(upper) + abs(cmath.exp((1.0 - s) * ln_w - w))
     if _near_gamma_pole(1.0 - s) is None:
         sizes += abs(gamma(1.0 - s))
-    err = 8.0 * gauge + _AP_GAMMA_ULPS * sizes
+    err += _AP_GAMMA_ULPS * sizes
     k = round((cmath.phase(a) + log_neg_l.imag - ln_w.imag) / _TWO_PI)
     if k:
         turn = cmath.exp(1j * math.pi * k * (1.0 - s))
@@ -337,21 +338,28 @@ def eval_abel_plana(p):
                             (s.real - 1.0) * math.log(abs(L))) <= _AP_LOG_MAX:
                 break
             zk /= z
+            if not zk:
+                # z^(-K) underflowed: it zeroes every later head term,
+                # and the pieces at the final a with them
+                break
             a -= 1.0
             term = zk * a ** -s
             head -= term  # weighted below: a^(-s) rounds like s ln a
             head_size += abs(term) * (1.0 + abs(s * cmath.log(a)) / 64.0)
-        half = 0.5 * a ** -s
+        half = 0.5 * a ** -s if zk else 0.0
     except OverflowError:
         raise ConditioningError("a^(-s) is past the double range at "
                                 f"a = {a}, s = {s}") from None
-    if L == 0.0:
-        # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
-        gterm = a ** (1.0 - s) / (s - 1.0)
-        gterm_err = _AP_ULPS * abs(gterm)
+    if not zk:
+        gterm = gterm_err = integral = quad_err = mass = evals = 0
     else:
-        gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
-    integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
+        if L == 0.0:
+            # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
+            gterm = a ** (1.0 - s) / (s - 1.0)
+            gterm_err = _AP_ULPS * abs(gterm)
+        else:
+            gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
+        integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
     value = head + zk * (half + gterm + integral)
     if (z.imag == 0.0 and not p.on_cut and s.imag == 0.0
             and p.a.imag == 0.0 and p.a.real > 0.0):

@@ -26,6 +26,7 @@ from lerchphi.engines import (
 from lerchphi.errors import AccuracyError, ConditioningError, DomainError
 from lerchphi.oracle import (hp_continuation, hp_series, quad_integral,
                              reference_value)
+from lerchphi import special_kernel
 from lerchphi.special_kernel import hurwitz_zeta
 
 S34 = 0.75
@@ -407,6 +408,45 @@ def test_abel_plana_estimate_is_honest_on_seeded_points():
             want = complex(mp.lerchphi(p.z, p.s, p.a))
         rep = eval_abel_plana(p)
         assert abs(rep.value - want) <= rep.abs_err_estimate, p
+
+
+def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
+    # the Gamma term's rounding bound comes from the kernel's route, so
+    # each point evaluates Gamma(1 - s, -aL) once (twice before, with the
+    # recurrence gauge), and none at z = 1, where the term is closed; at
+    # the band point the estimate still covers the error
+    calls = []
+    kernel = special_kernel._upper_incomplete_gamma
+
+    def counted(s, w):
+        calls.append((s, w))
+        return kernel(s, w)
+
+    monkeypatch.setattr(special_kernel, "_upper_incomplete_gamma", counted)
+    band = LerchPoint(-0.28867 + 0.95968j, 2.05279 + 0.21746j, 1.17260)
+    past_e = LerchPoint(-14.06 - 3.35j, 5.07 + 0.98j, 1.54)
+    for p, n in ((band, 1), (past_e, 1), (LerchPoint(GAP_Z, GAP_S, GAP_A), 1),
+                 (LerchPoint(1.0, 2.5, 0.7), 0)):
+        calls.clear()
+        eval_abel_plana(p)
+        assert len(calls) == n, p
+    with mp.workdps(40):
+        want = complex(mp.lerchphi(band.z, band.s, band.a))
+    rep = eval_abel_plana(band)
+    assert abs(rep.value - want) <= rep.abs_err_estimate
+    assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(want))
+
+
+def test_abel_plana_stops_stepping_once_z_to_the_minus_k_underflows():
+    # past the underflow of z^(-K) every later head term is 0, and so
+    # are the Gamma term and the integral at the final a: neither is
+    # computed (stepping on took 545 integrand evaluations here), and the
+    # value and estimate are bit for bit what stepping on gave
+    rep = eval_abel_plana(LerchPoint(-1.18e9 - 1.50e9j, 98.3 + 22.0j, 1012.8))
+    assert (repr(rep.value)
+            == "(-1.4429626689499165e-305-1.5009863306298206e-305j)")
+    assert repr(rep.abs_err_estimate) == "3.518365e-318"
+    assert rep.n_terms == 0
 
 
 # ---------------------------------------------------------------------------
