@@ -21,7 +21,12 @@ _FLOOR_ULPS = 16.0 * 2.0 ** -52
 # so even x^(-1/2) leaves 3e-19 out; at u = 4 the node sits at
 # _HALF_LINE_REACH and an integrand decaying like e^-x has fallen to
 # 5e-24 there.  f must be negligible past that reach: a caller with
-# slower decay integrates in a scaled variable.
+# slower decay integrates in a scaled variable.  A caller whose f is
+# bounded at 0 may start at u = -4 (u_min): the nodes below it sit under
+# 4e-26 with weights under 2e-24, so they hold under 2e-24 of max |f|.
+# The kernel's Abel-Plana integral (the Abel-Plana engine and Hermite's
+# route for Hurwitz zeta) starts there: its integrand has a finite limit
+# at t = 0, and the start saves about 6% of the nodes.
 _U_MIN = -4.5
 _U_MAX = 4.0
 _HALF_LINE_REACH = math.exp(_U_MAX - math.exp(-_U_MAX))  # 53.6
@@ -37,14 +42,15 @@ _QUADRATIC_SAFETY = 10.0
 
 
 @functools.lru_cache(maxsize=None)
-def _half_line_nodes(level):
+def _half_line_nodes(level, u_min=_U_MIN):
     """(node, weight) pairs that a level adds, node x = exp(u - e^-u)
-    and weight dx/du: every multiple of h = 1/2 in [_U_MIN, _U_MAX] at
-    level 0, the odd multiples of h = 2^-(level+1) after that."""
+    and weight dx/du: every multiple of h = 1/2 in [u_min, _U_MAX] at
+    level 0, the odd multiples of h = 2^-(level+1) after that; u_min is
+    a multiple of 1/2."""
     h = 0.5 * 0.5 ** level
     step = 1 if level == 0 else 2
     out = []
-    j = round(_U_MIN / h) + (0 if level == 0 else 1)
+    j = round(u_min / h) + (0 if level == 0 else 1)
     while j * h <= _U_MAX:
         u = j * h
         e = math.exp(-u)
@@ -54,11 +60,12 @@ def _half_line_nodes(level):
     return tuple(out)
 
 
-def tanh_sinh(f, rel_tol=1e-13):
+def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     """Integrate f over [0, oo); returns (value, err_estimate,
     abs_integral).
 
-    The nodes reach _HALF_LINE_REACH (53.6), past which f must be
+    The nodes start at u = u_min of the map (-4.5, or -4 where f is
+    bounded at 0) and reach _HALF_LINE_REACH (53.6), past which f must be
     negligible.  f may return complex.  The step halves until a level's
     change is under rel_tol of the value, or under the rounding floor,
     _FLOOR_ULPS of the integral of |f|.  That integral comes from the
@@ -74,7 +81,7 @@ def tanh_sinh(f, rel_tol=1e-13):
     step = 0.5  # h
     total = 0.0j
     mass = 0.0
-    for x, w in _half_line_nodes(0):
+    for x, w in _half_line_nodes(0, u_min):
         fx = f(x)
         total += w * fx
         mass += w * abs(fx)
@@ -83,7 +90,7 @@ def tanh_sinh(f, rel_tol=1e-13):
     last = 0.0  # the change of the level before; none at level 1
     for level in range(1, _MAX_LEVEL + 1):
         new = 0.0j
-        for x, w in _half_line_nodes(level):
+        for x, w in _half_line_nodes(level, u_min):
             new += w * f(x)
         prev = value
         total += new

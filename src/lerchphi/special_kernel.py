@@ -92,6 +92,9 @@ _AP_TAIL_EXPONENT = 40.0
 # a^(-s) is folded into each node's exponent (headroom under e^709 for
 # the sum over the nodes)
 _AP_FOLD_PEAK = 600.0
+# the Abel-Plana integrand is bounded at t = 0, so its half-line rule
+# starts at u = -4 (see _quadrature._U_MIN)
+_AP_U_MIN = -4.0
 _ULP = 2.0 ** -52
 _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
@@ -347,7 +350,8 @@ def _abel_plana_integral(s, a, L):
     summation of sum_n z^n (a+n)^(-s), L = ln z, and at L = 0 that of
     Hermite's formula for zeta(s, a).
 
-    One tanh_sinh call on the half line, in the variable t / sigma with
+    One tanh_sinh call on the half line, from u = _AP_U_MIN of its map
+    (the integrand is bounded at t = 0), in the variable t / sigma with
     sigma = T / _HALF_LINE_REACH: the rule's last node falls on the T of
     _abel_plana_reach, past which the tail is provably under its bar, so
     the scale of the map follows the integrand's decay.
@@ -404,7 +408,8 @@ def _abel_plana_integral(s, a, L):
 
     try:
         front = 1.0 if fold else a ** -s
-        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL)
+        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL,
+                                     _AP_U_MIN)
     except OverflowError:
         front = value = mass = math.inf
     scale = abs(front) * sigma

@@ -101,3 +101,24 @@ def test_half_line_rule_against_closed_forms():
             assert err <= max(rel_tol, 1e-15) * exact
             assert mass >= abs(value)
             assert calls[0] < nodes_up_to(_quadrature._MAX_LEVEL)
+
+
+def test_bounded_integrand_may_start_at_u_minus_4():
+    # an integrand bounded at 0 loses nothing when the rule starts at
+    # u = -4, with 6% fewer nodes; x^(-1/2) e^(-x) needs the default
+    # start, -4.5: from -4 the rule misses the piece of the singularity
+    # below its first node and comes out 3.7e-14 low
+    def bounded(x):
+        return math.exp(-x) * math.cos(x)
+
+    def singular(x):
+        return math.exp(-x) / math.sqrt(x)
+
+    f, calls = counted(bounded)
+    value, err, _ = tanh_sinh(f, 1e-15, u_min=-4.0)
+    assert abs(value - 0.5) <= 2.0 * ULP * 0.5
+    assert calls[0] == sum(len(_half_line_nodes(k, -4.0)) for k in range(4))
+    assert calls[0] < nodes_up_to(3)
+    rooted = math.sqrt(math.pi)
+    assert abs(tanh_sinh(singular, 1e-15)[0] - rooted) <= 2.0 * ULP * rooted
+    assert abs(tanh_sinh(singular, 1e-15, u_min=-4.0)[0] - rooted) > 1e-14
