@@ -55,9 +55,10 @@ def quad_integral(z, s, a):
     polynomial P of g = e^(-ax) / (1 - z e^(-x)) is integrated exactly
     against x^(s-1), and the quadrature takes x^(s-1) (g - P), which
     vanishes like x^(s+2): no x^(s-1) singularity is left for it to
-    miss at small Re s.  The tail [h, oo) is split at 4^k h, and at
-    ln|z|, where 1 - z e^(-x) comes closest to 0, when that lies past
-    the head.  g is scaled so that the integral of the modulus is about
+    miss at small Re s.  The tail [h, oo) is one interval, split only
+    at ln|z|, where 1 - z e^(-x) comes closest to 0, when that lies past
+    the head; its integrand x^(s-1) g is one exponential over
+    1 - z e^(-x).  g is scaled so that the integral of the modulus is about
     1, the scale on which mp.quad's error estimates are absolute; their
     sum is the bar.
     """
@@ -85,12 +86,14 @@ def quad_integral(z, s, a):
         rest, err_head = mp.quad(
             lambda x: x ** (sm - 1) * (g(x) - c[0] - x * (c[1] + x * c[2])),
             [0, h], error=True)
-        path = [h * 4 ** k for k in range(4)]
+        path = [h]
         ln_r = mp.log(abs(zm))  # -inf at z = 0
         if ln_r > h:
-            path = sorted(path + [ln_r])
-        tail, err_tail = mp.quad(lambda x: x ** (sm - 1) * g(x),
-                                 path + [mp.inf], error=True)
+            path.append(ln_r)
+        tail, err_tail = mp.quad(
+            lambda x: (mp.exp((sm - 1) * mp.log(x) - am * x)
+                       / (mass * (1 - zm * mp.exp(-x)))),
+            path + [mp.inf], error=True)
         front = mass / mp.gamma(sm)
         value = complex(front * (head + rest + tail))
         # mp.quad's estimates and the working precision's rounding, on
