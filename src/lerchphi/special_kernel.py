@@ -525,10 +525,10 @@ def _alternating_lower_sum(s, w, total, skip=0):
 
 
 def _gamma_rounding(s):
-    # relative rounding of gamma(s), in units of _IGAMMA_ULPS, and the
-    # absolute rounding of log_gamma(s) less |log_gamma(s)|: math.gamma
-    # at real s; off the real axis the Stirling sum after the shift to
-    # Re s >= 12, whose pieces are about |s + 12| ln |s + 12|
+    # the rounding of gamma(s) relative to its value, in units of
+    # _IGAMMA_ULPS: 1 at real s (math.gamma); off the real axis that of
+    # log_gamma(s), Stirling's series after the shift to Re s >= 12,
+    # whose pieces are about |s + 12| ln |s + 12|
     if s.imag == 0.0:
         return 1.0
     r = abs(s) + 12.0
