@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 from helpers import rel_err, sample
+from lerchphi import special_kernel
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
     _integer_tail_size,
@@ -26,7 +27,6 @@ from lerchphi.engines import (
 from lerchphi.errors import AccuracyError, ConditioningError, DomainError
 from lerchphi.oracle import (hp_continuation, hp_series, quad_integral,
                              reference_value)
-from lerchphi import special_kernel
 from lerchphi.special_kernel import hurwitz_zeta
 
 S34 = 0.75
