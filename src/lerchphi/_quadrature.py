@@ -77,6 +77,11 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     difference (conservative once double-exponential convergence has
     locked on), or that prediction where the early stop fired, floored
     at a few ulp of the value.
+
+    f is called once a node, in a fixed order: the nodes of
+    _half_line_nodes(0, u_min), then those of each later level in turn.
+    The kernel's Abel-Plana integral keeps per-node factors by that
+    order.
     """
     step = 0.5  # h
     total = 0.0j

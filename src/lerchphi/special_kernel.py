@@ -95,6 +95,11 @@ _AP_FOLD_PEAK = 600.0
 # the Abel-Plana integrand is bounded at t = 0, so its half-line rule
 # starts at u = -4 (see _quadrature._U_MIN)
 _AP_U_MIN = -4.0
+# the Abel-Plana integral's node tables (_abel_plana_entry): at most this
+# many (s, a, |Im L|) keys, the least recently used evicted, and at most
+# this many nodes a key, levels 0-4 of the rule from _AP_U_MIN
+_AP_TABLE_KEYS = 8
+_AP_TABLE_NODES = 257
 _ULP = 2.0 ** -52
 _F21_REL_TOL = 1e-14
 _F21_MAX_TERMS = 10000
@@ -289,9 +294,9 @@ def _zeta_hermite(s, a):
             + integral)
 
 
-def _abel_plana_reach(s, a, L):
+def _abel_plana_reach(s, a, im_l):
     """T past which the tail of _abel_plana_integral is provably under
-    e^-_AP_TAIL_EXPONENT |a^(-s)|.
+    e^-_AP_TAIL_EXPONENT |a^(-s)|, im_l = |Im L|.
 
     For t >= T each of the two terms of the integrand is at most
     e^(pi |Im s| / 2) R^(-Re s) e^(-kappa t) / (1 - e^(-2 pi T)), with
@@ -303,7 +308,7 @@ def _abel_plana_reach(s, a, L):
     bracketed, and two bisections in log T then take it to within 19%
     of the least such T.
     """
-    kappa = _TWO_PI - abs(L.imag)
+    kappa = _TWO_PI - im_l
     p = -s.real
     alpha, beta = a.real, abs(a.imag)
     # log of 2 e^(pi |Im s| / 2) / |a^(-s)| e^_AP_TAIL_EXPONENT
@@ -344,6 +349,23 @@ def _abel_plana_reach(s, a, L):
     return hi
 
 
+@lru_cache(maxsize=_AP_TABLE_KEYS)
+def _abel_plana_entry(s, a, im_l):
+    """[sigma, fold, c0, nodes] of _abel_plana_integral at (s, a) and
+    |Im L| = im_l, which fix them; nodes is None until the key's second
+    call, a tuple from then on (see there)."""
+    sigma = _abel_plana_reach(s, a, im_l) / _HALF_LINE_REACH
+    # the log of a bound on |integrand| / |a^(-s)|: e^(pi |Im s|) for the
+    # arguments, and the peak of (|a| + t)^(-Re s) e^(-kappa t) / |a|^(-Re s)
+    p = -s.real
+    kappa = _TWO_PI - im_l
+    peak = math.pi * abs(s.imag)
+    if p > kappa * abs(a):
+        peak += p * (math.log(p / (kappa * abs(a))) - 1.0) + kappa * abs(a)
+    fold = peak > _AP_FOLD_PEAK
+    return [sigma, fold, -s * cmath.log(a) if fold else 0.0, None]
+
+
 def _abel_plana_integral(s, a, L):
     """i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt with
     f(x) = e^(xL) (a+x)^(-s), Re a > 0: the integral of the Abel-Plana
@@ -365,29 +387,46 @@ def _abel_plana_integral(s, a, L):
     every node it carried the rounding of -s ln a, ~200 ulps at
     s = 200.5, a = 0.3, into every node alike.  Where Re s << 0 and
     |a| < 1 the integrand over a^(-s) can pass e^709 while the integrand
-    does not; there -s ln a is folded into c instead, and the estimate
-    carries the rounding of that exponent.  ConditioningError where the
-    integral itself is past the double range (at z = 1, where zeta is).
-    Returns the value, the quadrature's error estimate, the integral of
-    |integrand| (for the caller's rounding bound) and the number of
-    integrand evaluations.
+    does not; there -s ln a (c0) is folded into c instead, and the
+    estimate carries the rounding of that exponent.  ConditioningError
+    where the integral itself is past the double range (at z = 1, where
+    zeta is).  Returns the value, the quadrature's error estimate, the
+    integral of |integrand| (for the caller's rounding bound) and the
+    number of integrand evaluations.
+
+    Along a ray in z only tL and what follows from it change: sigma, c0
+    and each node's t, c, s atan(tau) and 1 - e^(-2 pi t) depend on s, a
+    and |Im L| alone.  _abel_plana_entry keeps them for the last
+    _AP_TABLE_KEYS such keys, evicting the least recently used.  A key's
+    first call records nothing, so points that each have their own
+    (s, a) pay nothing for the table; its second call records each node
+    as (t, 2 e^c or None where it took the other form, c, s atan(tau),
+    1 - e^(-2 pi t)), in tanh_sinh's call order, and later calls read
+    them and append the nodes they go on to, up to _AP_TABLE_NODES
+    (about 60 kB a key).  A node read from the table takes the same
+    operations on the same operands as one computed afresh, so every
+    value comes out bit for bit the same.  Keys compare as numbers, so
+    s or a with a -0.0 part shares the table of +0.0: the sign reaches
+    only parts that are zero, which the rule's sums, started at +0.0,
+    drop.  A call extends a table in a list of its own and publishes
+    the longer tuple when its rule returns, so concurrent callers read
+    only whole tables; two calls that race may publish over each other,
+    which costs recomputation, never a value.
     """
     evals = 0
-    sigma = _abel_plana_reach(s, a, L) / _HALF_LINE_REACH
-    # the log of a bound on |integrand| / |a^(-s)|: e^(pi |Im s|) for the
-    # arguments, and the peak of (|a| + t)^(-Re s) e^(-kappa t) / |a|^(-Re s)
-    p = -s.real
-    kappa = _TWO_PI - abs(L.imag)
-    peak = math.pi * abs(s.imag)
-    if p > kappa * abs(a):
-        peak += p * (math.log(p / (kappa * abs(a))) - 1.0) + kappa * abs(a)
-    fold = peak > _AP_FOLD_PEAK
-    c0 = -s * cmath.log(a) if fold else 0.0
+    entry = _abel_plana_entry(s, a, abs(L.imag))
+    sigma, fold, c0, table = entry
+    first = table is None
+    if first:
+        entry[3] = table = ()
+    known = len(table)
+    added = []
     half_s = 0.5 * s
     real_a = a.imag == 0.0
     re_a = a.real
 
     def integrand(x):
+        # a key's first call: no table, and no cost for one
         nonlocal evals
         evals += 1
         t = sigma * x
@@ -406,12 +445,46 @@ def _abel_plana_integral(s, a, L):
             diff = cmath.exp(c + d) - cmath.exp(c - d)
         return diff / -math.expm1(-two_pi_t)
 
+    def tabled(x):
+        # the same integrand, from the table's node factors where it has
+        # them; the others are computed and recorded
+        nonlocal evals
+        i = evals
+        evals += 1
+        if i < known:
+            t, two_ec, c, s_theta, one_minus = table[i]
+        else:
+            t = sigma * x
+            two_pi_t = _TWO_PI * t
+            if real_a:
+                tau = t / re_a
+                c = c0 - half_s * math.log1p(tau * tau) - two_pi_t
+                s_theta = s * math.atan2(t, re_a)
+            else:
+                tau = t / a
+                c = c0 - half_s * cmath.log(1.0 + tau * tau) - two_pi_t
+                s_theta = s * cmath.atan(tau)
+            one_minus = -math.expm1(-two_pi_t)
+            two_ec = None
+        d = 1j * (t * L - s_theta)
+        if abs(d) < 1.0:
+            if two_ec is None:
+                two_ec = 2.0 * cmath.exp(c)
+            diff = two_ec * cmath.sinh(d)
+        else:
+            diff = cmath.exp(c + d) - cmath.exp(c - d)
+        if known <= i < _AP_TABLE_NODES:
+            added.append((t, two_ec, c, s_theta, one_minus))
+        return diff / one_minus
+
     try:
         front = 1.0 if fold else a ** -s
-        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL,
-                                     _AP_U_MIN)
+        value, err, mass = tanh_sinh(integrand if first else tabled,
+                                     _ABEL_PLANA_REL_TOL, _AP_U_MIN)
     except OverflowError:
         front = value = mass = math.inf
+    if added:
+        entry[3] = table + tuple(added)
     scale = abs(front) * sigma
     value *= 1j * sigma * front
     mass *= scale

@@ -2,14 +2,17 @@
 
 import cmath
 import math
+import random
 import subprocess
 import sys
+import threading
 
 import mpmath as mp
 import pytest
 
 from helpers import rel_err, sample
 from lerchphi import special_kernel
+from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
     _integer_tail_size,
@@ -447,6 +450,115 @@ def test_abel_plana_stops_stepping_once_z_to_the_minus_k_underflows():
             == "(-1.4429626689499165e-305-1.5009863306298206e-305j)")
     assert repr(rep.abs_err_estimate) == "3.518365e-318"
     assert rep.n_terms == 0
+
+
+def _geometric_ray(arg, lo=math.e, hi=1000.0, count=12):
+    """count points from |z| = lo to hi at arg z, on the real axis
+    exactly where arg is 0 or pi."""
+    q = (hi / lo) ** (1.0 / (count - 1))
+    radii = [lo * q ** k for k in range(count)]
+    if arg in (0.0, math.pi):
+        return [complex(math.cos(arg) * r, 0.0) for r in radii]
+    return [cmath.rect(r, arg) for r in radii]
+
+
+def _ap_report(p, cold=False):
+    # cold: the Abel-Plana integral's node tables cleared first, so the
+    # point computes every node factor itself
+    if cold:
+        special_kernel._abel_plana_entry.cache_clear()
+    rep = eval_auto(p)
+    assert rep.engine == "abel_plana", p
+    return (repr(rep.value), repr(rep.abs_err_estimate), rep.n_terms,
+            rep.warnings)
+
+
+def _node_table(s, a, im_l):
+    return special_kernel._abel_plana_entry(complex(s), complex(a), im_l)[3]
+
+
+def test_abel_plana_node_tables_keep_every_report_bit_for_bit():
+    # the integral keeps the node factors of each (s, a, |Im L|) it meets
+    # a second time; walked warm, a ray reads them back and must give the
+    # reports of a cold walk.  Rays: one off the axis; the negative axis,
+    # where the rule goes from 65 to 129 to 257 nodes, so the table is
+    # extended twice, and past it z = -1e7, which takes 513 nodes, more
+    # than a table holds; s = 1.5 +/- 2.5i with the mirror points
+    # interleaved; two rays at one (s, a) interleaved, whose keys differ
+    # in |Im L| alone; and s, a with -0.0 imaginary parts next to +0.0,
+    # which are equal keys
+    mirrored = []
+    for z in _geometric_ray(math.pi / 3):
+        mirrored += [LerchPoint(z, 1.5 + 2.5j, 0.6),
+                     LerchPoint(z.conjugate(), 1.5 - 2.5j, 0.6)]
+    signed = [LerchPoint(z, complex(S34, sign), complex(A03, sign))
+              for k, z in enumerate(_geometric_ray(2.0 * math.pi / 3))
+              for sign in ((0.0, -0.0) if k % 2 else (-0.0, 0.0))]
+    negative = [LerchPoint(z, S34, A03) for z in _geometric_ray(math.pi)]
+    far = [LerchPoint(-1e7, S34, A03)] * 3
+    two_rays = [LerchPoint(z, S34, A03)
+                for pair in zip(_geometric_ray(2.0 * math.pi / 3),
+                                _geometric_ray(-math.pi / 2))
+                for z in pair]
+    rays = ([LerchPoint(z, S34, A03)
+             for z in _geometric_ray(2.0 * math.pi / 3)],
+            negative + far, mirrored, two_rays, signed)
+    for ray in rays:
+        cold = [_ap_report(p, cold=True) for p in ray]
+        special_kernel._abel_plana_entry.cache_clear()
+        assert [_ap_report(p) for p in ray] == cold
+        if ray[0] is negative[0]:
+            assert [n for _, _, n, _ in cold[len(negative) - 1:]] == [
+                257, 513, 513, 513]
+            # levels 0-4 of the rule, the table's cap
+            assert (len(_node_table(S34, A03, math.pi))
+                    == special_kernel._AP_TABLE_NODES
+                    == sum(len(_half_line_nodes(k, special_kernel._AP_U_MIN))
+                           for k in range(5)))
+
+
+def test_abel_plana_node_tables_evict_the_least_recently_used():
+    # ten keys, more than the tables hold, each |z| walking all ten and
+    # then five back, so that keys come back both before and after their
+    # eviction; every report as a cold walk gives it
+    a_values = [A03 + 0.1 * k for k in range(10)]
+    order = a_values + a_values[:4:-1]
+    walk = [LerchPoint(z, S34, a)
+            for z in _geometric_ray(2.0 * math.pi / 3, count=4)
+            for a in order]
+    cold = [_ap_report(p, cold=True) for p in walk]
+    special_kernel._abel_plana_entry.cache_clear()
+    assert [_ap_report(p) for p in walk] == cold
+    info = special_kernel._abel_plana_entry.cache_info()
+    assert info.currsize == info.maxsize == special_kernel._AP_TABLE_KEYS
+    assert info.hits > 0 and info.misses > len(a_values)
+
+
+def test_abel_plana_node_tables_under_threads():
+    # four threads, more than most hosts have cores, walk one ray at
+    # once, the negative axis, whose table grows as they go; each
+    # thread's reports are the serial ones
+    ray = [LerchPoint(z, S34, A03) for z in _geometric_ray(math.pi)] * 2
+    serial = [_ap_report(p, cold=True) for p in ray]
+    special_kernel._abel_plana_entry.cache_clear()
+    got = [None] * 4
+
+    def walk(k):
+        got[k] = [_ap_report(p) for p in ray]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside every point
+    try:
+        threads = [threading.Thread(target=walk, args=(k,))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [serial] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1230,6 +1342,79 @@ def test_auto_estimate_is_honest_past_e():
                                               + ref.err_bar), p
         engines.add(rep.engine)
     assert engines == {"abel_plana", "integer_s"}
+
+
+def test_auto_estimate_is_honest_along_rays():
+    # seeded short rays at fixed (s, a), as the paper sweeps z: one each
+    # through the direct series, the band, past e off and on the cut,
+    # complex a, Re a <= 0 and integer s, four points a ray walked
+    # outward with the caches kept, so the Abel-Plana points past a
+    # ray's second read their node factors from a table.  References,
+    # 28 oracle calls: reference_value; for complex a past e, where that
+    # refuses mpmath's continuation, quad_integral; on the cut mpmath's
+    # continuation at z +/- i 1e-30 (reference_value's two-sided
+    # extrapolation costs twice that); at -1 < a < 0,
+    # a^(-s) + z quad_integral(z, s, a + 1)
+    rng = random.Random(1818)
+
+    def radii(lo, hi):
+        r0 = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        q = (hi / r0) ** (1.0 / 3.0)
+        return [r0 * q ** k for k in range(4)]
+
+    def off_axis():
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.3, math.pi)
+
+    def s_any():
+        return complex(rng.uniform(0.2, 5.0), rng.uniform(-3.0, 3.0))
+
+    rays = {
+        "direct": (radii(0.1, 0.9), off_axis(),
+                   complex(rng.uniform(-3.0, 4.0), rng.uniform(-2.0, 2.0)),
+                   rng.uniform(0.1, 3.0)),
+        "band": (radii(0.95, 2.6), off_axis(), s_any(),
+                 rng.uniform(0.1, 3.0)),
+        "past_e": (radii(3.0, 800.0), off_axis(), s_any(),
+                   rng.uniform(0.1, 4.0)),
+        "on_cut": (radii(3.0, 800.0), rng.choice(("above", "below")),
+                   complex(rng.uniform(0.7, 5.5), 0.0),
+                   rng.uniform(0.1, 4.0)),
+        "complex_a": (radii(3.0, 800.0), off_axis(), s_any(),
+                      complex(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))),
+        "neg_a": (radii(3.0, 300.0), off_axis(), s_any(),
+                  -rng.uniform(0.1, 0.9)),
+        "integer_s": (radii(3.0, 300.0), off_axis(),
+                      complex(rng.randint(1, 4), 0.0), rng.uniform(0.1, 3.0)),
+    }
+    special_kernel._abel_plana_entry.cache_clear()
+    engines = set()
+    for kind, (rs, arg, s, a) in rays.items():
+        for r in rs:
+            if kind == "on_cut":
+                p = LerchPoint(r, s, a, arg)
+            else:
+                p = LerchPoint(cmath.rect(r, arg), s, a)
+            rep = eval_auto(p)
+            engines.add(rep.engine)
+            if kind == "on_cut":
+                nudge = 1e-30 if arg == "above" else -1e-30
+                ref = hp_continuation(complex(r, nudge), s, a)
+            elif kind == "complex_a":
+                ref = quad_integral(p.z, s, a)
+            elif kind == "neg_a":
+                shifted = quad_integral(p.z, s, a + 1.0)
+                with mp.workdps(30):
+                    head = complex(mp.power(mp.mpf(a), -mp.mpc(s)))
+                ref = shifted._replace(
+                    value=head + p.z * shifted.value,
+                    err_bar=abs(p.z) * shifted.err_bar + 1e-16 * abs(head))
+            else:
+                ref = reference_value(p)
+            assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                                  + ref.err_bar), (kind, p)
+    assert engines == {"direct", "abel_plana", "integer_s"}
+    # table reads: two a ray on each Abel-Plana ray
+    assert special_kernel._abel_plana_entry.cache_info().hits >= 10
 
 
 def test_abel_plana_is_exactly_real_left_of_the_cut():

@@ -122,3 +122,25 @@ def test_bounded_integrand_may_start_at_u_minus_4():
     rooted = math.sqrt(math.pi)
     assert abs(tanh_sinh(singular, 1e-15)[0] - rooted) <= 2.0 * ULP * rooted
     assert abs(tanh_sinh(singular, 1e-15, u_min=-4.0)[0] - rooted) > 1e-14
+
+
+def test_integrand_is_called_at_the_nodes_in_level_order():
+    # a caller may key work on the call order (the kernel's Abel-Plana
+    # integral keeps each node's factors by it): level 0's nodes, then
+    # each level's new ones, each in _half_line_nodes' order, one call a
+    # node
+    for u_min in (_quadrature._U_MIN, -4.0):
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return math.exp(-x) * math.cos(x)
+
+        tanh_sinh(f, 1e-15, u_min)
+        want = []
+        level = 0
+        while len(want) < len(xs):
+            want += [x for x, _ in _half_line_nodes(level, u_min)]
+            level += 1
+        assert level >= 4
+        assert xs == want
