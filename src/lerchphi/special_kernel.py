@@ -399,19 +399,19 @@ def _abel_plana_integral(s, a, L):
     and |Im L| alone.  _abel_plana_entry keeps them for the last
     _AP_TABLE_KEYS such keys, evicting the least recently used.  A key's
     first call records nothing, so points that each have their own
-    (s, a) pay nothing for the table; its second call records each node
-    as (t, 2 e^c or None where it took the other form, c, s atan(tau),
-    1 - e^(-2 pi t)), in tanh_sinh's call order, and later calls read
-    them and append the nodes they go on to, up to _AP_TABLE_NODES
-    (about 60 kB a key).  A node read from the table takes the same
-    operations on the same operands as one computed afresh, so every
-    value comes out bit for bit the same.  Keys compare as numbers, so
-    s or a with a -0.0 part shares the table of +0.0: the sign reaches
-    only parts that are zero, which the rule's sums, started at +0.0,
-    drop.  A call extends a table in a list of its own and publishes
-    the longer tuple when its rule returns, so concurrent callers read
-    only whole tables; two calls that race may publish over each other,
-    which costs recomputation, never a value.
+    (s, a) pay only two index checks a node for the table; its second
+    call records each node as (t, c, s atan(tau), 1 - e^(-2 pi t)), in
+    tanh_sinh's call order, and later calls read them and append the
+    nodes they go on to, up to _AP_TABLE_NODES (about 50 kB a key).  A
+    node read from the table takes the same operations on the same
+    operands as one computed afresh, so every value comes out bit for
+    bit the same.  Keys compare as numbers, so s or a with a -0.0 part
+    shares the table of +0.0: the sign reaches only parts that are
+    zero, which the rule's sums, started at +0.0, drop.  A call extends
+    a table in a list of its own and publishes the longer tuple when its
+    rule returns, so concurrent callers read only whole tables; two
+    calls that race may publish over each other, which costs
+    recomputation, never a value.
     """
     evals = 0
     entry = _abel_plana_entry(s, a, abs(L.imag))
@@ -420,39 +420,20 @@ def _abel_plana_integral(s, a, L):
     if first:
         entry[3] = table = ()
     known = len(table)
+    limit = 0 if first else _AP_TABLE_NODES
     added = []
     half_s = 0.5 * s
     real_a = a.imag == 0.0
     re_a = a.real
 
     def integrand(x):
-        # a key's first call: no table, and no cost for one
-        nonlocal evals
-        evals += 1
-        t = sigma * x
-        two_pi_t = _TWO_PI * t
-        if real_a:
-            tau = t / re_a
-            c = c0 - half_s * math.log1p(tau * tau) - two_pi_t
-            d = 1j * (t * L - s * math.atan2(t, re_a))
-        else:
-            tau = t / a
-            c = c0 - half_s * cmath.log(1.0 + tau * tau) - two_pi_t
-            d = 1j * (t * L - s * cmath.atan(tau))
-        if abs(d) < 1.0:
-            diff = 2.0 * cmath.exp(c) * cmath.sinh(d)
-        else:
-            diff = cmath.exp(c + d) - cmath.exp(c - d)
-        return diff / -math.expm1(-two_pi_t)
-
-    def tabled(x):
-        # the same integrand, from the table's node factors where it has
-        # them; the others are computed and recorded
+        # from the table's node factors where it has them; the others are
+        # computed, and recorded unless this is the key's first call
         nonlocal evals
         i = evals
         evals += 1
         if i < known:
-            t, two_ec, c, s_theta, one_minus = table[i]
+            t, c, s_theta, one_minus = table[i]
         else:
             t = sigma * x
             two_pi_t = _TWO_PI * t
@@ -465,22 +446,19 @@ def _abel_plana_integral(s, a, L):
                 c = c0 - half_s * cmath.log(1.0 + tau * tau) - two_pi_t
                 s_theta = s * cmath.atan(tau)
             one_minus = -math.expm1(-two_pi_t)
-            two_ec = None
+            if i < limit:
+                added.append((t, c, s_theta, one_minus))
         d = 1j * (t * L - s_theta)
         if abs(d) < 1.0:
-            if two_ec is None:
-                two_ec = 2.0 * cmath.exp(c)
-            diff = two_ec * cmath.sinh(d)
+            diff = 2.0 * cmath.exp(c) * cmath.sinh(d)
         else:
             diff = cmath.exp(c + d) - cmath.exp(c - d)
-        if known <= i < _AP_TABLE_NODES:
-            added.append((t, two_ec, c, s_theta, one_minus))
         return diff / one_minus
 
     try:
         front = 1.0 if fold else a ** -s
-        value, err, mass = tanh_sinh(integrand if first else tabled,
-                                     _ABEL_PLANA_REL_TOL, _AP_U_MIN)
+        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL,
+                                     _AP_U_MIN)
     except OverflowError:
         front = value = mass = math.inf
     if added:
