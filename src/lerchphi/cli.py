@@ -24,8 +24,8 @@ import sys
 
 from ._types import EngineReport, LerchPoint
 from .coefficients import csc_coefficients, csc_coefficients_subtracted
-from .engines import (_integer_tail_size, choose_optimal_M, eval_abel_plana,
-                      eval_auto, eval_fl_expansion, eval_integer_s_large_z,
+from .engines import (choose_optimal_M, eval_abel_plana, eval_auto,
+                      eval_fl_expansion, eval_integer_s_large_z,
                       eval_main_theorem, eval_near_one, eval_series_direct,
                       eval_symmetric_igamma, residue_series)
 from .errors import AccuracyError, ConditioningError, DomainError, LerchError
@@ -181,10 +181,7 @@ def _run_engine(p, name, tol, n):
         s = p.s
         if s.imag != 0.0 or s.real != round(s.real):
             raise DomainError("--engine integer-s needs an integer s")
-        S = int(round(s.real))
-        n_tail = (n if n is not None
-                  else _integer_tail_size(abs(p.z), S, p.a, tol))
-        return eval_integer_s_large_z(p, S, n_tail)
+        return eval_integer_s_large_z(p, int(round(s.real)), tol)
     if name == "main":
         N = n if n is not None else max(math.ceil(p.a.real) + 2, 1)
         return eval_main_theorem(p, N)
@@ -446,9 +443,8 @@ def build_parser():
                     help="target absolute tolerance")
     pe.add_argument("--n", type=int, default=None,
                     help="depth knob: mirror pairs (main, symmetric), "
-                         "expansion depth (near-one), tail length "
-                         "(integer-s), power terms (fl), term cap "
-                         "(factorial)")
+                         "expansion depth (near-one), power terms (fl), "
+                         "term cap (factorial)")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_eval)
 

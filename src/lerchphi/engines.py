@@ -6,13 +6,14 @@ defining series (one incomplete gamma and one quadrature, any z != 0
 and any s), which past |z| = 1 shifts a down where Gamma(1-s, -a ln z)
 would leave the double range, moving the residue terms
 z^(-k) (a-k)^(-s) into its head; integer s past |z| = e has an exact
-closed form (the polylogarithm's inversion formula at integer a).  The
-other engines: the branch-point expansion in powers of ln z around
-z = 1; past |z| = e the resummed large-z theorem with optimally
-truncated logarithmic series and a slowly convergent symmetric
-incomplete-gamma expansion accelerated by repeated averaging; and a
-comparison expansion kept mainly to demonstrate its accuracy floor.
-eval_auto needs no mpmath, and this module does not import the oracle.
+closed form (the polylogarithm's inversion formula at integer a), its
+residue series summed by the small-|z| series' loop at 1/z.  The other
+engines: the branch-point expansion in powers of ln z around z = 1;
+past |z| = e the resummed large-z theorem with optimally truncated
+logarithmic series and a slowly convergent symmetric incomplete-gamma
+expansion accelerated by repeated averaging; and a comparison expansion
+kept mainly to demonstrate its accuracy floor.  eval_auto needs no
+mpmath, and this module does not import the oracle.
 
 Branch bookkeeping: every large-z piece is written against
 L = log_neg_z(z, side), and the mirrored (-n) terms are folded with
@@ -154,18 +155,20 @@ def _log_series_terms(p, L, coeffs):
     return out
 
 
-def eval_series_direct(p, tol=1e-12):
-    """Defining power series, valid inside the unit disk.
+def _series_sum(z, s, a, tol):
+    """The defining series sum_{n>=0} z^n (a+n)^(-s) at |z| < 1: its
+    value, an error estimate and the number of terms summed.
 
     Stops once the tail bound, the next term over 1 - r, drops under tol;
     r bounds the ratio of each later term to the one before, |z| times
     (1 + 1/|a+n|)^(-Re s) at Re s < 0, where the terms grow before they
-    fall.  The estimate adds _DIRECT_ULPS of the sum of their sizes.
+    fall.  While Re(a+n) <= 0, |a+n| still falls, so the next term bounds
+    no later one: at Re s >= 0 each is at most d^(-Re s) e^(pi |Im s|)
+    times |z|^n, d = |a - round(Re a)| the distance of a from the
+    integers, and at Re s < 0 the bound is infinite.  The estimate adds
+    _DIRECT_ULPS of the sum of their sizes.
     """
-    z, s, a = p.z, p.s, p.a
     az = abs(z)
-    if az >= 1.0:
-        raise DomainError("direct series needs |z| < 1")
     total = 0.0j
     zp = 1.0 + 0.0j
     geo = 1.0 / (1.0 - az)  # |z|^n / (1 - |z|)
@@ -179,31 +182,48 @@ def eval_series_direct(p, tol=1e-12):
     if real_a and real_s and a.real > 0.0 and z.imag == 0.0:
         z, zp, total = z.real, 1.0, 0.0
     ar, minus_sr, minus_s = a.real, -s.real, -s
+    # each term while Re(a+n) <= 0 is at most far |z|^n
+    d = abs(a - round(ar)) if ar <= 0.0 and minus_sr <= 0.0 else 0.0
+    far = d ** minus_sr * math.exp(math.pi * abs(s.imag)) if d else math.inf
     n = 0
     while True:
         positive = real_a and ar + n > 0.0
         if positive:
             size = (ar + n) ** minus_sr
+            bound = geo * size
         else:  # e^|Im s arg(a+n)| bounds that factor of later terms
             size = (abs(a + n) ** minus_sr
                     * math.exp(abs(s.imag * cmath.phase(a + n))))
-        bound = geo * size
-        if minus_sr > 0.0:
+            bound = geo * (size if ar + n > 0.0 else far)
+        if minus_sr > 0.0 and ar + n > 0.0:
             ratio = az * (1.0 + 1.0 / abs(a + n)) ** minus_sr
             bound = (bound * (1.0 - az) / (1.0 - ratio)
-                     if ratio < 1.0 and ar + n > 0.0 else math.inf)
+                     if ratio < 1.0 else math.inf)
         if n and bound < tol:
             break
         if n >= _DIRECT_CAP:
-            raise AccuracyError("direct series hit the term cap",
+            raise AccuracyError("defining series hit the term cap",
                                 achieved=bound)
         total += zp * (size if positive and real_s else (a + n) ** minus_s)
         mass += geo * size
         zp *= z
         geo *= az
         n += 1
-    est = bound + _DIRECT_ULPS * (1.0 - az) * mass
-    return EngineReport(complex(total), est, n, 0, "direct")
+    return complex(total), bound + _DIRECT_ULPS * (1.0 - az) * mass, n
+
+
+def eval_series_direct(p, tol=1e-12):
+    """Defining power series, valid inside the unit disk (_series_sum);
+    ConditioningError where a term is past the double range."""
+    if abs(p.z) >= 1.0:
+        raise DomainError("direct series needs |z| < 1")
+    try:
+        value, est, n = _series_sum(p.z, p.s, p.a, tol)
+    except OverflowError:
+        raise ConditioningError("a term of the direct series is past the "
+                                f"double range at a = {p.a}, s = {p.s}"
+                                ) from None
+    return EngineReport(value, est, n, 0, "direct")
 
 
 def eval_near_one(p, n_max=60):
@@ -414,71 +434,70 @@ def _polylog_branch(S, L):
     return sign * total, size
 
 
-def eval_integer_s_large_z(p, S, N_tail):
+def eval_integer_s_large_z(p, S, tol=1e-10):
     """Exact large-z form for integer s = S.
 
     The branch part is the main theorem's logarithmic series, which
-    1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is a
-    geometric-type tail over the residues, truncated at N_tail with an
-    explicit bound.  At S >= 1 and integer
-    a = k (k >= 1; LerchPoint refuses k <= 0) the residue poles collide
-    and the polylogarithm takes over:
+    1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is the
+    residue series sum_{n>=1} z^(-n) (n-a)^(-S) = z^(-1) Phi(1/z, S, 1-a),
+    the defining series at 1/z (_series_sum) summed to tol.  At S >= 1
+    and integer a = k (k >= 1; LerchPoint refuses k <= 0) the residue
+    poles collide and the polylogarithm takes over:
     Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
     inversion (_polylog_branch).  Its Li_S(1/z) series and the finite
-    sum are the same tail with the term n = k left out, so N_tail must
-    reach k.  The estimate is the tail bound plus the rounding of the
-    terms, which near an integer a cancel: the branch part against the
-    tail term n ~ a.
+    sum are the residue series with the term n = k left out: the k - 1
+    terms before it, and z^(-k-1) Phi(1/z, S, 1) past it, summed to
+    double precision.  The estimate is the series' own plus the rounding
+    of the other terms, which near an integer a cancel: the branch part
+    against the residue term n ~ a.
     """
     S = int(S)
     if abs(p.s - S) > 1e-12:
         raise ValueError(f"engine called with s = {p.s} but S = {S}")
-    a = p.a
-    az = abs(p.z)
+    z, a = p.z, p.a
+    az = abs(z)
     if az <= 1.0:
         raise DomainError("integer-s closed form needs |z| > 1")
     L = _branch_log(p)
     branch = 0.0j
-    skip = 0  # the colliding tail term, at integer a
     size = 0.0  # of the terms, for their rounding
     rounding = 0.0
+    zinv = 1.0 / z
     if S >= 1 and _near_integer(a, 0.0):
-        skip = round(a.real)
-        if N_tail < skip:
-            raise ValueError(f"at integer a = {skip} the tail must reach "
-                             f"n = {skip}, got N_tail = {N_tail}")
-        z_k = p.z ** -skip
+        k = round(a.real)
+        z_k = z ** -k
         branch, size = _polylog_branch(S, L)
         branch *= z_k
         size *= abs(z_k)
-    elif S >= 1:
-        terms = _log_series_terms(p, L, csc_coefficients(a, S).values)
-        for m, t in enumerate(terms):
-            if t is not None:
-                branch += t
-                rounding += (m + 1) * abs(t)
-        # near an integer a the coefficients carry the rounding of a
-        # itself, |a| / dist(a, Z) ulps, and the recurrence adds to it
-        # order by order
-        rounding *= _SUM_ULPS * (1.0 + abs(a) / abs(a - round(a.real)))
-    zinv = 1.0 / p.z
-    zp = 1.0 + 0.0j
-    tail = 0.0j
-    base = a.real if a.imag == 0.0 else a  # real powers at real a
-    for n in range(1, N_tail + 1):
-        zp *= zinv
-        if n != skip:
-            term = zp * (n - base) ** -S
-            tail += term
-            size += abs(term)
+        head = [zinv ** n * float(n - k) ** -S for n in range(1, k)]
+        size += sum(map(abs, head))
+        scale = az ** -(k + 1)  # 0 once it underflows
+        # Li_S(1/z) to double precision, or to tol where that is tighter
+        sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
+        tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
+        tail = sum(head, z_k * zinv * tail)
+        est *= scale
+        n_terms += k - 1
+    else:
+        if S >= 1:
+            terms = _log_series_terms(p, L, csc_coefficients(a, S).values)
+            for m, t in enumerate(terms):
+                if t is not None:
+                    branch += t
+                    rounding += (m + 1) * abs(t)
+            # near an integer a the coefficients carry the rounding of a
+            # itself, |a| / dist(a, Z) ulps, and the recurrence adds to it
+            # order by order
+            rounding *= _SUM_ULPS * (1.0 + abs(a) / abs(a - round(a.real)))
+        tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a, tol * az)
+        tail *= zinv
+        est /= az
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
-    # the truncated tail, and the rounding of terms that can cancel: the
-    # tail against the branch part near an integer a, the polylogarithm
-    # form's, and terms that grow before they fall at S < 0
-    est = (_integer_tail_bound(az, S, a, N_tail) + _POLYLOG_ULPS * size
-           + rounding)
-    return EngineReport(value, est, N_tail, max(S, 0), "integer_s")
+    # the rounding of terms that can cancel: the residue series against
+    # the branch part near an integer a, and the polylogarithm form's
+    est += _POLYLOG_ULPS * size + rounding
+    return EngineReport(value, est, n_terms, max(S, 0), "integer_s")
 
 
 def choose_optimal_M(p, N):
@@ -571,27 +590,22 @@ def residue_series(p, N, half_turns=None):
     sigma defaults to the signed half-turn count of the point's branch
     log, which is what the incomplete-gamma engines pair with.  Callers
     whose companion series is anchored to one fixed orientation (the
-    factorial rearrangement) pass half_turns explicitly.
+    factorial rearrangement) pass half_turns explicitly.  The sum is
+    z^(-N-1) Phi(1/z, s, N+1-a), the defining series at 1/z
+    (_series_sum), to 1e-18 of its first term.
     """
     z, s, a = p.z, p.s, p.a
+    if abs(z) <= 1.0:
+        raise DomainError("residue series needs |z| > 1")
     if half_turns is None:
         L = _branch_log(p)
         sigma = _half_turns(p, L)
     else:
         sigma = half_turns
     front = -cmath.exp(-1j * math.pi * s * sigma)
-    zp = z ** -(N + 1)
-    zinv = 1.0 / z
-    total = 0.0j
-    n = N + 1
-    while True:
-        term = zp * (n - a) ** -s
-        total += term
-        if abs(term) <= 1e-18 * max(abs(total), 1e-30) or n > N + 4000:
-            break
-        zp *= zinv
-        n += 1
-    return front * total
+    b = N + 1.0 - a
+    total = _series_sum(1.0 / z, s, b, 1e-18 * abs(b ** -s))[0]
+    return front * z ** -(N + 1) * total
 
 
 def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
@@ -681,56 +695,6 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
                         "fl_expansion")
 
 
-def _integer_tail_bound(az, S, a, N):
-    """Bound on |sum_{n>N} z^(-n) (n-a)^(-S)|, the integer-s tail past
-    n = N: its first term over 1 - r, r bounding the ratio of each term to
-    the one before.  Let d be the least |n-a| for n > N, which is
-    |N+1-a| unless Re a > N + 1.  At S >= 0, r = 1/|z| and the first term
-    is |z|^(-N-1) d^(-S), since every |n-a|^(-S) is at most d^(-S).  At
-    S < 0 the terms grow like n^|S|: with |n+1-a| <= |n-a| + 1,
-    r = (1 + 1/d)^|S| / |z|, which at real a < N + 1 is
-    |(N+2-a)/(N+1-a)|^|S| / |z|.  Infinite when r >= 1 or d = 0.
-    """
-    ratio = 1.0 / az
-    d = abs(N + 1.0 - a)
-    if a.real > N + 1.0:  # the terms reach n = Re a after N + 1
-        k = math.floor(a.real)
-        d = min(abs(k - a), abs(k + 1.0 - a))
-    if d == 0.0:
-        return math.inf
-    if S >= 0:
-        return az ** (-N - 1) * d ** -S / (1.0 - ratio)
-    ratio *= (1.0 + 1.0 / d) ** -S
-    if ratio >= 1.0:
-        return math.inf
-    return az ** (-N - 1) * abs(N + 1.0 - a) ** -S / (1.0 - ratio)
-
-
-def _integer_tail_size(az, S, a, target_tol):
-    n = 1
-    if _near_integer(a, 0.0):
-        # the bound holds from the tail term n = a on.  At S >= 1 the
-        # tail past it is z^(-a) Li_S(1/z), which costs a few terms more
-        # to sum to double precision, its first term 1/z to the last ulp
-        n = max(1, round(a.real))
-        if S >= 1:
-            target_tol = min(target_tol, 2.0 ** -53 * az ** -(n + 1))
-    while n < 4000 and (S < 0 or a.real > n + 1.0):
-        if _integer_tail_bound(az, S, a, n) <= target_tol:
-            return n
-        n += 1
-    # _integer_tail_bound at S >= 0 and Re a <= n + 1, its
-    # |z|^(-n-1) / (1 - 1/|z|) carried from one n to the next
-    geo = az ** (-n - 1) / (1.0 - 1.0 / az)
-    base = a.real if a.imag == 0.0 else a
-    while n < 4000:
-        if geo * abs(n + 1.0 - base) ** -S <= target_tol:
-            return n
-        geo /= az
-        n += 1
-    return 4000
-
-
 def _meets_target(rep, target_tol):
     """Whether a report's estimate meets target_tol, relative past
     magnitude 1 (the criterion the symmetric expansion stops on)."""
@@ -747,17 +711,15 @@ def eval_auto(p, target_tol=1e-10):
     answers to about double precision or raises ConditioningError; its
     report carries "target-tol-unmet" where it misses the target.
     """
-    z, s, a = p.z, p.s, p.a
+    z, s = p.z, p.s
     az = abs(z)
     if az <= 0.9:
         rep = eval_series_direct(p, tol=target_tol)
         if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
             return rep
     elif az >= math.e and _near_integer(s):
-        S = round(s.real)
-        n_tail = _integer_tail_size(az, S, a, target_tol)
-        rep = eval_integer_s_large_z(p, S, n_tail)
-        # near an integer a the closed form's branch part and tail cancel
+        rep = eval_integer_s_large_z(p, round(s.real), target_tol)
+        # near an integer a the branch part and residue series cancel
         if _meets_target(rep, target_tol):
             return rep
     rep = eval_abel_plana(p)

@@ -110,6 +110,7 @@ def quad_integral(z, s, a):
 def hp_series(z, s, a):
     """Defining series summed in mpmath arithmetic; |z| <= 0.95 only.
 
+    Small terms stop the sum only once Re(a+n) > 0 (|a+n| falls before).
     Where the terms cancel (Re s < 0) the sum is run again with as many
     more digits as its largest term stands above it, and the bar counts
     10^(3 - dps) of that term."""
@@ -130,7 +131,8 @@ def hp_series(z, s, a):
                 term = zp / (am + n) ** sm
                 total += term
                 big = max(big, abs(term))
-                if n >= 4 and abs(term) <= stop * max(abs(total), 1):
+                if (n >= 4 and ac.real + n > 0.0
+                        and abs(term) <= stop * max(abs(total), 1)):
                     break
                 if n > 200_000:
                     raise AccuracyError("series reference did not settle",

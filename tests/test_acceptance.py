@@ -17,8 +17,7 @@ from lerchphi._types import LerchPoint
 from lerchphi._quadrature import tanh_sinh
 from lerchphi.coefficients import (csc_coefficients, csc_coefficients_contour,
                                    csc_coefficients_subtracted)
-from lerchphi.engines import (_branch_log, _integer_tail_size,
-                              _log_series_terms, choose_optimal_M,
+from lerchphi.engines import (_branch_log, _log_series_terms, choose_optimal_M,
                               eval_fl_expansion, eval_integer_s_large_z,
                               eval_main_theorem, eval_near_one,
                               eval_series_direct, eval_symmetric_igamma,
@@ -103,16 +102,14 @@ def test_criterion_3_integer_exponent_exactness():
     for s_int in (-2, -1, 0, 1, 2, 3):
         for z in (-5.0 + 0j, -10.0 + 0j, 10.0j):
             p = LerchPoint(z, float(s_int), A)
-            n_tail = _integer_tail_size(abs(z), s_int, A, 1e-12)
-            rep = eval_integer_s_large_z(p, s_int, n_tail)
+            rep = eval_integer_s_large_z(p, s_int, 1e-12)
             ref = reference_value(p).value
             if abs(rep.value - ref) > 1e-9 * max(1.0, abs(ref)):
                 failures.append(f"S={s_int}, z={z} misses reference")
             if s_int == 0:
                 # the 1e-13 check needs the tail pushed past the default
                 # 1e-12 bound, whose own truncation already exceeds it
-                deep = eval_integer_s_large_z(
-                    p, 0, _integer_tail_size(abs(z), 0, A, 1e-14))
+                deep = eval_integer_s_large_z(p, 0, 1e-14)
                 if abs(deep.value - 1.0 / (1.0 - z)) > 1e-13:
                     failures.append(f"S=0 closed form off at z={z}")
     _finish("criterion 3: closed forms for integer exponents match the "
@@ -147,8 +144,7 @@ def test_criterion_4_oracle_coherence():
 
     def eng_integer_s(p):
         s_int = int(p.s.real)
-        return eval_integer_s_large_z(
-            p, s_int, _integer_tail_size(abs(p.z), s_int, p.a, 1e-12))
+        return eval_integer_s_large_z(p, s_int, 1e-12)
 
     def eng_main(p):
         return eval_main_theorem(p, 8)

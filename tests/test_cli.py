@@ -94,6 +94,16 @@ def test_eval_auto_routes_integer_s_and_matches_oracle():
     assert abs(got - ref) <= 1e-9
 
 
+def test_eval_integer_s_engine_sums_to_tol():
+    code, out, _ = run_cli(["eval", "--z", "-10,0", "--s", "2,0",
+                            "--a", "0.3,0", "--engine", "integer-s",
+                            "--tol", "1e-14", "--json"])
+    assert code == 0
+    (rec,) = json_lines(out)
+    ref = reference_value(LerchPoint(-10.0, 2.0, 0.3)).value
+    assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-13
+
+
 def test_eval_cut_side_flag():
     base = ["eval", "--z", "10,0", "--s", "0.75,0", "--a", "0.3,0",
             "--engine", "factorial", "--tol", "1e-8", "--json"]

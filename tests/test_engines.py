@@ -15,7 +15,6 @@ from lerchphi import special_kernel
 from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
-    _integer_tail_size,
     choose_optimal_M,
     eval_abel_plana,
     eval_auto,
@@ -566,17 +565,17 @@ def test_abel_plana_node_tables_under_threads():
 
 
 def test_integer_s_geometric_row():
-    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03), 0, 30)
+    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03), 0, 1e-15)
     assert abs(rep.value - 1.0 / 6.0) < 1e-13
     z = 10.0j
-    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77), 0, 40)
+    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77), 0, 1e-15)
     assert rel_err(rep.value, 1.0 / (1.0 - z)) < 1e-13
 
 
 def test_integer_s_quadratic_closed_form():
     # s = -2 sums (a+n)^2 z^n, a rational function of z
     z, a = 10.0j, 0.31
-    rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a), -2, 25)
+    rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a), -2, 1e-15)
     u = 1.0 - z
     want = a * a / u + 2.0 * a * z / u ** 2 + z * (1.0 + z) / u ** 3
     assert rel_err(rep.value, want) < 1e-12
@@ -586,9 +585,33 @@ def test_integer_s_against_reference():
     for S in (-1, 1, 3):
         for z in (-5.0, 10.0j):
             p = LerchPoint(z, float(S), A03)
-            rep = eval_integer_s_large_z(p, S, 80)
+            rep = eval_integer_s_large_z(p, S, 1e-12)
             ref = reference_value(p)
             assert abs(rep.value - ref.value) < 1e-9, (S, z)
+
+    # seeded draws, some at exact integer a and some on either side of
+    # the cut, against mpmath at 40 digits, which is trusted at real a
+    # past e; on the cut the side is an offset of 1e-35 i
+    def draw(rng):
+        S = rng.randint(-3, 6)
+        a = (float(rng.randint(1, 5)) if rng.random() < 0.25
+             else rng.uniform(0.05, 6.0))
+        r = math.exp(rng.uniform(1.0, math.log(1000.0)))
+        if rng.random() < 0.25:
+            return LerchPoint(r, float(S), a,
+                              rng.choice(("above", "below")))
+        return LerchPoint(cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+                          float(S), a)
+
+    for p in sample(19, 24, draw):
+        S = round(p.s.real)
+        rep = eval_integer_s_large_z(p, S, 1e-12)
+        with mp.workdps(40):
+            z = mp.mpc(p.z.real, p.z.imag)
+            if p.z.imag == 0.0 and p.z.real > 1.0:
+                z += 1e-35j if p.cut_side == "above" else -1e-35j
+            want = complex(mp.lerchphi(z, S, mp.mpf(p.a.real)))
+        assert abs(rep.value - want) <= rep.abs_err_estimate, p
 
 
 def test_integer_a_polylog_form_matches_mpmath():
@@ -642,8 +665,7 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
                     (5.4790327708 - 0.2395280616j, 2, 5.00029)):
         p = LerchPoint(z, float(S), a)
         ref = hp_continuation(z, S, a)
-        n_tail = _integer_tail_size(abs(z), S, p.a, 1e-10)
-        rep = eval_integer_s_large_z(p, S, n_tail)
+        rep = eval_integer_s_large_z(p, S, 1e-10)
         assert abs(rep.value - ref.value) <= rep.abs_err_estimate, p
         auto = eval_auto(p)
         assert abs(auto.value - ref.value) <= auto.abs_err_estimate, p
@@ -654,18 +676,15 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
 
 def test_integer_s_guards():
     with pytest.raises(ValueError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.5, A03), 2, 20)
-    # integer a <= 0 is refused; a >= 1 takes the polylogarithm form,
-    # whose tail must reach the left-out term n = a
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.5, A03), 2)
+    # integer a <= 0 is refused
     with pytest.raises(DomainError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, -3.0), 2, 20)
-    with pytest.raises(ValueError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, 3.0), 2, 2)
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, -3.0), 2)
     with pytest.raises(DomainError):
-        eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03), 2, 20)
+        eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03), 2)
     # e^(-aL) = 10^400.3 in the first term of the logarithmic series
     with pytest.raises(ConditioningError):
-        eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3), 2, 20)
+        eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +785,7 @@ def test_symmetric_matches_integral_reference():
 def test_symmetric_handles_integer_s():
     # the pair form stays finite at integer s, unlike the resummed theorem
     rep = eval_symmetric_igamma(LerchPoint(-5.0, 1.0, A03), tol=1e-11)
-    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03), 1, 80)
+    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03), 1, 1e-12)
     assert abs(rep.value - exact.value) < 1e-9
 
 
@@ -1066,9 +1085,10 @@ def test_contiguity_integer_s():
     rows = list(zip((-2, -1, 0, 1, 2, 3), sample(227, 6, draw)))
     rows.append((1, (12.0 + 0.0j, 0.4 + 0.0j)))  # on the cut itself
     for S, (z, a) in rows:
-        va = eval_integer_s_large_z(LerchPoint(z, float(S), a), S, 60).value
+        va = eval_integer_s_large_z(LerchPoint(z, float(S), a), S,
+                                    1e-13).value
         v1 = eval_integer_s_large_z(LerchPoint(z, float(S), a + 1.0),
-                                    S, 60).value
+                                    S, 1e-13).value
         assert contiguity_gap(va, v1, z, float(S), a) < 1e-8, (S, z, a)
 
 
@@ -1128,9 +1148,9 @@ def test_conjugate_symmetry_all_engines():
           LerchPoint(0.5 + 0.3j, 1.3 - 0.8j, 0.7 + 0.2j))
     check(eval_near_one, LerchPoint(1.2 + 0.4j, 0.8 + 0.5j, 0.6 - 0.1j))
     check(eval_near_one, LerchPoint(1.5, S34, A03, "above"))
-    check(lambda q: eval_integer_s_large_z(q, 2, 50),
+    check(lambda q: eval_integer_s_large_z(q, 2, 1e-13),
           LerchPoint(8.0 + 3.0j, 2.0, 0.4 + 0.2j))
-    check(lambda q: eval_integer_s_large_z(q, 1, 50),
+    check(lambda q: eval_integer_s_large_z(q, 1, 1e-13),
           LerchPoint(9.0, 1.0, 0.35, "above"))
     check(lambda q: eval_main_theorem(q, 6),
           LerchPoint(-30.0 + 8.0j, 0.9 - 0.6j, 0.45))
@@ -1522,9 +1542,12 @@ def test_abel_plana_steps_a_down_inside_e():
 
 def test_auto_raises_conditioning_error_past_the_double_range():
     # e^(-aL) (-L)^(s-1) of the Gamma term is past the double range: a
-    # typed error, not an OverflowError
+    # typed error, not an OverflowError; so is the direct series' term
+    # z^3 (-1e-13)^(-30) at the last two
     for z, s, a in ((0.95, S34, 20000.3),
-                    (-7.39e19, 195.19 + 3.28j, 0.861)):
+                    (-7.39e19, 195.19 + 3.28j, 0.861),
+                    (0.5, 30.0, -3.0000000000001),
+                    (1e-12, 30.0, -3.0000000000001)):
         with pytest.raises(ConditioningError):
             eval_auto(LerchPoint(z, s, a))
 
@@ -1543,9 +1566,23 @@ def test_auto_direct_series_estimate_is_honest():
                     rng.uniform(-2.0, 2.0) if rng.random() < 0.3 else 0.0)
         return LerchPoint(z, s, a)
 
+    # real a < 0, where |a+n| falls before Re(a+n) > 0 and the terms
+    # there rise: their sizes bound no later term
+    def draw_negative_a(rng):
+        z = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(0.5, 30.0),
+                    rng.uniform(-3.0, 3.0) if rng.random() < 0.3 else 0.0)
+        while True:
+            a = rng.uniform(-15.0, -1.0)
+            if abs(a - round(a)) >= 0.05:
+                return LerchPoint(z, s, a)
+
     points = sample(1616, 40, draw) + [LerchPoint(-0.5, -25.0, 0.7),
                                        LerchPoint(0.9j, -30.0, 0.5),
                                        LerchPoint(-0.9, -20.0, 0.3)]
+    points += sample(19, 261, draw_negative_a) + [
+        LerchPoint(0.5, 20.0, -5.5), LerchPoint(0.3, 8.0 + 2.0j, -50.2 + 0.3j),
+        LerchPoint(0.9, 2.0, -20000.3)]
     engines = set()
     for p in points:
         rep = eval_auto(p)
@@ -1559,3 +1596,8 @@ def test_auto_direct_series_estimate_is_honest():
     assert engines == {"direct", "abel_plana"}
     # the direct sum is 1.6e13 off there, cancelling from terms of 1e28
     assert eval_auto(LerchPoint(-0.5, -25.0, 0.7)).engine == "abel_plana"
+    # the series once stopped there after one term of 1.6e-15
+    rep = eval_auto(LerchPoint(0.5, 20.0, -5.5))
+    assert abs(rep.value - 49152.00002114641) <= rep.abs_err_estimate
+    # d^(-Re s) |z|^n bounds the tail long before Re(a+n) > 0
+    assert eval_auto(LerchPoint(0.9, 2.0, -20000.3)).n_terms < 1000

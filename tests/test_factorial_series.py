@@ -10,6 +10,7 @@ the residue series.
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from lerchphi._types import LerchPoint
@@ -19,6 +20,7 @@ from lerchphi.engines import (eval_integer_s_large_z, eval_symmetric_igamma,
 from lerchphi.errors import ConditioningError, DomainError
 from lerchphi.factorial_series import (eval_factorial, p_n_direct, p_n_stable,
                                        series_states)
+from lerchphi.oracle import reference_value
 from lerchphi.special_kernel import gamma, log_neg_z, reciprocal_gamma
 
 S34 = 0.75
@@ -139,7 +141,7 @@ def test_engine_terminates_at_unit_exponent():
     # s = 1 kills every moment past n = 0, so the series is finite
     p = P(-10.0, s=1.0)
     rep = eval_factorial(p)
-    ref = eval_integer_s_large_z(p, 1, 200)
+    ref = eval_integer_s_large_z(p, 1, 1e-12)
     assert rep.n_terms <= 8
     assert abs(rep.value - ref.value) <= 1e-8
 
@@ -191,6 +193,30 @@ def test_engine_max_terms_cap():
     assert rep.n_terms == 10
     assert "max-terms-reached" in rep.warnings
     assert abs(rep.value - 1.3421782) > 1e-7   # honestly unconverged
+
+
+def test_residue_series_near_the_unit_circle():
+    # at |z| ~ 1 the sum runs to some 1e5 terms; a 4,000-term cap once
+    # left it 4.0e-7 and 1.3e-4 relative off at these points
+    for z, N in ((1.002 * cmath.exp(2j), 0), (-1.001, 5)):
+        with mp.workdps(30):
+            zm, sm, am = mp.mpc(z), mp.mpf(S34), mp.mpf(A03)
+            tail = mp.nsum(lambda n: zm ** -n * (n - am) ** -sm,
+                           [N + 1, mp.inf])
+            want = complex(-mp.exp(-1j * mp.pi * sm) * tail)
+        got = residue_series(P(z), N, half_turns=1)
+        assert abs(got - want) <= 1e-12 * abs(want), z
+
+
+def test_engine_near_the_unit_circle():
+    # the residue series once stopped 1.8e-5, 1.3e-4 and 4.7e-7 short
+    # here, under an estimate of 1.6e-10
+    for z in (-1.001, -1.0005, 1.002j):
+        p = P(z)
+        rep = eval_factorial(p)
+        ref = reference_value(p)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), z
 
 
 def test_engine_preconditions():
