@@ -178,10 +178,7 @@ def _run_engine(p, name, tol, n):
     if name == "abel-plana":
         return eval_abel_plana(p)
     if name == "integer-s":
-        s = p.s
-        if s.imag != 0.0 or s.real != round(s.real):
-            raise DomainError("--engine integer-s needs an integer s")
-        return eval_integer_s_large_z(p, int(round(s.real)), tol)
+        return eval_integer_s_large_z(p, tol)
     if name == "main":
         N = n if n is not None else max(math.ceil(p.a.real) + 2, 1)
         return eval_main_theorem(p, N)

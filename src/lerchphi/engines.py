@@ -27,7 +27,7 @@ import cmath
 import itertools
 import math
 
-from ._types import EngineReport
+from ._types import EngineReport, LerchPoint
 from .coefficients import (_COUNT_CAP, _alternating_power_sums,
                            csc_coefficients, csc_coefficients_subtracted)
 from .errors import AccuracyError, ConditioningError, DomainError
@@ -434,8 +434,8 @@ def _polylog_branch(S, L):
     return sign * total, size
 
 
-def eval_integer_s_large_z(p, S, tol=1e-10):
-    """Exact large-z form for integer s = S.
+def eval_integer_s_large_z(p, tol=1e-10):
+    """Exact large-z form for s within 1e-12 of an integer S.
 
     The branch part is the main theorem's logarithmic series, which
     1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is the
@@ -451,10 +451,10 @@ def eval_integer_s_large_z(p, S, tol=1e-10):
     of the other terms, which near an integer a cancel: the branch part
     against the residue term n ~ a.
     """
-    S = int(S)
-    if abs(p.s - S) > 1e-12:
-        raise ValueError(f"engine called with s = {p.s} but S = {S}")
+    if not _near_integer(p.s):
+        raise DomainError(f"integer-s closed form needs integer s: {p.s}")
     z, a = p.z, p.a
+    S = round(p.s.real)
     az = abs(z)
     if az <= 1.0:
         raise DomainError("integer-s closed form needs |z| > 1")
@@ -591,8 +591,9 @@ def residue_series(p, N, half_turns=None):
     log, which is what the incomplete-gamma engines pair with.  Callers
     whose companion series is anchored to one fixed orientation (the
     factorial rearrangement) pass half_turns explicitly.  The sum is
-    z^(-N-1) Phi(1/z, s, N+1-a), the defining series at 1/z
-    (_series_sum), to 1e-18 of its first term.
+    z^(-N-1) Phi(1/z, s, N+1-a): the defining series at 1/z
+    (_series_sum), to 1e-18 of its first term, while |1/z| <= 0.9, and
+    the Abel-Plana engine nearer |z| = 1, as in eval_auto.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:
@@ -604,7 +605,10 @@ def residue_series(p, N, half_turns=None):
         sigma = half_turns
     front = -cmath.exp(-1j * math.pi * s * sigma)
     b = N + 1.0 - a
-    total = _series_sum(1.0 / z, s, b, 1e-18 * abs(b ** -s))[0]
+    if abs(z) >= 1.0 / 0.9:
+        total = _series_sum(1.0 / z, s, b, 1e-18 * abs(b ** -s))[0]
+    else:
+        total = eval_abel_plana(LerchPoint(1.0 / z, s, b)).value
     return front * z ** -(N + 1) * total
 
 
@@ -718,7 +722,7 @@ def eval_auto(p, target_tol=1e-10):
         if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
             return rep
     elif az >= math.e and _near_integer(s):
-        rep = eval_integer_s_large_z(p, round(s.real), target_tol)
+        rep = eval_integer_s_large_z(p, target_tol)
         # near an integer a the branch part and residue series cancel
         if _meets_target(rep, target_tol):
             return rep

@@ -118,8 +118,6 @@ def _prepare(p):
     L = log_neg_z(z, p.cut_side).value
     x = 0.5 + 1j * L / _TWO_PI
     q = cmath.exp(2j * math.pi * a)
-    if q == 1.0:
-        raise DomainError("e^(2 pi i a) = 1 leaves the weights undefined")
     front = (cmath.exp(1j * math.pi * a)
              * cmath.exp((s - 1.0) * cmath.log(2j * math.pi))
              * cmath.exp(-a * L))
@@ -167,17 +165,12 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
     (a heuristic, flagged in warnings because the series is only
     conditionally convergent) or at max_terms.  If the term envelope
     rebounds past the noise floor the sum rolls back to its best state
-    instead of integrating noise.
+    instead of integrating noise.  ValueError for a non-finite tol.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     x, q, front = _prepare(p)
     residues = residue_series(p, 0, half_turns=1)
-    if tol == math.inf:
-        # the skipped rearranged part is O(1); report that scale
-        return EngineReport(value=residues,
-                            abs_err_estimate=1.0 + abs(residues),
-                            n_terms=0, m_terms=0, engine="factorial",
-                            warnings=("rearranged-part-skipped",))
-
     terms = _terms(x, q, front, p.s)
     total = 0.0j
     quiet = 0

@@ -552,29 +552,6 @@ def _expm1_over(v):
     return (cmath.exp(v) - 1.0) / v
 
 
-def _alternating_lower_sum(s, w, total, skip=0):
-    # total + sum_{k >= 1, k != skip} (-w)^k / (k! (s+k)): the power series
-    # of w^(-s) lower(s, w) past its k = 0 term 1/s, which the caller puts
-    # in the start value or leaves out.  Returns the sum and the sum of
-    # the sizes of its terms, the start value's included.
-    size = abs(total)
-    t = 1.0 + 0.0j
-    k = 1
-    while True:
-        t *= -w / k
-        if k != skip:
-            r = t / (s + k)
-            total += r
-            ar = abs(r)
-            size += ar
-            if k > abs(w) and ar < _IGAMMA_REL_TOL * (abs(total) + 1.0):
-                return total, size
-        if k > _IGAMMA_SERIES_CAP:
-            raise AccuracyError("incomplete gamma series did not settle",
-                                achieved=abs(t))
-        k += 1
-
-
 def _gamma_rounding(s):
     # the rounding of gamma(s) relative to its value, in units of
     # _IGAMMA_ULPS: 1 at real s (math.gamma); off the real axis that of
@@ -592,28 +569,6 @@ def _series_rounding(g_size, x, lead, total, size):
     # lead * t_k, and of lead itself, whose relative error is that of x,
     # about |x| ulps
     return _IGAMMA_ULPS * (g_size + abs(lead) * (size + abs(x) * abs(total)))
-
-
-def _igamma_pole_adjacent(s, w, m):
-    # Gamma(s, w) for s within 0.25 of -m: the k = m term of the power
-    # series resonates with the Gamma(s) pole; join the two analytically.
-    u = s + m
-    lw = cmath.log(w)
-    dh, dh_err = _h_ratio_minus_one_over_u(s, m, u)
-    v = u * lw
-    e = _expm1_over(v)
-    # (e^v - 1)/v: its Taylor form's first omitted term, or the rounding
-    # of e^v over |v|
-    e_err = (abs(v) ** 3 / 24.0 if abs(v) < 1e-4
-             else _IGAMMA_ULPS * (1.0 + math.exp(v.real)) / abs(v))
-    sign = -1.0 if m % 2 else 1.0
-    main = (sign / math.factorial(m)) * (dh - lw * e)
-    total, size = _alternating_lower_sum(s, w, 0.0j if m == 0 else 1.0 / s, m)
-    x = s * lw
-    lead = cmath.exp(x)
-    err = (_series_rounding(abs(main), x, lead, total, size)
-           + (dh_err + abs(lw) * e_err) / math.factorial(m))
-    return main - lead * total, err
 
 
 def _igamma_kummer(s, w):
@@ -645,17 +600,56 @@ def _igamma_kummer(s, w):
         abs(g) * _gamma_rounding(s), x, lead, total, size)
 
 
-def _igamma_gseries(s, w):
+def _igamma_gseries(s, w, m=None):
     # Gamma(s) - w^s sum_k (-w)^k / (k! (s+k)).  The sum has no leading
     # cancellation for Re w <= 0; its hump costs ~e^{|w| + Re w} in ulps,
     # so the dispatcher only sends it near the negative w-axis once |w| is
-    # large (where that factor stays ~1).
-    total, size = _alternating_lower_sum(s, w, 1.0 / s)
-    g = gamma(s)
-    x = s * cmath.log(w)
+    # large (where that factor stays ~1).  With m, s is within 0.25 of -m,
+    # where the k = m term resonates with the Gamma(s) pole: the analytic
+    # join g replaces both.
+    lw = cmath.log(w)
+    if m is None:
+        total = 1.0 / s
+        join_err = 0.0
+    else:
+        u = s + m
+        dh, dh_err = _h_ratio_minus_one_over_u(s, m, u)
+        v = u * lw
+        e = _expm1_over(v)
+        # (e^v - 1)/v: its Taylor form's first omitted term, or the
+        # rounding of e^v over |v|
+        e_err = (abs(v) ** 3 / 24.0 if abs(v) < 1e-4
+                 else _IGAMMA_ULPS * (1.0 + math.exp(v.real)) / abs(v))
+        sign = -1.0 if m % 2 else 1.0
+        g = (sign / math.factorial(m)) * (dh - lw * e)
+        g_size = abs(g)
+        join_err = (dh_err + abs(lw) * e_err) / math.factorial(m)
+        total = 0.0j if m == 0 else 1.0 / s
+    # the power series of w^(-s) lower(s, w) past its k = 0 term 1/s (in
+    # total unless it is the resonant one), and the sizes of its terms
+    size = abs(total)
+    t = 1.0 + 0.0j
+    k = 1
+    while True:
+        t *= -w / k
+        if k != m:
+            r = t / (s + k)
+            total += r
+            ar = abs(r)
+            size += ar
+            if k > abs(w) and ar < _IGAMMA_REL_TOL * (abs(total) + 1.0):
+                break
+        if k > _IGAMMA_SERIES_CAP:
+            raise AccuracyError("incomplete gamma series did not settle",
+                                achieved=abs(t))
+        k += 1
+    if m is None:
+        g = gamma(s)
+        g_size = abs(g) * _gamma_rounding(s)
+    x = s * lw
     lead = cmath.exp(x)
-    return g - lead * total, _series_rounding(
-        abs(g) * _gamma_rounding(s), x, lead, total, size)
+    return g - lead * total, (_series_rounding(g_size, x, lead, total, size)
+                              + join_err)
 
 
 def _igamma_continued_fraction(s, w):
@@ -807,7 +801,7 @@ def _upper_incomplete_gamma(sc, wc):
             # hand the right half-plane to the fraction once |w| allows.
             if wc.real >= 0.0 and aw >= 2.5:
                 return _igamma_continued_fraction(sc, wc)
-            return _igamma_pole_adjacent(sc, wc, m)
+            return _igamma_gseries(sc, wc, m)
         if sc.real < -0.5 and aw > abs(sc.imag):
             # The rescaled ascending series divides by s+1, ..., s+k, and
             # those factors dip near k = -Re s.  Each factor below |w|
@@ -846,9 +840,7 @@ def _upper_incomplete_gamma(sc, wc):
             if abs(tail[1]) <= _IGAMMA_TAIL_TOL * abs(tail[0]):
                 return _igamma_tail(sc, wc, *tail, log_stokes)
     if aw * (1.0 + math.cos(theta)) <= 9.0:
-        if m is not None:
-            return _igamma_pole_adjacent(sc, wc, m)
-        return _igamma_gseries(sc, wc)
+        return _igamma_gseries(sc, wc, m)
     if theta <= 2.9:
         # this close to the axis the fraction can settle on the sum of
         # the divergent tail before it takes in the Stokes term

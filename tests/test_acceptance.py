@@ -102,14 +102,14 @@ def test_criterion_3_integer_exponent_exactness():
     for s_int in (-2, -1, 0, 1, 2, 3):
         for z in (-5.0 + 0j, -10.0 + 0j, 10.0j):
             p = LerchPoint(z, float(s_int), A)
-            rep = eval_integer_s_large_z(p, s_int, 1e-12)
+            rep = eval_integer_s_large_z(p, 1e-12)
             ref = reference_value(p).value
             if abs(rep.value - ref) > 1e-9 * max(1.0, abs(ref)):
                 failures.append(f"S={s_int}, z={z} misses reference")
             if s_int == 0:
                 # the 1e-13 check needs the tail pushed past the default
                 # 1e-12 bound, whose own truncation already exceeds it
-                deep = eval_integer_s_large_z(p, 0, 1e-14)
+                deep = eval_integer_s_large_z(p, 1e-14)
                 if abs(deep.value - 1.0 / (1.0 - z)) > 1e-13:
                     failures.append(f"S=0 closed form off at z={z}")
     _finish("criterion 3: closed forms for integer exponents match the "
@@ -143,8 +143,7 @@ def test_criterion_4_oracle_coherence():
         return eval_near_one(p, n_max=60)
 
     def eng_integer_s(p):
-        s_int = int(p.s.real)
-        return eval_integer_s_large_z(p, s_int, 1e-12)
+        return eval_integer_s_large_z(p, 1e-12)
 
     def eng_main(p):
         return eval_main_theorem(p, 8)

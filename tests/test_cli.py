@@ -102,6 +102,16 @@ def test_eval_integer_s_engine_sums_to_tol():
     (rec,) = json_lines(out)
     ref = reference_value(LerchPoint(-10.0, 2.0, 0.3)).value
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-13
+    # s within 1e-12 of an integer is taken as that integer, as eval_auto
+    # takes it
+    code, near, _ = run_cli(["eval", "--z", "-10,0",
+                             "--s", "2.0000000000001,0", "--a", "0.3,0",
+                             "--engine", "integer-s", "--tol", "1e-14",
+                             "--json"])
+    assert code == 0
+    (rec,) = json_lines(near)
+    assert rec["engine"] == "integer-s"
+    assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-11
 
 
 def test_eval_cut_side_flag():
@@ -125,7 +135,9 @@ def test_usage_errors_exit_1():
            ["sweep", "--mode", "bogus"],
            ["sweep", "--mode", "m-landscape"],                 # missing --z
            ["bogus-command"],
-           [])
+           [],
+           ["eval", "--z", "-5,0", "--s", "0.75,0", "--a", "0.3,0",
+            "--engine", "factorial", "--tol", "inf"])
     for argv in bad:
         code, _, err = run_cli(argv)
         assert code == 1, argv

@@ -113,6 +113,9 @@ def test_direct_at_zero_argument():
         rep = eval_series_direct(LerchPoint(0.0, s, a))
         assert rel_err(rep.value, complex(a) ** -complex(s)) < 1e-15
         assert rep.n_terms == 1
+    # the Abel-Plana form, which eval_auto keeps away from z = 0
+    with pytest.raises(DomainError):
+        eval_abel_plana(LerchPoint(0.0, 2.5, 1.3))
 
 
 def test_direct_known_sums():
@@ -565,17 +568,17 @@ def test_abel_plana_node_tables_under_threads():
 
 
 def test_integer_s_geometric_row():
-    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03), 0, 1e-15)
+    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03), 1e-15)
     assert abs(rep.value - 1.0 / 6.0) < 1e-13
     z = 10.0j
-    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77), 0, 1e-15)
+    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77), 1e-15)
     assert rel_err(rep.value, 1.0 / (1.0 - z)) < 1e-13
 
 
 def test_integer_s_quadratic_closed_form():
     # s = -2 sums (a+n)^2 z^n, a rational function of z
     z, a = 10.0j, 0.31
-    rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a), -2, 1e-15)
+    rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a), 1e-15)
     u = 1.0 - z
     want = a * a / u + 2.0 * a * z / u ** 2 + z * (1.0 + z) / u ** 3
     assert rel_err(rep.value, want) < 1e-12
@@ -585,7 +588,7 @@ def test_integer_s_against_reference():
     for S in (-1, 1, 3):
         for z in (-5.0, 10.0j):
             p = LerchPoint(z, float(S), A03)
-            rep = eval_integer_s_large_z(p, S, 1e-12)
+            rep = eval_integer_s_large_z(p, 1e-12)
             ref = reference_value(p)
             assert abs(rep.value - ref.value) < 1e-9, (S, z)
 
@@ -605,7 +608,7 @@ def test_integer_s_against_reference():
 
     for p in sample(19, 24, draw):
         S = round(p.s.real)
-        rep = eval_integer_s_large_z(p, S, 1e-12)
+        rep = eval_integer_s_large_z(p, 1e-12)
         with mp.workdps(40):
             z = mp.mpc(p.z.real, p.z.imag)
             if p.z.imag == 0.0 and p.z.real > 1.0:
@@ -636,6 +639,13 @@ def test_integer_a_polylog_form_matches_mpmath():
                     assert err <= 1e-13 * abs(ref), (S, k, side)
                 else:
                     assert err <= 1e-10, (S, k, side)
+    # from S = 26 the branch part takes -2 zeta(j) past the Bernoulli
+    # table, j >= 26; against mpmath at 40 digits
+    for z, S, k in ((-50.0, 27, 2), (10j, 30, 1), (-5.0 + 5.0j, 26, 3)):
+        with mp.workdps(40):
+            want = complex(mp.lerchphi(mp.mpc(z), S, k))
+        rep = eval_integer_s_large_z(LerchPoint(z, float(S), float(k)))
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, k)
 
 
 def test_integer_s_estimate_covers_growing_terms():
@@ -665,7 +675,7 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
                     (5.4790327708 - 0.2395280616j, 2, 5.00029)):
         p = LerchPoint(z, float(S), a)
         ref = hp_continuation(z, S, a)
-        rep = eval_integer_s_large_z(p, S, 1e-10)
+        rep = eval_integer_s_large_z(p, 1e-10)
         assert abs(rep.value - ref.value) <= rep.abs_err_estimate, p
         auto = eval_auto(p)
         assert abs(auto.value - ref.value) <= auto.abs_err_estimate, p
@@ -675,16 +685,16 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
 
 
 def test_integer_s_guards():
-    with pytest.raises(ValueError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.5, A03), 2)
+    with pytest.raises(DomainError):
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.5, A03))
     # integer a <= 0 is refused
     with pytest.raises(DomainError):
-        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, -3.0), 2)
+        eval_integer_s_large_z(LerchPoint(-5.0, 2.0, -3.0))
     with pytest.raises(DomainError):
-        eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03), 2)
+        eval_integer_s_large_z(LerchPoint(0.5, 2.0, A03))
     # e^(-aL) = 10^400.3 in the first term of the logarithmic series
     with pytest.raises(ConditioningError):
-        eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3), 2)
+        eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +795,7 @@ def test_symmetric_matches_integral_reference():
 def test_symmetric_handles_integer_s():
     # the pair form stays finite at integer s, unlike the resummed theorem
     rep = eval_symmetric_igamma(LerchPoint(-5.0, 1.0, A03), tol=1e-11)
-    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03), 1, 1e-12)
+    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03), 1e-12)
     assert abs(rep.value - exact.value) < 1e-9
 
 
@@ -800,6 +810,26 @@ def test_symmetric_pairing_beats_one_sided_tail():
         one_sided = _first_sum_term(p, n, L, sigma)
         paired = one_sided + _pair_term(p, n, L, sigma)
         assert abs(paired) < 0.25 * abs(one_sided), n
+
+
+def test_pair_term_in_log_space_matches_mpmath():
+    # past Re w = -600, w = (a - n) L, the pair term is carried in log
+    # space (here z^(-n) is subnormal from n = 103 and 0 from n = 108);
+    # n = 87 is the last before it.  Against -z^(-n) L^s gammastar(s, w)
+    # at 40 digits
+    from lerchphi.engines import _branch_log, _half_turns, _pair_term
+
+    p = LerchPoint(-1000.0, S34, A03)
+    L = _branch_log(p)
+    sigma = _half_turns(p, L)
+    for n in (87, 88, 95, 120):
+        w = (p.a - n) * L
+        assert (w.real < -600.0) == (n > 87)
+        with mp.workdps(40):
+            wm, lm, sm = mp.mpc(w), mp.mpc(L), mp.mpf(S34)
+            star = mp.gammainc(sm, 0, wm) / (mp.gamma(sm) * wm ** sm)
+            want = complex(-mp.mpf(-1000) ** -n * lm ** sm * star)
+        assert rel_err(_pair_term(p, n, L, sigma), want) < 1e-12, n
 
 
 def test_symmetric_cap_warning():
@@ -1085,10 +1115,10 @@ def test_contiguity_integer_s():
     rows = list(zip((-2, -1, 0, 1, 2, 3), sample(227, 6, draw)))
     rows.append((1, (12.0 + 0.0j, 0.4 + 0.0j)))  # on the cut itself
     for S, (z, a) in rows:
-        va = eval_integer_s_large_z(LerchPoint(z, float(S), a), S,
+        va = eval_integer_s_large_z(LerchPoint(z, float(S), a),
                                     1e-13).value
         v1 = eval_integer_s_large_z(LerchPoint(z, float(S), a + 1.0),
-                                    S, 1e-13).value
+                                    1e-13).value
         assert contiguity_gap(va, v1, z, float(S), a) < 1e-8, (S, z, a)
 
 
@@ -1148,9 +1178,9 @@ def test_conjugate_symmetry_all_engines():
           LerchPoint(0.5 + 0.3j, 1.3 - 0.8j, 0.7 + 0.2j))
     check(eval_near_one, LerchPoint(1.2 + 0.4j, 0.8 + 0.5j, 0.6 - 0.1j))
     check(eval_near_one, LerchPoint(1.5, S34, A03, "above"))
-    check(lambda q: eval_integer_s_large_z(q, 2, 1e-13),
+    check(lambda q: eval_integer_s_large_z(q, 1e-13),
           LerchPoint(8.0 + 3.0j, 2.0, 0.4 + 0.2j))
-    check(lambda q: eval_integer_s_large_z(q, 1, 1e-13),
+    check(lambda q: eval_integer_s_large_z(q, 1e-13),
           LerchPoint(9.0, 1.0, 0.35, "above"))
     check(lambda q: eval_main_theorem(q, 6),
           LerchPoint(-30.0 + 8.0j, 0.9 - 0.6j, 0.45))
@@ -1482,7 +1512,7 @@ for z, s, a, tol in {points!r}:
                        "abel_plana", "abel_plana", "abel_plana", "abel_plana"]
 
 
-def test_auto_integer_a_falls_back_to_symmetric():
+def test_auto_integer_a_and_large_a_take_abel_plana():
     # integer a poisons the unsubtracted pair coefficients; the
     # Abel-Plana engine has no such coefficients, and it answers at
     # a = 600 too, a stepped down, where eval_auto once fell back to the
@@ -1501,7 +1531,7 @@ def test_auto_integer_a_falls_back_to_symmetric():
     assert rel_err(gap.value, want) <= 1e-13
 
 
-def test_auto_symmetric_fallback_and_best_effort():
+def test_symmetric_engine_near_e_and_auto_best_effort():
     # |z| between e and 5 leaves the resummed theorem no admissible depth,
     # so the symmetric expansion serves there as an engine; eval_auto
     # takes the Abel-Plana engine at a = 600.3 too, a stepped down

@@ -141,17 +141,11 @@ def test_engine_terminates_at_unit_exponent():
     # s = 1 kills every moment past n = 0, so the series is finite
     p = P(-10.0, s=1.0)
     rep = eval_factorial(p)
-    ref = eval_integer_s_large_z(p, 1, 1e-12)
+    ref = eval_integer_s_large_z(p, 1e-12)
     assert rep.n_terms <= 8
     assert abs(rep.value - ref.value) <= 1e-8
 
 
-def test_engine_skips_series_at_infinite_tol():
-    p = P(-5.0)
-    rep = eval_factorial(p, tol=math.inf)
-    assert rep.n_terms == 0
-    assert rep.value == residue_series(p, 0, half_turns=1)
-    assert "rearranged-part-skipped" in rep.warnings
 
 
 def test_engine_quiet_window_triggers():
@@ -196,8 +190,8 @@ def test_engine_max_terms_cap():
 
 
 def test_residue_series_near_the_unit_circle():
-    # at |z| ~ 1 the sum runs to some 1e5 terms; a 4,000-term cap once
-    # left it 4.0e-7 and 1.3e-4 relative off at these points
+    # a 4,000-term cap once left the sum 4.0e-7 and 1.3e-4 relative off
+    # at these points, where it now comes from the Abel-Plana engine
     for z, N in ((1.002 * cmath.exp(2j), 0), (-1.001, 5)):
         with mp.workdps(30):
             zm, sm, am = mp.mpc(z), mp.mpf(S34), mp.mpf(A03)
@@ -209,9 +203,11 @@ def test_residue_series_near_the_unit_circle():
 
 
 def test_engine_near_the_unit_circle():
-    # the residue series once stopped 1.8e-5, 1.3e-4 and 4.7e-7 short
-    # here, under an estimate of 1.6e-10
-    for z in (-1.001, -1.0005, 1.002j):
+    # the residue series once stopped 1.8e-5, 1.3e-4 and 4.7e-7 short at
+    # the first three points, under an estimate of 1.6e-10; at the last
+    # two its defining series at 1/z hit the term cap, which the
+    # Abel-Plana engine at 1/z, taken inside |z| = 1/0.9, does not have
+    for z in (-1.001, -1.0005, 1.002j, -1.00001, 1.00001j):
         p = P(z)
         rep = eval_factorial(p)
         ref = reference_value(p)
@@ -228,6 +224,9 @@ def test_engine_preconditions():
         eval_factorial(P(-5.0, a=2.0000001))
     with pytest.raises(ConditioningError):
         eval_factorial(P(-5.0, a=1.0))
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            eval_factorial(P(-5.0), tol=tol)
 
 
 # ------------------------------------------------------------------ trace
