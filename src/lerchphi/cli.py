@@ -341,7 +341,7 @@ def _sweep_m_landscape(args, rows):
 
 def _sweep_z_scaling(args, rows):
     N = args.n if args.n is not None else _SHOWCASE_N
-    z = args.z_base
+    z = args.z if args.z is not None else -5 + 0j
     for _ in range(args.count):
         p = LerchPoint(z, args.s, args.a, args.cut_side)
         ref = _safe_reference(p)
@@ -462,10 +462,9 @@ def build_parser():
                     help="largest depth in terms-vs-error")
     ps.add_argument("--m-max", type=int, default=None,
                     help="largest logarithmic depth in m-landscape")
-    ps.add_argument("--z-base", type=_complex_flag, metavar="RE,IM",
-                    default=-5 + 0j, help="ray start for z-scaling")
     ps.add_argument("--factor", type=float, default=2.0,
-                    help="ray multiplier for z-scaling")
+                    help="ray multiplier for z-scaling, whose ray starts "
+                         "at --z (default -5,0)")
     ps.add_argument("--count", type=int, default=None,
                     help="points on the ray (z-scaling, default 4) or "
                          "trace length (factorial-trace, default 60)")

@@ -3,9 +3,10 @@
 Small |z| is the defining series.  Past |z| = 0.9, and where the series
 misses the target, eval_auto uses the Abel-Plana summation of the
 defining series (one incomplete gamma and one quadrature, any z != 0
-and any s), which past |z| = 1 shifts a down where Gamma(1-s, -a ln z)
-would leave the double range, moving the residue terms
-z^(-k) (a-k)^(-s) into its head; integer s past |z| = e has an exact
+and any s), which carries its incomplete gamma in log space past the
+double range, as the mirror terms do, and past |z| = 1 takes one step
+a -> a - 1 where that moves the value, about -(a-1)^(-s)/z at huge |z|,
+into its head; integer s past |z| = e has an exact
 closed form (the polylogarithm's inversion formula at integer a), its
 residue series summed by the small-|z| series' loop at 1/z.  The other
 engines: the branch-point expansion in powers of ln z around z = 1;
@@ -31,14 +32,18 @@ from ._types import EngineReport, LerchPoint
 from .coefficients import (_COUNT_CAP, _alternating_power_sums,
                            csc_coefficients, csc_coefficients_subtracted)
 from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (_BERNOULLI, _abel_plana_integral, _log_neg,
-                             _near_gamma_pole, _scaled_igamma_asymptotic,
+from .special_kernel import (_BERNOULLI, _abel_plana_integral,
+                             _igamma_tail_err, _log_neg, _near_gamma_pole,
+                             _scaled_igamma_asymptotic, _settled_igamma_tail,
                              _upper_incomplete_gamma_and_err, gamma,
                              gamma_star, hurwitz_zeta, log_gamma,
                              reciprocal_gamma, upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
-# past this |Re w| the incomplete-gamma factors are carried in log space
+# the log-space switch of the incomplete-gamma factors: the mirror terms
+# go to the scaled tail past Re w = +/- this (so |w| is large too); the
+# Abel-Plana Gamma term where one of its two exponents passes it and the
+# kernel's tail route serves at its w (_settled_igamma_tail)
 _LOG_SPACE_W = 600.0
 _DIRECT_CAP = 10 ** 6
 # rounding of the direct series in ulps of the sum of its terms' sizes;
@@ -69,9 +74,6 @@ _SUM_ULPS = 64.0 * 2.0 ** -52
 # under the error (worst err/bound 0.32), while 128 ulps of the sizes
 # alone, without it, missed at 53 draws by up to 15.7x.
 _AP_GAMMA_ULPS = 8.0 * 2.0 ** -52
-# eval_abel_plana steps a down while log |Gamma(1-s, -aL)| or
-# -log |e^(-aL) (-L)^(s-1)| is past this
-_AP_LOG_MAX = 600.0
 
 
 def _near_integer(s, tol=1e-12):
@@ -287,33 +289,62 @@ def _abel_plana_gamma_term(p, s, a, L):
     The kernel's error is the bound of the route it takes (the rounding
     of what that route sums and subtracts, and what it truncates), plus
     _AP_GAMMA_ULPS of the sizes a subtraction route cancels from.
+
+    Where the exponent of e^(-aL) (-L)^(s-1), or of the kernel's
+    w^(1-s) e^(-w), is past +/- _LOG_SPACE_W and the kernel's own tail
+    route serves at (1-s, w) (_settled_igamma_tail), the term is carried
+    in log space, as the mirror terms are: Gamma(1-s, w) = e^(-w) w^(-s) T,
+    T the scaled tail, and e^(-aL) e^(-w) = 1, so the term is
+    (-L)^(s-1) w^(-s) T, with the error of the kernel's tail route
+    (_igamma_tail_err) against that front.  Elsewhere the kernel branch
+    runs, and a factor past the double range is a ConditioningError.  On
+    either branch, where the front alone would underflow (exponent below
+    -_LOG_SPACE_W), the log of the Gamma factor is folded into it.
     """
     log_neg_l = _log_neg(L, p.cut_side)
     w = -a * L
     if w.imag == 0.0:
         w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
-    upper, err = _upper_incomplete_gamma_and_err(1.0 - s, w)
     ln_w = cmath.log(w)
-    sizes = abs(upper) + abs(cmath.exp((1.0 - s) * ln_w - w))
-    if _near_gamma_pole(1.0 - s) is None:
-        sizes += abs(gamma(1.0 - s))
-    err += _AP_GAMMA_ULPS * sizes
+    expo = w + (s - 1.0) * log_neg_l  # of e^(-aL) (-L)^(s-1)
+    lead = (1.0 - s) * ln_w - w  # of the kernel's w^(1-s) e^(-w)
+    tail = (_settled_igamma_tail(1.0 - s, w) if max(
+        abs(expo.real), abs(lead.real)) > _LOG_SPACE_W else None)
+    if tail is not None:
+        upper, last, size, log_stokes = tail
+        expo = (s - 1.0) * log_neg_l - s * ln_w
+        err = _igamma_tail_err(upper, last, size, log_stokes, expo,
+                               _AP_GAMMA_ULPS)
+    else:
+        upper, err = _upper_incomplete_gamma_and_err(1.0 - s, w)
+        sizes = abs(upper) + abs(cmath.exp(lead))
+        if _near_gamma_pole(1.0 - s) is None:
+            sizes += abs(gamma(1.0 - s))
+        err += _AP_GAMMA_ULPS * sizes
     k = round((cmath.phase(a) + log_neg_l.imag - ln_w.imag) / _TWO_PI)
     if k:
         turn = cmath.exp(1j * math.pi * k * (1.0 - s))
         jump = _TWO_PI * 1j * k * turn * reciprocal_gamma(s)
+        ulps = _AP_ULPS
+        if tail is not None and jump:
+            # against T's scale e^(-w) w^(-s); e^x rounds like |x| ulps
+            x = cmath.log(jump) + w + s * ln_w
+            jump = cmath.exp(x)
+            ulps += _AP_GAMMA_ULPS * abs(x)
         upper = turn * turn * upper - jump
-        err = abs(turn) ** 2 * err + _AP_ULPS * abs(jump)
-    expo = -a * L + (s - 1.0) * log_neg_l
-    if expo.real > 709.0:
-        raise ConditioningError("e^(-aL) (-L)^(s-1) is past the double "
-                                f"range at a = {a}, s = {s}")
+        err = abs(turn) ** 2 * err + ulps * abs(jump)
+    if upper and expo.real < -_LOG_SPACE_W:  # e^expo alone may underflow
+        expo += cmath.log(upper)
+        upper, err = 1.0, err / abs(upper) + _AP_GAMMA_ULPS * abs(expo)
     front = cmath.exp(expo)
     value = front * upper
-    err = abs(front) * err + _AP_ULPS * abs(value)
-    if abs(front) < 1e-300 and upper:  # what its underflow loses
-        err += math.exp(min(expo.real + math.log(abs(upper)), 700.0))
-    return value, err
+    return value, abs(front) * err + _AP_ULPS * abs(value)
+
+
+def _shift_ready(a):
+    # Re a > 0, and Re a >= 1 at complex a: one of (a +/- it)^(-s) has its
+    # branch point Re a from the Abel-Plana integral's path
+    return a.real > 0.0 and (not a.imag or a.real >= 1.0)
 
 
 def eval_abel_plana(p):
@@ -324,55 +355,42 @@ def eval_abel_plana(p):
             + i int_0^oo [f(it) - f(-it)] / (e^(2 pi t) - 1) dt,
     the integral by the kernel's _abel_plana_integral, which at L = 0 is
     Hermite's for zeta(s, a).  The Gamma term is continued along the
-    integral path (_abel_plana_gamma_term); on the cut arg(-L) is set by
-    the point's side, as in log_neg_z.  Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1)
-    shifts a up out of Re a <= 0, and a complex a to Re a >= 1 (one of
-    (a +/- it)^(-s) has its branch point Re a from the path); past |z| = 1
-    it shifts a down while Re a > 1 and a factor of the Gamma term would
-    leave the double range (_AP_LOG_MAX), which at huge |z| leaves most of
-    the value in the head z^(-k) (a-k)^(-s).  The estimate covers the
-    quadrature's change and the rounding of the integral of |integrand|,
-    the head, a^(-s)/2 and the Gamma term, so their cancellation against
-    the result.  n_terms counts integrand evaluations.  The value is
-    exactly real on the real axis left of the cut at real s and a > 0.
-    ConditioningError where a factor or the value is past the double
-    range and the shift cannot mend it.
+    integral path, in log space past the double range
+    (_abel_plana_gamma_term); on the cut arg(-L) is set by the point's
+    side, as in log_neg_z.  Phi(z,s,a) = a^(-s) + z Phi(z,s,a+1) shifts a
+    up out of Re a <= 0, and a complex a to Re a >= 1 (_shift_ready).
+    Past |z| = 1 it takes one step down, to a - 1, where that point is
+    ready too and twice the head term z^(-1) (a-1)^(-s) it adds (once in
+    the head, once as the scale of the pieces at a - 1) is below the
+    a^(-s)-sized pieces it replaces: at huge |z| the value, about
+    -(a-1)^(-s)/z, then sits in the head, not in a cancellation.  The
+    estimate covers the quadrature's change and the rounding of the
+    integral of |integrand|, the head, a^(-s)/2 and the Gamma term, so
+    their cancellation against the result.  n_terms counts integrand
+    evaluations.  The value is exactly real on the real axis left of the
+    cut at real s and a > 0.  ConditioningError where a piece or the
+    value is past the double range.
     """
     z, s, a = p.z, p.s, p.a
     if z == 0.0:
         raise DomainError("Abel-Plana form needs z != 0")
     L = cmath.log(z)
-    head = 0.0j
-    head_size = 0.0
-    zk = 1.0 + 0.0j
+    head, head_size, zk = 0.0j, 0.0, 1.0 + 0.0j
     try:
-        while a.real <= 0.0 or (a.imag and a.real < 1.0):
+        while not _shift_ready(a):
             term = zk * a ** -s
             head += term
             head_size += abs(term)
             zk *= z
             a += 1.0
-        while L.real > 0.0 and a.real > 1.0:
-            w = a * L
-            if w.real - min(s.real * math.log(abs(w)),
-                            (s.real - 1.0) * math.log(abs(L))) <= _AP_LOG_MAX:
-                break
+        if (L.real > 0.0 and _shift_ready(a - 1.0) and
+                (s * cmath.log(a / (a - 1.0))).real < L.real - math.log(2.0)):
             zk /= z
-            if not zk:
-                # z^(-K) underflowed: it zeroes every later head term,
-                # and the pieces at the final a with them
-                break
             a -= 1.0
             term = zk * a ** -s
             head -= term  # weighted below: a^(-s) rounds like s ln a
             head_size += abs(term) * (1.0 + abs(s * cmath.log(a)) / 64.0)
-        half = 0.5 * a ** -s if zk else 0.0
-    except OverflowError:
-        raise ConditioningError("a^(-s) is past the double range at "
-                                f"a = {a}, s = {s}") from None
-    if not zk:
-        gterm = gterm_err = integral = quad_err = mass = evals = 0
-    else:
+        half = 0.5 * a ** -s
         if L == 0.0:
             # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
             gterm = a ** (1.0 - s) / (s - 1.0)
@@ -380,6 +398,9 @@ def eval_abel_plana(p):
         else:
             gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
         integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
+    except OverflowError:
+        raise ConditioningError("a piece of the Abel-Plana form is past the "
+                                f"double range at a = {a}, s = {s}") from None
     value = head + zk * (half + gterm + integral)
     if (z.imag == 0.0 and not p.on_cut and s.imag == 0.0
             and p.a.imag == 0.0 and p.a.real > 0.0):
@@ -449,7 +470,9 @@ def eval_integer_s_large_z(p, tol=1e-10):
     terms before it, and z^(-k-1) Phi(1/z, S, 1) past it, summed to
     double precision.  The estimate is the series' own plus the rounding
     of the other terms, which near an integer a cancel: the branch part
-    against the residue term n ~ a.
+    against the residue term n ~ a.  ConditioningError where a term, the
+    value or the estimate is past the double range, or S is past the
+    coefficient tables' _COUNT_CAP.
     """
     if not _near_integer(p.s):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
@@ -463,40 +486,55 @@ def eval_integer_s_large_z(p, tol=1e-10):
     size = 0.0  # of the terms, for their rounding
     rounding = 0.0
     zinv = 1.0 / z
-    if S >= 1 and _near_integer(a, 0.0):
-        k = round(a.real)
-        z_k = z ** -k
-        branch, size = _polylog_branch(S, L)
-        branch *= z_k
-        size *= abs(z_k)
-        head = [zinv ** n * float(n - k) ** -S for n in range(1, k)]
-        size += sum(map(abs, head))
-        scale = az ** -(k + 1)  # 0 once it underflows
-        # Li_S(1/z) to double precision, or to tol where that is tighter
-        sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
-        tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
-        tail = sum(head, z_k * zinv * tail)
-        est *= scale
-        n_terms += k - 1
-    else:
-        if S >= 1:
-            terms = _log_series_terms(p, L, csc_coefficients(a, S).values)
-            for m, t in enumerate(terms):
-                if t is not None:
-                    branch += t
-                    rounding += (m + 1) * abs(t)
-            # near an integer a the coefficients carry the rounding of a
-            # itself, |a| / dist(a, Z) ulps, and the recurrence adds to it
-            # order by order
-            rounding *= _SUM_ULPS * (1.0 + abs(a) / abs(a - round(a.real)))
-        tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a, tol * az)
-        tail *= zinv
-        est /= az
+    try:
+        if S >= 1 and _near_integer(a, 0.0):
+            k = round(a.real)
+            z_k = z ** -k
+            branch, size = _polylog_branch(S, L)
+            branch *= z_k
+            size *= abs(z_k)
+            head = [zinv ** n * float(n - k) ** -S for n in range(1, k)]
+            size += sum(map(abs, head))
+            scale = az ** -(k + 1)  # 0 once it underflows
+            # Li_S(1/z) to double precision, or to tol where that is
+            # tighter
+            sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
+            tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
+            tail = sum(head, z_k * zinv * tail)
+            est *= scale
+            n_terms += k - 1
+        else:
+            if S > _COUNT_CAP:
+                raise ConditioningError(f"the logarithmic series at S = {S} "
+                                        f"is past the {_COUNT_CAP} "
+                                        "coefficients the tables hold")
+            if S >= 1:
+                terms = _log_series_terms(p, L,
+                                          csc_coefficients(a, S).values)
+                for m, t in enumerate(terms):
+                    if t is not None:
+                        branch += t
+                        rounding += (m + 1) * abs(t)
+                # near an integer a the coefficients carry the rounding of
+                # a itself, |a| / dist(a, Z) ulps, and the recurrence adds
+                # to it order by order
+                rounding *= _SUM_ULPS * (1.0 + abs(a)
+                                         / abs(a - round(a.real)))
+            tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a,
+                                             tol * az)
+            tail *= zinv
+            est /= az
+    except OverflowError:
+        raise ConditioningError("a term of the integer-s closed form is past "
+                                f"the double range at S = {S}") from None
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
     # the rounding of terms that can cancel: the residue series against
     # the branch part near an integer a, and the polylogarithm form's
     est += _POLYLOG_ULPS * size + rounding
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise ConditioningError("the integer-s closed form is past the "
+                                f"double range at S = {S}, a = {a}")
     return EngineReport(value, est, n_terms, max(S, 0), "integer_s")
 
 
@@ -711,7 +749,8 @@ def eval_auto(p, target_tol=1e-10):
     The direct series inside |z| <= 0.9, and the closed form at integer s
     past |z| = e (at integer a, the polylogarithm's), answer where their
     estimates, rounding included, meet target_tol (relative past
-    magnitude 1).  Every other point goes to the Abel-Plana engine, which
+    magnitude 1); a closed form that raises ConditioningError misses it
+    too.  Every other point goes to the Abel-Plana engine, which
     answers to about double precision or raises ConditioningError; its
     report carries "target-tol-unmet" where it misses the target.
     """
@@ -722,10 +761,14 @@ def eval_auto(p, target_tol=1e-10):
         if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
             return rep
     elif az >= math.e and _near_integer(s):
-        rep = eval_integer_s_large_z(p, target_tol)
-        # near an integer a the branch part and residue series cancel
-        if _meets_target(rep, target_tol):
-            return rep
+        # near an integer a the branch part and residue series cancel; a
+        # ConditioningError is a miss too
+        try:
+            rep = eval_integer_s_large_z(p, target_tol)
+            if _meets_target(rep, target_tol):
+                return rep
+        except ConditioningError:
+            pass
     rep = eval_abel_plana(p)
     return rep if _meets_target(rep, target_tol) else rep._replace(
         warnings=rep.warnings + ("target-tol-unmet",))

@@ -707,15 +707,37 @@ def _scaled_igamma_asymptotic(s, w):
     return total, term, size
 
 
+def _settled_igamma_tail(s, w):
+    # The scaled tail of Gamma(s, w), (T, last, size, log_stokes), where
+    # it serves: |w| past 45 + 2.5 max(0, -Re s), and the Stokes term it
+    # leaves out and its last term both under _IGAMMA_TAIL_TOL of T;
+    # None elsewhere (its terms grow before they fall at |s| past |w|)
+    aw = abs(w)
+    if aw <= 45.0 + 2.5 * max(0.0, -s.real):
+        return None
+    log_stokes = _log_stokes_term(s, aw)
+    if log_stokes >= math.log(_IGAMMA_TAIL_TOL):
+        return None
+    tail = _scaled_igamma_asymptotic(s, w)
+    if abs(tail[1]) > _IGAMMA_TAIL_TOL * abs(tail[0]):
+        return None
+    return tail + (log_stokes,)
+
+
+def _igamma_tail_err(tail, last, size, log_stokes, x, ulps):
+    # the error of e^x T from the scaled tail T, in units of |e^x|: the
+    # last term taken, the Stokes term left out and the rounding of the
+    # sum and of e^x
+    return (abs(last) + math.exp(min(log_stokes, 700.0))
+            + ulps * (size + abs(x) * abs(tail)))
+
+
 def _igamma_tail(s, w, tail, last, size, log_stokes):
-    # Gamma(s, w) from the scaled tail, and its error: the last term
-    # taken, the Stokes term left out and the rounding of the sum and of
-    # e^x, x = (s-1) ln w - w
+    # Gamma(s, w) = e^x T, x = (s-1) ln w - w, and its error
     x = (s - 1.0) * cmath.log(w) - w
     lead = cmath.exp(x)
-    return lead * tail, abs(lead) * (
-        abs(last) + math.exp(min(log_stokes, 700.0))
-        + _IGAMMA_ULPS * (size + abs(x) * abs(tail)))
+    return lead * tail, abs(lead) * _igamma_tail_err(
+        tail, last, size, log_stokes, x, _IGAMMA_ULPS)
 
 
 def _log_stokes_term(s, aw):
@@ -725,8 +747,9 @@ def _log_stokes_term(s, aw):
     # vanishes at positive integer s and grows like e^(pi |Im s| / 2).
     try:
         rg = abs(reciprocal_gamma(1.0 - s))
-    except ConditioningError:
-        return math.inf
+    except ConditioningError:  # past the double range: its log instead
+        return (math.log(math.pi) - log_gamma(1.0 - s).real
+                + (1.0 - s.real) * math.log(aw) - aw)
     if rg == 0.0:
         return -math.inf
     return math.log(math.pi * rg) + (1.0 - s.real) * math.log(aw) - aw
@@ -832,13 +855,9 @@ def _upper_incomplete_gamma(sc, wc):
     # (|Im s| large against |w|).  Elsewhere pick by predicted ulp loss:
     # the subtracted series loses e^{|w|(1 + cos arg w)} and the fraction
     # is clean through arg 2.9; past that the tail is the last resort.
-    tail = None
-    if aw > 45.0 + 2.5 * max(0.0, -sc.real):
-        log_stokes = _log_stokes_term(sc, aw)
-        if log_stokes < math.log(_IGAMMA_TAIL_TOL):
-            tail = _scaled_igamma_asymptotic(sc, wc)
-            if abs(tail[1]) <= _IGAMMA_TAIL_TOL * abs(tail[0]):
-                return _igamma_tail(sc, wc, *tail, log_stokes)
+    tail = _settled_igamma_tail(sc, wc)
+    if tail is not None:
+        return _igamma_tail(sc, wc, *tail)
     if aw * (1.0 + math.cos(theta)) <= 9.0:
         return _igamma_gseries(sc, wc, m)
     if theta <= 2.9:
@@ -847,9 +866,8 @@ def _upper_incomplete_gamma(sc, wc):
         value, err = _igamma_continued_fraction(sc, wc)
         stokes = math.exp(min(_log_stokes_term(sc, aw), 700.0))
         return value, err + abs(value) * stokes
-    if tail is None:
-        tail = _scaled_igamma_asymptotic(sc, wc)
-    return _igamma_tail(sc, wc, *tail, _log_stokes_term(sc, aw))
+    return _igamma_tail(sc, wc, *_scaled_igamma_asymptotic(sc, wc),
+                        _log_stokes_term(sc, aw))
 
 
 def gamma_star(s, w):

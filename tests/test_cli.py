@@ -196,14 +196,29 @@ def test_domain_errors_exit_2():
 
 
 def test_gamma_term_past_the_double_range_exits_2():
-    # e^(-aL) (-L)^(s-1) overflows: a one-line conditioning error
-    for z, s, a in (("0.95,0", "0.75,0", "20000.3,0"),
-                    ("-7.39e19,0", "195.19,3.28", "0.861,0")):
-        code, out, err = run_cli(["eval", "--z", z, "--s", s, "--a", a])
-        assert code == 2, z
-        assert out == ""
-        assert err.startswith("lerchphi: conditioning error: ")
-        assert err.count("\n") == 1
+    # e^(-aL) (-L)^(s-1) overflows, and the scaled tail of the log-space
+    # form does not settle: a one-line conditioning error
+    code, out, err = run_cli(["eval", "--z", "-7.39e19,0", "--s",
+                              "195.19,3.28", "--a", "0.861,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lerchphi: conditioning error: ")
+    assert err.count("\n") == 1
+
+
+def test_eval_engine_flags_against_the_oracle():
+    # each engine --engine names answers within its own estimate of the
+    # oracle's value, the comparison expansion too, at its floor
+    for z, engine in (("0.5,0", "direct"), ("-5,0", "abel-plana"),
+                      ("-5,0", "fl"), ("-5,0", "oracle")):
+        code, out, _ = run_cli(["eval", "--z", z, "--s", "0.75,0", "--a",
+                                "0.3,0", "--engine", engine, "--json"])
+        assert code == 0, engine
+        (rec,) = json_lines(out)
+        assert rec["engine"] == engine
+        ref = reference_value(LerchPoint(float(z.split(",")[0]), 0.75, 0.3))
+        got = complex(rec["value_re"], rec["value_im"])
+        assert abs(got - ref.value) <= rec["est_err"] + ref.err_bar, engine
 
 
 def test_eval_band_past_re_s_97():
@@ -299,15 +314,17 @@ def test_sweep_m_landscape_bottoms_near_the_pick():
 
 
 def test_sweep_z_scaling_stays_bounded():
-    code, out, _ = run_cli(["sweep", "--mode", "z-scaling", "--json"])
-    assert code == 0
-    rows = json_lines(out)
-    scaled = [r for r in rows if r["param_name"] == "scaled_remainder"]
-    assert len(scaled) == 4
-    assert [r["param_value"] for r in scaled] == \
-        ["-5,0", "-10,0", "-20,0", "-40,0"]
-    assert all(0.0 < r["value_re"] < 1.0 for r in scaled)
-    assert all("abs_err_vs_reference" not in r for r in scaled)
+    # the ray starts at --z, or at -5,0 without it
+    for start, ray in (([], ["-5,0", "-10,0", "-20,0", "-40,0"]),
+                       (["--z", "-8,0"], ["-8,0", "-16,0", "-32,0", "-64,0"])):
+        code, out, _ = run_cli(["sweep", "--mode", "z-scaling", "--json"]
+                               + start)
+        assert code == 0
+        rows = json_lines(out)
+        scaled = [r for r in rows if r["param_name"] == "scaled_remainder"]
+        assert [r["param_value"] for r in scaled] == ray
+        assert all(0.0 < r["value_re"] < 1.0 for r in scaled)
+        assert all("abs_err_vs_reference" not in r for r in scaled)
 
 
 def test_sweep_z_scaling_csv_format():
@@ -338,12 +355,16 @@ def test_sweep_factorial_trace():
 
 
 def test_sweep_terms_vs_error_main_converges():
-    code, out, _ = run_cli(["sweep", "--mode", "terms-vs-error",
-                            "--z", "-5,0", "--depth-max", "6", "--json"])
-    assert code == 0
-    errs = [r["abs_err_vs_reference"] for r in json_lines(out)]
-    assert len(errs) == 6
-    assert errs[-1] < 1e-2 * errs[0]
+    # the symmetric expansion's error falls once its six averaging
+    # levels fill, past N_max = 6
+    for engine, depth in (("main", 6), ("symmetric", 8)):
+        code, out, _ = run_cli(["sweep", "--mode", "terms-vs-error",
+                                "--z", "-5,0", "--engine", engine,
+                                "--depth-max", str(depth), "--json"])
+        assert code == 0
+        errs = [r["abs_err_vs_reference"] for r in json_lines(out)]
+        assert len(errs) == depth
+        assert errs[-1] < 1e-2 * errs[0]
 
 
 def test_sweep_terms_vs_error_fl_diverges():

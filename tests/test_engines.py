@@ -26,7 +26,8 @@ from lerchphi.engines import (
     eval_symmetric_igamma,
     remainder_estimate,
 )
-from lerchphi.errors import AccuracyError, ConditioningError, DomainError
+from lerchphi.errors import (AccuracyError, ConditioningError, DomainError,
+                             LerchError)
 from lerchphi.oracle import (hp_continuation, hp_series, quad_integral,
                              reference_value)
 from lerchphi.special_kernel import hurwitz_zeta
@@ -45,9 +46,17 @@ PHI_HALF_2_1 = 1.1644810529300250118
 NEAR_ONE_LIMIT_Z1M6 = 113.29627935124659
 
 # a point of the Abel-Plana engine's former gap past e: |a ln z| ~ 800,
-# where Gamma(1 - s, -a ln z) leaves the double range unless a is
-# stepped down
+# where Gamma(1 - s, -a ln z) leaves the double range and the engine
+# carries it in log space
 GAP_Z, GAP_S, GAP_A = 2e9 + 1e9j, 0.75 + 0.5j, 37.3
+
+# points where the Abel-Plana engine's Gamma term is past the double
+# range and goes to log space, with no kernel call
+LOG_SPACE_POINTS = (
+    LerchPoint(0.95, 0.75, 20000.3),
+    LerchPoint(4.13 - 3.78j, -26.5 + 29.9j, 267.8),
+    LerchPoint(cmath.rect(1e7, -2.0), 0.75 + 0.5j, 40.0 + 10.0j),
+    LerchPoint(cmath.rect(1e5, -1.0), 1.5, 60.0 + 12.0j))
 
 # one-sided limit onto the cut at z = 10, s = 3/4, a = 0.3 approached from
 # above; frozen from the reference suite (offset 1e-6, drift there ~5e-8)
@@ -418,8 +427,10 @@ def test_abel_plana_estimate_is_honest_on_seeded_points():
 def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
     # the Gamma term's rounding bound comes from the kernel's route, so
     # each point evaluates Gamma(1 - s, -aL) once (twice before, with the
-    # recurrence gauge), and none at z = 1, where the term is closed; at
-    # the band point the estimate still covers the error
+    # recurrence gauge), and none at z = 1, where the term is closed, or
+    # at the gap point and LOG_SPACE_POINTS, where the term is carried in
+    # log space from the scaled tail; at the band point the estimate
+    # still covers the error
     calls = []
     kernel = special_kernel._upper_incomplete_gamma
 
@@ -430,8 +441,9 @@ def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
     monkeypatch.setattr(special_kernel, "_upper_incomplete_gamma", counted)
     band = LerchPoint(-0.28867 + 0.95968j, 2.05279 + 0.21746j, 1.17260)
     past_e = LerchPoint(-14.06 - 3.35j, 5.07 + 0.98j, 1.54)
-    for p, n in ((band, 1), (past_e, 1), (LerchPoint(GAP_Z, GAP_S, GAP_A), 1),
-                 (LerchPoint(1.0, 2.5, 0.7), 0)):
+    for p, n in ((band, 1), (past_e, 1), (LerchPoint(GAP_Z, GAP_S, GAP_A), 0),
+                 (LerchPoint(1.0, 2.5, 0.7), 0)) + tuple(
+                     (p, 0) for p in LOG_SPACE_POINTS):
         calls.clear()
         eval_abel_plana(p)
         assert len(calls) == n, p
@@ -442,16 +454,84 @@ def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
     assert rep.abs_err_estimate <= 1e-10 * max(1.0, abs(want))
 
 
-def test_abel_plana_stops_stepping_once_z_to_the_minus_k_underflows():
-    # past the underflow of z^(-K) every later head term is 0, and so
-    # are the Gamma term and the integral at the final a: neither is
-    # computed (stepping on took 545 integrand evaluations here), and the
-    # value and estimate are bit for bit what stepping on gave
-    rep = eval_abel_plana(LerchPoint(-1.18e9 - 1.50e9j, 98.3 + 22.0j, 1012.8))
-    assert (repr(rep.value)
-            == "(-1.4429626689499165e-305-1.5009863306298206e-305j)")
-    assert repr(rep.abs_err_estimate) == "3.518365e-318"
-    assert rep.n_terms == 0
+def test_abel_plana_past_the_double_range_at_large_a_and_huge_z():
+    # a ln|z| near 2.2e4: the Gamma term in log space after one step
+    # down, and a value near 1e-305; against the quadrature
+    p = LerchPoint(-1.18e9 - 1.50e9j, 98.3 + 22.0j, 1012.8)
+    rep = eval_abel_plana(p)
+    ref = quad_integral(p.z, p.s, p.a)
+    assert abs(rep.value - ref.value) <= rep.abs_err_estimate + ref.err_bar
+    assert rel_err(rep.value, ref.value) <= 1e-13
+
+
+def test_abel_plana_gamma_term_in_log_space():
+    # where e^(-aL) (-L)^(s-1) or the kernel's w^(1-s) e^(-w) leaves the
+    # double range, the Gamma term is (-L)^(s-1) w^(-s) T from the scaled
+    # tail T: at |z| < 1, where e^(-aL) is e^1026; where only
+    # w^(1-s) e^(-w) overflows, at Re w = -459; and one turn past the
+    # principal branch (arg a + arg(-L) > pi), where the continuation's
+    # jump is carried against T's scale e^(-w) w^(-s)
+    p_in, p_x, *turned = LOG_SPACE_POINTS
+    for p in turned:
+        assert cmath.phase(p.a) + cmath.phase(-cmath.log(p.z)) > math.pi
+    cases = ([(p_in, hp_series, 1e-14), (p_x, hp_continuation, 1e-12)]
+             + [(p, quad_integral, 1e-14) for p in turned])
+    # Where an exponent passes 600 only because |w| = |a ln z| is small
+    # against Re s, the tail does not serve and the kernel branch runs:
+    # at s = 86, a = 0.5 just inside and outside |z| = 1 (the tail there
+    # once gave 7.7e28 for 7.7e25), and where e^(-aL) (-L)^(s-1) alone
+    # would underflow (e^-916 at z = e^-0.01, s = 200.5), so its
+    # Gamma(1-s, w) is folded into the exponent
+    cases += [(LerchPoint(1.001, 86.0, 0.5), hp_continuation, 1e-14)]
+    cases += [(p, quad_integral, 1e-14)
+              for p in (LerchPoint(0.999, 86.0, 0.5),
+                        LerchPoint(math.exp(-0.01), 200.5, 10.0),
+                        LerchPoint(0.995, 150.0, 3.0))]
+    for p, oracle, rel in cases:
+        rep = eval_auto(p)
+        assert rep.engine == "abel_plana", p
+        ref = oracle(p.z, p.s, p.a)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
+        assert rel_err(rep.value, ref.value) <= rel, p
+
+
+def test_auto_estimate_is_honest_at_huge_z():
+    # real a > 1 at |z| = 1e3 to 1e14: one step down to a - 1 puts the
+    # value, about -(a-1)^(-s)/z, in the head, so the relative digits
+    # stay (the stepping that went before lost them from |z| ~ 1e3, to
+    # 2e-3 relative at 1e14); against the quadrature
+    def draw_real_a(rng):
+        z = cmath.rect(10.0 ** rng.uniform(3.0, 14.0),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        return LerchPoint(z, complex(rng.uniform(0.1, 6.0),
+                                     rng.uniform(-6.0, 6.0)),
+                          rng.uniform(1.02, 4.0))
+
+    for p in sample(2323, 16, draw_real_a):
+        rep = eval_auto(p)
+        ref = quad_integral(p.z, p.s, p.a)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
+        assert rel_err(rep.value, ref.value) <= 1e-13, p
+
+    # complex a with 1.3 < Re a < 2 at |z| = 1e150 to 1e300, where a - 1
+    # would leave Re a >= 1 and the step is not taken: the pieces at a
+    # carry no relative digits of the value, but the estimate says so.
+    # There -(a-1)^(-s)/z is the value to far below double precision
+    # (the next terms are |z|^(-Re a + 1) and 1/|z| smaller); stepping
+    # below Re a = 1 once put the 11th draw 2.6 times past its estimate
+    def draw_corner(rng):
+        z = cmath.rect(10.0 ** rng.uniform(150.0, 300.0),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        a = complex(rng.uniform(1.3, 2.0), rng.uniform(-2.0, 2.0))
+        return LerchPoint(z, complex(rng.uniform(0.1, 6.0),
+                                     rng.uniform(-6.0, 6.0)), a)
+
+    for p in sample(17, 12, draw_corner):
+        rep = eval_auto(p)
+        want = -(p.a - 1.0) ** -p.s / p.z
+        assert abs(rep.value - want) <= rep.abs_err_estimate, p
 
 
 def _geometric_ray(arg, lo=math.e, hi=1000.0, count=12):
@@ -695,6 +775,56 @@ def test_integer_s_guards():
     # e^(-aL) = 10^400.3 in the first term of the logarithmic series
     with pytest.raises(ConditioningError):
         eval_integer_s_large_z(LerchPoint(-10.0, 2.0, -400.3))
+
+
+def test_integer_s_raises_only_typed_errors():
+    # a residue-series term past the double range, S past the 200
+    # coefficients of the tables, and an estimate that overflows: each a
+    # ConditioningError of the closed form, which eval_auto takes as a
+    # miss and hands on to the Abel-Plana engine (which raises too here)
+    for z, s, a in ((30.31 - 36.72j, -296.0, 0.2256), (-10.0, 250.0, 0.3),
+                    (629.14 - 898.01j, 183.0, -130.06)):
+        p = LerchPoint(z, s, a)
+        with pytest.raises(ConditioningError):
+            eval_integer_s_large_z(p)
+        with pytest.raises(ConditioningError):
+            eval_auto(p)
+    # the coefficient recurrence's magnitude cap next to an integer a:
+    # the Abel-Plana engine answers
+    p = LerchPoint(-10.0, 60.0, 0.999999)
+    with pytest.raises(ConditioningError):
+        eval_integer_s_large_z(p)
+    rep = eval_auto(p)
+    ref = quad_integral(p.z, p.s, p.a)
+    assert rep.engine == "abel_plana"
+    assert abs(rep.value - ref.value) <= rep.abs_err_estimate + ref.err_bar
+    assert rel_err(rep.value, ref.value) <= 1e-14
+
+    # seeded integer s in [-300, 300] past e: |z| = e^u, u in (1, 8), a
+    # tenth on the negative axis; a = e^v, v in (-3, 7), a fifth complex
+    # with |Im a| <= 50 and a tenth negative real.  Only the package's
+    # own errors may escape; 196 of the 300 answer
+    def draw(rng):
+        r = math.exp(rng.uniform(1.0, 8.0))
+        z = (complex(-r, 0.0) if rng.random() < 0.1
+             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        a = math.exp(rng.uniform(-3.0, 7.0))
+        kind = rng.random()
+        if kind < 0.2:
+            a = complex(a, rng.uniform(-50.0, 50.0))
+        elif kind < 0.3:
+            a = -a
+        return z, float(rng.randint(-300, 300)), a
+
+    answered = 0
+    for z, s, a in sample(2121, 300, draw):
+        try:
+            p = LerchPoint(z, s, a)
+            eval_auto(p)
+            answered += 1
+        except LerchError:
+            pass
+    assert answered >= 190
 
 
 # ---------------------------------------------------------------------------
@@ -979,6 +1109,9 @@ def test_fl_preconditions_and_empty_truncation():
     empty = eval_fl_expansion(LerchPoint(-5.0, S34, A03), 0, 0)
     assert empty.value == 0.0
     assert empty.abs_err_estimate > 0.0
+    for n_log in (-1, 200):
+        with pytest.raises(ValueError):
+            eval_fl_expansion(LerchPoint(-5.0, S34, A03), 3, n_log)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,7 +1377,7 @@ def test_auto_large_z_routes():
     assert whole_a.engine == "integer_s"
     assert rel_err(whole_a.value, reference_value(whole).value) < 1e-12
     # where Gamma(1 - s, -a ln z) would leave the double range the same
-    # engine answers, a stepped down
+    # engine answers, the term in log space
     assert eval_auto(LerchPoint(GAP_Z, GAP_S, GAP_A)).engine == "abel_plana"
     assert eval_auto(LerchPoint(-3.5, S34, 600.3)).engine == "abel_plana"
     # Re a <= 0 past the double range of z^k in the a-shift is a
@@ -1267,10 +1400,15 @@ def test_auto_flags_abel_plana_reports_that_miss_the_target():
 
 def test_auto_where_z_to_the_n_overflows():
     # the pair terms' z^(-n) is 0 once |z|^n is past the double range,
-    # where complex ** makes it nan
+    # where complex ** makes it nan: the main theorem's pair terms past
+    # n = 15 at |z| = 1e20, at depth 31 > a
     for z, s, a in ((2e9 + 1e9j, 0.75 + 0.5j, 37.3), (-1e20, S34, 30.3)):
+        want = quad_integral(z, s, a).value
         rep = eval_auto(LerchPoint(z, s, a))
-        assert rel_err(rep.value, quad_integral(z, s, a).value) < 1e-12
+        assert rel_err(rep.value, want) < 1e-12
+    assert cmath.isnan(complex(z) ** -16)
+    rep = eval_main_theorem(LerchPoint(z, s, a), 31)
+    assert rel_err(rep.value, want) < 1e-13
 
 
 def _mp_integral_reference(z, s, a):
@@ -1287,9 +1425,8 @@ def _mp_integral_reference(z, s, a):
 
 
 def test_gap_points_have_honest_nonzero_estimates():
-    # in the Abel-Plana engine's former gap it answers with a stepped
-    # down, where z^(-K) scales most of its pieces to nothing and the
-    # head's rounding is what is left of the estimate.  The symmetric
+    # in the Abel-Plana engine's former gap it answers with its Gamma
+    # term in log space, after one step down.  The symmetric
     # expansion, run far past what doubles resolve, is floored at the
     # rounding of its terms
     for z, s, a in ((GAP_Z, GAP_S, GAP_A), (-1e20, S34, 30.3)):
@@ -1331,7 +1468,8 @@ def _mp_gap_reference(z, s, a, dps):
 
 def test_auto_estimate_is_honest_in_the_abel_plana_gap():
     # seeded points with a ln|z| in (800, 1000), where Gamma(1 - s, -aL)
-    # leaves the double range and the Abel-Plana engine steps a down.
+    # leaves the double range and the Abel-Plana engine carries it in log
+    # space.
     # The resummed theorem and the symmetric expansion answered here
     # before, the latter up to 1e-4 of the value off while its estimate
     # met the target absolutely.  Against the quadrature at 30 and 40
@@ -1515,8 +1653,8 @@ for z, s, a, tol in {points!r}:
 def test_auto_integer_a_and_large_a_take_abel_plana():
     # integer a poisons the unsubtracted pair coefficients; the
     # Abel-Plana engine has no such coefficients, and it answers at
-    # a = 600 too, a stepped down, where eval_auto once fell back to the
-    # symmetric pair form, which is entire in a
+    # a = 600 too, its Gamma term in log space, where eval_auto once fell
+    # back to the symmetric pair form, which is entire in a
     p = LerchPoint(-10.0, S34, 2.0)
     rep = eval_auto(p)
     assert rep.engine == "abel_plana"
@@ -1534,7 +1672,8 @@ def test_auto_integer_a_and_large_a_take_abel_plana():
 def test_symmetric_engine_near_e_and_auto_best_effort():
     # |z| between e and 5 leaves the resummed theorem no admissible depth,
     # so the symmetric expansion serves there as an engine; eval_auto
-    # takes the Abel-Plana engine at a = 600.3 too, a stepped down
+    # takes the Abel-Plana engine at a = 600.3 too, its Gamma term in log
+    # space
     for a in (A03, 600.3):
         rep = eval_symmetric_igamma(LerchPoint(-3.5, S34, a), N_max=400,
                                     tol=1e-10)
@@ -1558,8 +1697,9 @@ def test_symmetric_engine_near_e_and_auto_best_effort():
 
 def test_abel_plana_steps_a_down_inside_e():
     # at 1 < |z| < e with Re(a ln z) past 700, where Gamma(1 - s, -aL)
-    # leaves the double range and no other engine of eval_auto's answers;
-    # on the cut and off it
+    # leaves the double range and no other engine of eval_auto's answers:
+    # the term in log space, with one step down at |z| = 2.1 (not at
+    # |z| = 2, under 2 (a/(a-1))^Re s); on the cut and off it
     for z in (2.0, -2.0, 1.5 - 1.5j):
         p = LerchPoint(z, S34, 2000.3)
         rep = eval_auto(p)
@@ -1571,11 +1711,11 @@ def test_abel_plana_steps_a_down_inside_e():
 
 
 def test_auto_raises_conditioning_error_past_the_double_range():
-    # e^(-aL) (-L)^(s-1) of the Gamma term is past the double range: a
-    # typed error, not an OverflowError; so is the direct series' term
+    # e^(-aL) (-L)^(s-1) of the Gamma term is past the double range, and
+    # the scaled tail of its log-space form does not settle: a typed
+    # error, not an OverflowError; so is the direct series' term
     # z^3 (-1e-13)^(-30) at the last two
-    for z, s, a in ((0.95, S34, 20000.3),
-                    (-7.39e19, 195.19 + 3.28j, 0.861),
+    for z, s, a in ((-7.39e19, 195.19 + 3.28j, 0.861),
                     (0.5, 30.0, -3.0000000000001),
                     (1e-12, 30.0, -3.0000000000001)):
         with pytest.raises(ConditioningError):

@@ -13,6 +13,7 @@ import math
 import mpmath as mp
 import pytest
 
+from lerchphi import factorial_series
 from lerchphi._types import LerchPoint
 from lerchphi._quadrature import tanh_sinh
 from lerchphi.engines import (eval_integer_s_large_z, eval_symmetric_igamma,
@@ -202,6 +203,22 @@ def test_residue_series_near_the_unit_circle():
         assert abs(got - want) <= 1e-12 * abs(want), z
 
 
+def test_engine_far_out_takes_the_stable_moment_route(monkeypatch):
+    # |x| = |0.5 + i L / 2 pi| > n + 2 from |z| ~ 3e5 on, where the
+    # moments come from the hypergeometric (stable) route
+    calls = []
+    stable = factorial_series.p_n_stable
+    monkeypatch.setattr(factorial_series, "p_n_stable",
+                        lambda x, s, n: calls.append(n) or stable(x, s, n))
+    for z in (-1e6, -3e5 + 1e5j, -1e8):
+        calls.clear()
+        rep = eval_factorial(P(z))
+        assert calls, z
+        ref = reference_value(P(z))
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), z
+
+
 def test_engine_near_the_unit_circle():
     # the residue series once stopped 1.8e-5, 1.3e-4 and 4.7e-7 short at
     # the first three points, under an estimate of 1.6e-10; at the last
@@ -218,6 +235,8 @@ def test_engine_near_the_unit_circle():
 def test_engine_preconditions():
     with pytest.raises(DomainError):
         eval_factorial(P(0.5))
+    with pytest.raises(DomainError):
+        residue_series(P(0.5), 0)
     with pytest.raises(DomainError):
         eval_factorial(P(-5.0, a=-0.2))
     with pytest.raises(ConditioningError):

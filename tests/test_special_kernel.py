@@ -423,8 +423,12 @@ def test_igamma_asymptotic_zone_near_the_negative_axis():
     # above it, but the tail's terms grow at first (s = 60) or the Stokes
     # term it leaves out is ~1e-5 of the value (|Im s| = 20): the series
     declined = [(60.0, -50.0), (20j, -46.0), (0.5 + 20j, -46.2)]
+    # past Re s = -171, where 1/Gamma(1-s) of the Stokes term leaves the
+    # double range while the term itself stays tiny: the tail serves
+    far = [(-192.28 + 0j, -988.59 + 109.79j),
+           (-179.61 - 2.46j, -1308.39 - 44.95j)]
     for s, w in (sample(122, 30, draw) + [(0.75, -550.0)] + below
-                 + declined):
+                 + declined + far):
         expect = complex(mp.gammainc(mp.mpc(s), mp.mpc(w)))
         assert rel_err(upper_incomplete_gamma(s, w), expect) < 1e-12, (s, w)
 
