@@ -76,7 +76,8 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     under that bar.  The error estimate is the last level-to-level
     difference (conservative once double-exponential convergence has
     locked on), or that prediction where the early stop fired, floored
-    at a few ulp of the value.
+    at a few ulp of the value; where no level met the bar, at least the
+    integral of |f| on the last level's nodes.
 
     f is called once a node, in a fixed order: the nodes of
     _half_line_nodes(0, u_min), then those of each later level in turn.
@@ -85,7 +86,7 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     """
     step = 0.5  # h
     total = 0.0j
-    mass = 0.0
+    mass = mass_last = 0.0
     for x, w in _half_line_nodes(0, u_min):
         fx = f(x)
         total += w * fx
@@ -95,8 +96,14 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     last = 0.0  # the change of the level before; none at level 1
     for level in range(1, _MAX_LEVEL + 1):
         new = 0.0j
-        for x, w in _half_line_nodes(level, u_min):
-            new += w * f(x)
+        if level < _MAX_LEVEL:
+            for x, w in _half_line_nodes(level, u_min):
+                new += w * f(x)
+        else:  # the last level also weighs |f| (see below)
+            for x, w in _half_line_nodes(level, u_min):
+                fx = f(x)
+                new += w * fx
+                mass_last += w * abs(fx)
         prev = value
         total += new
         step *= 0.5
@@ -119,4 +126,10 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
                 change = guess
                 break
         last = change
+    else:
+        # no level met the bar, so the last change bounds nothing: the
+        # value may be the rounding of a peak the first level missed.
+        # The error is then the integral of |f| on the last level's nodes
+        # (spaced 2 h), which that peak cannot escape.
+        change = max(change, 2.0 * step * mass_last)
     return value, max(change, 5e-16 * size), max(abs_integral, size)

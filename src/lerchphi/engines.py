@@ -3,8 +3,9 @@
 Small |z| is the defining series.  Past |z| = 0.9, and where the series
 misses the target, eval_auto uses the Abel-Plana summation of the
 defining series (one incomplete gamma and one quadrature, any z != 0
-and any s), which carries its incomplete gamma in log space past the
-double range, as the mirror terms do, and past |z| = 1 takes one step
+and any s), whose Gamma term is one exponential of the kernel's scaled
+incomplete gamma, so it leaves the double range only with the term
+itself, and which past |z| = 1 takes one step
 a -> a - 1 where that moves the value, about -(a-1)^(-s)/z at huge |z|,
 into its head; integer s past |z| = e has an exact
 closed form (the polylogarithm's inversion formula at integer a), its
@@ -33,17 +34,16 @@ from .coefficients import (_COUNT_CAP, _alternating_power_sums,
                            csc_coefficients, csc_coefficients_subtracted)
 from .errors import AccuracyError, ConditioningError, DomainError
 from .special_kernel import (_BERNOULLI, _abel_plana_integral,
-                             _igamma_tail_err, _log_neg, _near_gamma_pole,
-                             _scaled_igamma_asymptotic, _settled_igamma_tail,
-                             _upper_incomplete_gamma_and_err, gamma,
-                             gamma_star, hurwitz_zeta, log_gamma,
-                             reciprocal_gamma, upper_incomplete_gamma)
+                             _exp_scaled, _gamma_rounding, _log_neg,
+                             _nonpositive_integer, _scaled_difference,
+                             _scaled_igamma_asymptotic, _signed_log_gamma,
+                             _upper_incomplete_gamma, gamma, gamma_star,
+                             hurwitz_zeta, log_gamma, reciprocal_gamma,
+                             upper_incomplete_gamma)
 
 _TWO_PI = 2.0 * math.pi
-# the log-space switch of the incomplete-gamma factors: the mirror terms
-# go to the scaled tail past Re w = +/- this (so |w| is large too); the
-# Abel-Plana Gamma term where one of its two exponents passes it and the
-# kernel's tail route serves at its w (_settled_igamma_tail)
+# the log-space switch of the mirror terms' incomplete gammas: they go to
+# the scaled tail past Re w = +/- this (so |w| is large too)
 _LOG_SPACE_W = 600.0
 _DIRECT_CAP = 10 ** 6
 # rounding of the direct series in ulps of the sum of its terms' sizes;
@@ -66,8 +66,8 @@ _POLYLOG_ULPS = 16.0 * 2.0 ** -52
 # The integer-s closed form scales its log-series rounding by it too.
 _SUM_ULPS = 64.0 * 2.0 ** -52
 # the Gamma term's Gamma(1-s, w) carries the kernel's bound for the route
-# it takes, plus this many ulps of the sizes a subtraction route cancels
-# from (|Gamma(1-s, w)|, |w^(1-s) e^(-w)| and |Gamma(1-s)|): the
+# it takes (which counts the pieces a subtraction route cancels from),
+# plus this many ulps of |Gamma(1-s, w)| and |w^(1-s) e^(-w)|: the
 # rounding of the arguments 1 - s and w = -aL, which the kernel does not
 # see.  On 7,500 seeded band draws and 2,000 at e < |z| <= 1e4, against
 # mpmath at the exact arguments, the kernel's bound alone was never
@@ -137,13 +137,8 @@ def _log_series_terms(p, L, coeffs):
     if not cmath.isfinite(factor):
         # one exponential with Gamma(s) in it, past the double range only
         # with the factor itself; log |Gamma| and its sign at real s
-        sign = 1.0
-        if s.imag == 0.0:
-            expo -= math.lgamma(s.real)
-            if s.real < 0.0 and math.floor(s.real) % 2:
-                sign = -1.0
-        else:
-            expo -= log_gamma(s)
+        lg, sign = _signed_log_gamma(s)
+        expo -= lg
         try:
             factor = 2j * math.pi * sign * cmath.exp(expo)
         except OverflowError:
@@ -279,66 +274,40 @@ def _abel_plana_gamma_term(p, s, a, L):
     """e^(-aL) (-L)^(s-1) Gamma(1-s, -aL) of the Abel-Plana form, and a
     bound on its rounding.
 
-    Gamma(1-s, w) is continued to the argument arg a + arg(-L) that
-    w = -aL reaches along the integral path, k turns from the principal
-    one the kernel takes (|k| <= 1):
+    The kernel returns Gamma(1-s, w) = e^(x-w) m (w = -aL), and
+    e^(-aL) = e^w, so the term is e^((s-1) ln(-L) + x) m, formed once
+    with ln m folded into the exponent where that alone would leave the
+    normal range (_exp_scaled): no factor of it is formed on its own.
+    Gamma(1-s, w) is continued to the argument arg a + arg(-L) that w
+    reaches along the integral path, k turns from the principal one the
+    kernel takes (|k| <= 1):
       Gamma(1-s, w e^(2 pi i k)) = e^(2 pi i k (1-s)) Gamma(1-s, w)
           + (1 - e^(2 pi i k (1-s))) Gamma(1-s),
     whose last term is -2 pi i k e^(i pi k (1-s)) / Gamma(s) by
     reflection, entire in s, so positive integer s takes the same route.
-    The kernel's error is the bound of the route it takes (the rounding
-    of what that route sums and subtracts, and what it truncates), plus
-    _AP_GAMMA_ULPS of the sizes a subtraction route cancels from.
-
-    Where the exponent of e^(-aL) (-L)^(s-1), or of the kernel's
-    w^(1-s) e^(-w), is past +/- _LOG_SPACE_W and the kernel's own tail
-    route serves at (1-s, w) (_settled_igamma_tail), the term is carried
-    in log space, as the mirror terms are: Gamma(1-s, w) = e^(-w) w^(-s) T,
-    T the scaled tail, and e^(-aL) e^(-w) = 1, so the term is
-    (-L)^(s-1) w^(-s) T, with the error of the kernel's tail route
-    (_igamma_tail_err) against that front.  Elsewhere the kernel branch
-    runs, and a factor past the double range is a ConditioningError.  On
-    either branch, where the front alone would underflow (exponent below
-    -_LOG_SPACE_W), the log of the Gamma factor is folded into it.
+    That jump is taken against e^(x-w), with -ln Gamma(s) in its exponent
+    and the rounding of 1/Gamma(s) and of e^(i pi k (1-s)) in its error.
+    The kernel's error bound is widened by _AP_GAMMA_ULPS.
     """
     log_neg_l = _log_neg(L, p.cut_side)
     w = -a * L
     if w.imag == 0.0:
         w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
     ln_w = cmath.log(w)
-    expo = w + (s - 1.0) * log_neg_l  # of e^(-aL) (-L)^(s-1)
-    lead = (1.0 - s) * ln_w - w  # of the kernel's w^(1-s) e^(-w)
-    tail = (_settled_igamma_tail(1.0 - s, w) if max(
-        abs(expo.real), abs(lead.real)) > _LOG_SPACE_W else None)
-    if tail is not None:
-        upper, last, size, log_stokes = tail
-        expo = (s - 1.0) * log_neg_l - s * ln_w
-        err = _igamma_tail_err(upper, last, size, log_stokes, expo,
-                               _AP_GAMMA_ULPS)
-    else:
-        upper, err = _upper_incomplete_gamma_and_err(1.0 - s, w)
-        sizes = abs(upper) + abs(cmath.exp(lead))
-        if _near_gamma_pole(1.0 - s) is None:
-            sizes += abs(gamma(1.0 - s))
-        err += _AP_GAMMA_ULPS * sizes
+    x, m, err = _upper_incomplete_gamma(1.0 - s, w)
+    # |Gamma(1-s, w)| and |w^(1-s) e^(-w)| in units of |e^(x-w)|
+    err += _AP_GAMMA_ULPS * (abs(m) + abs(cmath.exp((1.0 - s) * ln_w - x)))
     k = round((cmath.phase(a) + log_neg_l.imag - ln_w.imag) / _TWO_PI)
-    if k:
-        turn = cmath.exp(1j * math.pi * k * (1.0 - s))
-        jump = _TWO_PI * 1j * k * turn * reciprocal_gamma(s)
-        ulps = _AP_ULPS
-        if tail is not None and jump:
-            # against T's scale e^(-w) w^(-s); e^x rounds like |x| ulps
-            x = cmath.log(jump) + w + s * ln_w
-            jump = cmath.exp(x)
-            ulps += _AP_GAMMA_ULPS * abs(x)
-        upper = turn * turn * upper - jump
-        err = abs(turn) ** 2 * err + ulps * abs(jump)
-    if upper and expo.real < -_LOG_SPACE_W:  # e^expo alone may underflow
-        expo += cmath.log(upper)
-        upper, err = 1.0, err / abs(upper) + _AP_GAMMA_ULPS * abs(expo)
-    front = cmath.exp(expo)
-    value = front * upper
-    return value, abs(front) * err + _AP_ULPS * abs(value)
+    if k and _nonpositive_integer(s) is None:
+        turn = 1j * math.pi * k * (1.0 - s)
+        lg, sign = _signed_log_gamma(s)
+        x, m, err = _scaled_difference(
+            x + 2.0 * turn, m, err, w + turn - lg, _TWO_PI * 1j * k * sign,
+            _TWO_PI * abs(k) * _gamma_rounding(s))
+    front = (s - 1.0) * log_neg_l
+    value, err = _exp_scaled(front + x, m, err + _AP_GAMMA_ULPS * (
+        abs(front) + abs(x)) * abs(m))
+    return value, err + _AP_ULPS * abs(value)
 
 
 def _shift_ready(a):
@@ -409,7 +378,7 @@ def eval_abel_plana(p):
         value = complex(value.real, 0.0)
     est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
                       + _AP_ULPS * abs(half))
-           + _AP_ULPS * head_size + 2.0 ** -1070)  # subnormal rounding
+           + _AP_ULPS * head_size)
     if not (cmath.isfinite(value) and math.isfinite(est)):
         # z^k of the Re a <= 0 shift, and Phi with it
         raise ConditioningError("the Abel-Plana value is past the double "

@@ -15,6 +15,11 @@ Branch policy, once and for all:
   arguments and is the preferred building block: assemblies that use it
   need no branch tracking at all.
 
+Scale policy: the incomplete gamma's routes return Gamma(s, w) as
+e^(x-w) m (``_upper_incomplete_gamma``) and never form Gamma(s), w^s or
+e^(-w) on their own; the value is formed once, with ln m folded into the
+exponent where e^(x-w) alone would leave the normal range.
+
 Accuracy targets (validated in the test suite): gamma/log_gamma rel 1e-13
 for |s| <= 50 away from poles; digamma rel 1e-12 for |a| <= 100; Hurwitz
 zeta rel 1e-11 for |s| <= 30; incomplete gamma rel 1e-11 for |s| <= 20,
@@ -85,6 +90,9 @@ _IGAMMA_TAIL_TOL = 1e-13
 # asks for (|z| from 0.9 to 1e4), against mpmath at 30 digits, the
 # worst error was 0.23 of the bound.
 _IGAMMA_ULPS = 8.0 * 2.0 ** -52
+# past this |Re y|, e^y m is formed as e^(y + ln m): headroom under e^709
+# for |m| (_exp_scaled)
+_FOLD_EXPONENT = 600.0
 _ABEL_PLANA_REL_TOL = 1e-15
 # the Abel-Plana integral's tail past its reach is under e^-40 |a^(-s)|
 _AP_TAIL_EXPONENT = 40.0
@@ -223,6 +231,20 @@ def reciprocal_gamma(s):
         raise ConditioningError(f"1/Gamma(s) is past the double range "
                                 f"at s = {s}")
     return value
+
+
+@lru_cache(maxsize=64)
+def _signed_log_gamma(s):
+    """(lg, sign) with Gamma(s) = sign e^lg, memoized like gamma: at real s
+    lg = ln |Gamma(s)| (so the pieces built on it stay exactly real) and
+    sign = +/-1, elsewhere log_gamma(s) and 1.  Never forms Gamma(s)."""
+    p = _nonpositive_integer(s)
+    if p is not None:
+        raise PoleError(f"gamma pole at s = {p}", pole=p)
+    if s.imag == 0.0:
+        sign = -1.0 if s.real < 0.0 and math.floor(s.real) % 2 else 1.0
+        return complex(math.lgamma(s.real), 0.0), sign
+    return log_gamma(s), 1.0
 
 
 def digamma(a):
@@ -553,9 +575,9 @@ def _expm1_over(v):
 
 
 def _gamma_rounding(s):
-    # the rounding of gamma(s) relative to its value, in units of
-    # _IGAMMA_ULPS: 1 at real s (math.gamma); off the real axis that of
-    # log_gamma(s), Stirling's series after the shift to Re s >= 12,
+    # the rounding of ln Gamma(s), in units of _IGAMMA_ULPS: 1 at real s
+    # (math.lgamma; e^lg rounds with its exponent); off the real axis that
+    # of log_gamma(s), Stirling's series after the shift to Re s >= 12,
     # whose pieces are about |s + 12| ln |s + 12|
     if s.imag == 0.0:
         return 1.0
@@ -563,12 +585,37 @@ def _gamma_rounding(s):
     return r * math.log(r)
 
 
-def _series_rounding(g_size, x, lead, total, size):
-    # the rounding of g - lead * total, lead = e^x: of Gamma(s) or the
-    # pole join g (g_size, weighted by its own rounding), of the terms
-    # lead * t_k, and of lead itself, whose relative error is that of x,
-    # about |x| ulps
-    return _IGAMMA_ULPS * (g_size + abs(lead) * (size + abs(x) * abs(total)))
+def _scaled_difference(gx, g, g_err, lx, total, size):
+    # e^gx g - e^lx total, a series route's subtraction, as (x, m, err):
+    # e^x m, x the larger piece's exponent (ln |g| goes into gx first, so
+    # no factor overflows where g, as the pole join's 1/m!, is far from
+    # 1); err in units of |e^x|: g_err (in units of |e^gx|), and
+    # _IGAMMA_ULPS of size (of the terms) and of the smaller piece times
+    # both exponents, which its factor e^(gx - lx) or e^(lx - gx) rounds
+    # with.  x rounds where e^x is formed.
+    if g:
+        ln_g = math.log(abs(g))
+        gx, g, g_err = gx + ln_g, g / abs(g), g_err / abs(g)
+    if total and lx.real + math.log(abs(total)) > gx.real:
+        x, gf, lf = lx, cmath.exp(gx - lx), 1.0
+        smaller = abs(gf * g)
+    else:
+        x, gf, lf = gx, 1.0, cmath.exp(lx - gx)
+        smaller = abs(lf * total)
+    return x, gf * g - lf * total, abs(gf) * g_err + _IGAMMA_ULPS * (
+        abs(lf) * size + (abs(gx) + abs(lx)) * smaller)
+
+
+def _exp_scaled(y, m, err):
+    """e^y m and err |e^y|, ln m folded into y past |Re y| = _FOLD_EXPONENT;
+    an OverflowError where the value itself is past the double range."""
+    if abs(y.real) > _FOLD_EXPONENT and m:
+        ln_m = cmath.log(m)
+        y += ln_m
+        err = err / abs(m) + _IGAMMA_ULPS * abs(ln_m)
+        m = 1.0
+    scale = cmath.exp(y)
+    return scale * m, abs(scale) * err
 
 
 def _igamma_kummer(s, w):
@@ -593,11 +640,10 @@ def _igamma_kummer(s, w):
             raise AccuracyError("incomplete gamma series did not settle",
                                 achieved=at)
         k += 1
-    g = gamma(s)
-    x = s * cmath.log(w) - w
-    lead = cmath.exp(x)
-    return g - lead * total, _series_rounding(
-        abs(g) * _gamma_rounding(s), x, lead, total, size)
+    # Gamma(s) = sign e^((lg + w) - w), and the lead e^(s ln w - w)
+    lg, sign = _signed_log_gamma(s)
+    return _scaled_difference(lg + w, sign, _IGAMMA_ULPS * _gamma_rounding(s),
+                              s * cmath.log(w), total, size)
 
 
 def _igamma_gseries(s, w, m=None):
@@ -610,7 +656,6 @@ def _igamma_gseries(s, w, m=None):
     lw = cmath.log(w)
     if m is None:
         total = 1.0 / s
-        join_err = 0.0
     else:
         u = s + m
         dh, dh_err = _h_ratio_minus_one_over_u(s, m, u)
@@ -622,8 +667,9 @@ def _igamma_gseries(s, w, m=None):
                  else _IGAMMA_ULPS * (1.0 + math.exp(v.real)) / abs(v))
         sign = -1.0 if m % 2 else 1.0
         g = (sign / math.factorial(m)) * (dh - lw * e)
-        g_size = abs(g)
-        join_err = (dh_err + abs(lw) * e_err) / math.factorial(m)
+        # the join is a double: e^(w - w) g
+        gx, g_err = w, (_IGAMMA_ULPS * abs(g)
+                        + (dh_err + abs(lw) * e_err) / math.factorial(m))
         total = 0.0j if m == 0 else 1.0 / s
     # the power series of w^(-s) lower(s, w) past its k = 0 term 1/s (in
     # total unless it is the resonant one), and the sizes of its terms
@@ -644,19 +690,17 @@ def _igamma_gseries(s, w, m=None):
                                 achieved=abs(t))
         k += 1
     if m is None:
-        g = gamma(s)
-        g_size = abs(g) * _gamma_rounding(s)
-    x = s * lw
-    lead = cmath.exp(x)
-    return g - lead * total, (_series_rounding(g_size, x, lead, total, size)
-                              + join_err)
+        lg, g = _signed_log_gamma(s)
+        gx, g_err = lg + w, _IGAMMA_ULPS * _gamma_rounding(s)
+    # the lead w^s = e^((s ln w + w) - w)
+    return _scaled_difference(gx, g, g_err, s * lw + w, total, size)
 
 
 def _igamma_continued_fraction(s, w):
     # Modified Lentz on the even contraction of the classical continued
-    # fraction; solid for |arg w| away from the negative axis.  Its
-    # rounding grows with the steps taken and with |x| of e^x, and its
-    # truncation is about the last step's change.
+    # fraction; solid for |arg w| away from the negative axis.  Gamma(s, w)
+    # = e^(x - w) / f, x = s ln w; the rounding of 1/f grows with the steps
+    # taken, and its truncation is about the last step's change.
     tiny = 1e-300
     b = w + 1.0 - s
     f = b if b != 0 else complex(tiny)
@@ -677,9 +721,8 @@ def _igamma_continued_fraction(s, w):
         f *= delta
         step = abs(delta - 1.0)
         if step < _IGAMMA_REL_TOL:
-            x = s * cmath.log(w) - w
-            value = cmath.exp(x) / f
-            return value, abs(value) * (_IGAMMA_ULPS * (k + abs(x)) + step)
+            return s * cmath.log(w), 1.0 / f, (_IGAMMA_ULPS * k
+                                               + step) / abs(f)
     raise AccuracyError(
         "incomplete gamma continued fraction hit the iteration cap",
         achieved=abs(delta - 1.0))
@@ -707,37 +750,12 @@ def _scaled_igamma_asymptotic(s, w):
     return total, term, size
 
 
-def _settled_igamma_tail(s, w):
-    # The scaled tail of Gamma(s, w), (T, last, size, log_stokes), where
-    # it serves: |w| past 45 + 2.5 max(0, -Re s), and the Stokes term it
-    # leaves out and its last term both under _IGAMMA_TAIL_TOL of T;
-    # None elsewhere (its terms grow before they fall at |s| past |w|)
-    aw = abs(w)
-    if aw <= 45.0 + 2.5 * max(0.0, -s.real):
-        return None
-    log_stokes = _log_stokes_term(s, aw)
-    if log_stokes >= math.log(_IGAMMA_TAIL_TOL):
-        return None
-    tail = _scaled_igamma_asymptotic(s, w)
-    if abs(tail[1]) > _IGAMMA_TAIL_TOL * abs(tail[0]):
-        return None
-    return tail + (log_stokes,)
-
-
-def _igamma_tail_err(tail, last, size, log_stokes, x, ulps):
-    # the error of e^x T from the scaled tail T, in units of |e^x|: the
-    # last term taken, the Stokes term left out and the rounding of the
-    # sum and of e^x
-    return (abs(last) + math.exp(min(log_stokes, 700.0))
-            + ulps * (size + abs(x) * abs(tail)))
-
-
 def _igamma_tail(s, w, tail, last, size, log_stokes):
-    # Gamma(s, w) = e^x T, x = (s-1) ln w - w, and its error
-    x = (s - 1.0) * cmath.log(w) - w
-    lead = cmath.exp(x)
-    return lead * tail, abs(lead) * _igamma_tail_err(
-        tail, last, size, log_stokes, x, _IGAMMA_ULPS)
+    # Gamma(s, w) = e^(x - w) T, x = (s-1) ln w, from the scaled tail T;
+    # its error: the last term taken, the Stokes term left out and the
+    # rounding of the sum
+    return ((s - 1.0) * cmath.log(w), tail,
+            abs(last) + math.exp(min(log_stokes, 700.0)) + _IGAMMA_ULPS * size)
 
 
 def _log_stokes_term(s, aw):
@@ -745,14 +763,10 @@ def _log_stokes_term(s, aw):
     # term, pi |w|^(1 - Re s) e^(-|w|) / |Gamma(1 - s)| relative to
     # w^(s-1) e^(-w) there (less off the axis); this is its log.  It
     # vanishes at positive integer s and grows like e^(pi |Im s| / 2).
-    try:
-        rg = abs(reciprocal_gamma(1.0 - s))
-    except ConditioningError:  # past the double range: its log instead
-        return (math.log(math.pi) - log_gamma(1.0 - s).real
-                + (1.0 - s.real) * math.log(aw) - aw)
-    if rg == 0.0:
+    if _nonpositive_integer(1.0 - s) is not None:
         return -math.inf
-    return math.log(math.pi * rg) + (1.0 - s.real) * math.log(aw) - aw
+    return (math.log(math.pi) - _signed_log_gamma(1.0 - s)[0].real
+            + (1.0 - s.real) * math.log(aw) - aw)
 
 
 def _near_gamma_pole(s):
@@ -765,15 +779,16 @@ def _near_gamma_pole(s):
 def upper_incomplete_gamma(s, w):
     """Gamma(s, w), principal branch of w**s, any complex s.
 
-    Region map: power series around w = 0 (with an analytic join of the
-    resonant term when s sits near a non-positive integer), Lentz continued
-    fraction for large |w| off the negative axis, and near the axis
-    (|arg w| > 2.65) the optimally truncated asymptotic tail (DLMF 8.11(i))
-    beyond |w| = 45 + 2.5 max(0, -Re s) where its truncation error and the
-    Stokes term it leaves out are both under 1e-13 (at |s| <= 20 nearly
-    always), the subtracted series or the fraction elsewhere.  Raises
-    ConditioningError when the value, or a factor of it, is past the
-    double range.
+    Region map: power series around w = 0 and at Re s > |w| (with an
+    analytic join of the resonant term when s sits near a non-positive
+    integer), Lentz continued fraction for large |w| off the negative axis,
+    and near the axis (|arg w| > 2.65) the optimally truncated asymptotic
+    tail (DLMF 8.11(i)) beyond |w| = 45 + 2.5 max(0, -Re s) where its
+    truncation error and the Stokes term it leaves out are both under
+    1e-13 (at |s| <= 20 nearly always), the subtracted series or the
+    fraction elsewhere.  Every route returns the value as e^(x - w) m (see
+    _upper_incomplete_gamma); it is formed once.  Raises ConditioningError
+    when the value is past the double range.
     """
     return _upper_incomplete_gamma_and_err(s, w)[0]
 
@@ -781,26 +796,39 @@ def upper_incomplete_gamma(s, w):
 def _upper_incomplete_gamma_and_err(s, w):
     """upper_incomplete_gamma(s, w) and a bound on its error, from the
     route taken: _IGAMMA_ULPS of what a series sums and subtracts (the
-    sizes of its terms times their prefactor, and Gamma(s)) or of the
-    continued fraction's value per step, plus what the route truncates."""
+    sizes of its terms, Gamma(s) and their exponents) or of the continued
+    fraction's value per step, plus what the route truncates, and of the
+    exponent x - w of the value e^(x - w) m (_exp_scaled)."""
+    sc, wc = complex(s), complex(w)
     try:
-        return _upper_incomplete_gamma(complex(s), complex(w))
+        x, m, err = _upper_incomplete_gamma(sc, wc)
+        return _exp_scaled(x - wc, m, err + _IGAMMA_ULPS * (abs(x) + abs(wc))
+                           * abs(m))
     except OverflowError:
         raise ConditioningError(f"Gamma({s}, {w}) is past the double "
                                 "range") from None
 
 
 def _upper_incomplete_gamma(sc, wc):
+    """Gamma(s, w) = e^(x - w) m as (x, m, err), err a bound on the error
+    of m (in units of |e^(x - w)|), from the route the region map picks:
+    x = s ln w on the continued fraction, (s - 1) ln w on the scaled tail,
+    and on the series routes the log of the larger of their two pieces,
+    Gamma(s) (or the pole join) and the lead e^(s ln w - w) or w^s, plus w.
+    e^(-w), w^s and Gamma(s) are never formed on their own, so a caller
+    that multiplies by e^w (as e^(-aL) is at w = -aL) takes e^x whole."""
     if wc == 0:
         if sc.real > 0:
-            g = gamma(sc)
-            return g, _IGAMMA_ULPS * abs(g) * _gamma_rounding(sc)
+            lg, sign = _signed_log_gamma(sc)
+            return lg, sign, _IGAMMA_ULPS * _gamma_rounding(sc)
         raise DomainError("Gamma(s, 0) diverges for Re s <= 0")
     m = _near_gamma_pole(sc)
     aw = abs(wc)
     theta = abs(cmath.phase(wc))
-    if aw <= min(abs(sc) + 4.0, 30.0):
-        # Ascending series country, except where the result is
+    if aw <= min(abs(sc) + 4.0, 30.0) or aw < sc.real:
+        # Ascending series country (at Re s > |w| the fraction can settle
+        # on a wrong value, while the series' terms fall from the start),
+        # except where the result is
         # exponentially smaller than Gamma(s) (anti-Stokes corner for
         # Re s << 0 with |w| ~ |s|): there every subtraction-based series
         # cancels to noise while the fraction stays clean.  The fraction's
@@ -811,7 +839,7 @@ def _upper_incomplete_gamma(sc, wc):
             if m is not None:
                 ln_gamma_mag = -math.lgamma(1.0 - sc.real)
             else:
-                ln_gamma_mag = log_gamma(sc).real
+                ln_gamma_mag = _signed_log_gamma(sc)[0].real
             ln_result_mag = ((sc - 1.0) * cmath.log(wc)).real - wc.real
             if ln_gamma_mag - ln_result_mag > 5.0:
                 try:
@@ -855,19 +883,21 @@ def _upper_incomplete_gamma(sc, wc):
     # (|Im s| large against |w|).  Elsewhere pick by predicted ulp loss:
     # the subtracted series loses e^{|w|(1 + cos arg w)} and the fraction
     # is clean through arg 2.9; past that the tail is the last resort.
-    tail = _settled_igamma_tail(sc, wc)
-    if tail is not None:
-        return _igamma_tail(sc, wc, *tail)
+    log_stokes = _log_stokes_term(sc, aw)
+    if (aw > 45.0 + 2.5 * max(0.0, -sc.real)
+            and log_stokes < math.log(_IGAMMA_TAIL_TOL)):
+        tail = _scaled_igamma_asymptotic(sc, wc)
+        if abs(tail[1]) <= _IGAMMA_TAIL_TOL * abs(tail[0]):
+            return _igamma_tail(sc, wc, *tail, log_stokes)
     if aw * (1.0 + math.cos(theta)) <= 9.0:
         return _igamma_gseries(sc, wc, m)
     if theta <= 2.9:
         # this close to the axis the fraction can settle on the sum of
         # the divergent tail before it takes in the Stokes term
-        value, err = _igamma_continued_fraction(sc, wc)
-        stokes = math.exp(min(_log_stokes_term(sc, aw), 700.0))
-        return value, err + abs(value) * stokes
+        x, m, err = _igamma_continued_fraction(sc, wc)
+        return x, m, err + abs(m) * math.exp(min(log_stokes, 700.0))
     return _igamma_tail(sc, wc, *_scaled_igamma_asymptotic(sc, wc),
-                        _log_stokes_term(sc, aw))
+                        log_stokes)
 
 
 def gamma_star(s, w):

@@ -195,15 +195,19 @@ def test_domain_errors_exit_2():
         assert err != ""
 
 
-def test_gamma_term_past_the_double_range_exits_2():
-    # e^(-aL) (-L)^(s-1) overflows, and the scaled tail of the log-space
-    # form does not settle: a one-line conditioning error
-    code, out, err = run_cli(["eval", "--z", "-7.39e19,0", "--s",
-                              "195.19,3.28", "--a", "0.861,0"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("lerchphi: conditioning error: ")
-    assert err.count("\n") == 1
+def test_gamma_term_past_the_double_range_answers():
+    # e^(-aL) (-L)^(s-1) is about e^713 and Gamma(1-s, -aL) about e^-678,
+    # but the kernel returns the latter as e^(x-w) m, so the term is one
+    # exponential of a value near e^25; against mpmath at 40 and 80
+    # digits, 4287079633902.7706 + 2291566152461.2559i
+    code, out, _ = run_cli(["eval", "--z", "-7.39e19,0", "--s",
+                            "195.19,3.28", "--a", "0.861,0", "--json"])
+    assert code == 0
+    (rec,) = json_lines(out)
+    got = complex(rec["value_re"], rec["value_im"])
+    want = 4287079633902.7706 + 2291566152461.2559j
+    assert abs(got - want) <= rec["est_err"]
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_eval_engine_flags_against_the_oracle():

@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 from helpers import rel_err, sample
-from lerchphi import special_kernel
+from lerchphi import engines, special_kernel
 from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.engines import (
@@ -427,9 +427,9 @@ def test_abel_plana_estimate_is_honest_on_seeded_points():
 def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
     # the Gamma term's rounding bound comes from the kernel's route, so
     # each point evaluates Gamma(1 - s, -aL) once (twice before, with the
-    # recurrence gauge), and none at z = 1, where the term is closed, or
-    # at the gap point and LOG_SPACE_POINTS, where the term is carried in
-    # log space from the scaled tail; at the band point the estimate
+    # recurrence gauge), the gap point and LOG_SPACE_POINTS too, whose
+    # term the kernel's e^(x-w) m carries past the double range, and none
+    # at z = 1, where the term is closed; at the band point the estimate
     # still covers the error
     calls = []
     kernel = special_kernel._upper_incomplete_gamma
@@ -439,11 +439,12 @@ def test_abel_plana_evaluates_one_incomplete_gamma(monkeypatch):
         return kernel(s, w)
 
     monkeypatch.setattr(special_kernel, "_upper_incomplete_gamma", counted)
+    monkeypatch.setattr(engines, "_upper_incomplete_gamma", counted)
     band = LerchPoint(-0.28867 + 0.95968j, 2.05279 + 0.21746j, 1.17260)
     past_e = LerchPoint(-14.06 - 3.35j, 5.07 + 0.98j, 1.54)
-    for p, n in ((band, 1), (past_e, 1), (LerchPoint(GAP_Z, GAP_S, GAP_A), 0),
+    for p, n in ((band, 1), (past_e, 1), (LerchPoint(GAP_Z, GAP_S, GAP_A), 1),
                  (LerchPoint(1.0, 2.5, 0.7), 0)) + tuple(
-                     (p, 0) for p in LOG_SPACE_POINTS):
+                     (p, 1) for p in LOG_SPACE_POINTS):
         calls.clear()
         eval_abel_plana(p)
         assert len(calls) == n, p
@@ -465,28 +466,32 @@ def test_abel_plana_past_the_double_range_at_large_a_and_huge_z():
 
 
 def test_abel_plana_gamma_term_in_log_space():
-    # where e^(-aL) (-L)^(s-1) or the kernel's w^(1-s) e^(-w) leaves the
-    # double range, the Gamma term is (-L)^(s-1) w^(-s) T from the scaled
-    # tail T: at |z| < 1, where e^(-aL) is e^1026; where only
-    # w^(1-s) e^(-w) overflows, at Re w = -459; and one turn past the
+    # the Gamma term is one exponential, e^((s-1) ln(-L) + x) m from the
+    # kernel's Gamma(1-s, w) = e^(x-w) m, so no factor of it leaves the
+    # double range on its own: at |z| < 1, where e^(-aL) is e^1026; where
+    # only w^(1-s) e^(-w) overflows, at Re w = -459; and one turn past the
     # principal branch (arg a + arg(-L) > pi), where the continuation's
-    # jump is carried against T's scale e^(-w) w^(-s)
+    # jump is taken against e^(x-w)
     p_in, p_x, *turned = LOG_SPACE_POINTS
     for p in turned:
         assert cmath.phase(p.a) + cmath.phase(-cmath.log(p.z)) > math.pi
     cases = ([(p_in, hp_series, 1e-14), (p_x, hp_continuation, 1e-12)]
              + [(p, quad_integral, 1e-14) for p in turned])
     # Where an exponent passes 600 only because |w| = |a ln z| is small
-    # against Re s, the tail does not serve and the kernel branch runs:
-    # at s = 86, a = 0.5 just inside and outside |z| = 1 (the tail there
-    # once gave 7.7e28 for 7.7e25), and where e^(-aL) (-L)^(s-1) alone
-    # would underflow (e^-916 at z = e^-0.01, s = 200.5), so its
-    # Gamma(1-s, w) is folded into the exponent
-    cases += [(LerchPoint(1.001, 86.0, 0.5), hp_continuation, 1e-14)]
+    # against Re s, the scaled tail does not serve and the series routes
+    # do: at s = 86, a = 0.5 just inside and outside |z| = 1 (the tail
+    # there once gave 7.7e28 for 7.7e25); where e^(-aL) (-L)^(s-1) alone
+    # would underflow (e^-916 at z = e^-0.01, s = 200.5); and at s = 100
+    # and 150, where Gamma(1-s, w) itself leaves the range and the value
+    # (about 2^100 and 1e78) raised before
+    cases += [(LerchPoint(1.001, s, 0.5), hp_continuation, 1e-14)
+              for s in (86.0, 100.0)]
     cases += [(p, quad_integral, 1e-14)
               for p in (LerchPoint(0.999, 86.0, 0.5),
                         LerchPoint(math.exp(-0.01), 200.5, 10.0),
-                        LerchPoint(0.995, 150.0, 3.0))]
+                        LerchPoint(0.995, 150.0, 3.0),
+                        LerchPoint(0.999, 100.0, 0.5),
+                        LerchPoint(0.999, 150.0, 0.3))]
     for p, oracle, rel in cases:
         rep = eval_auto(p)
         assert rep.engine == "abel_plana", p
@@ -494,6 +499,11 @@ def test_abel_plana_gamma_term_in_log_space():
         assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
                                               + ref.err_bar), p
         assert rel_err(rep.value, ref.value) <= rel, p
+    # the quadrature's values at the last two, as mpmath gives them
+    assert rel_err(eval_auto(LerchPoint(0.999, 100.0, 0.5)).value,
+                   1.2676506002282294e30) <= 1e-15
+    assert rel_err(eval_auto(LerchPoint(0.999, 150.0, 0.3)).value,
+                   2.702786817554781e78) <= 1e-15
 
 
 def test_auto_estimate_is_honest_at_huge_z():
@@ -532,6 +542,30 @@ def test_auto_estimate_is_honest_at_huge_z():
         rep = eval_auto(p)
         want = -(p.a - 1.0) ** -p.s / p.z
         assert abs(rep.value - want) <= rep.abs_err_estimate, p
+
+
+def test_auto_estimate_is_honest_at_large_re_s_and_huge_z():
+    # Re s in (150, 200) at |z| = 1e10 to 1e17: Gamma(1-s, -aL) is far
+    # below the double range there while the Gamma term is not, and the
+    # term carried as a double came out 0, up to 0.24 relative off the
+    # value against an estimate of 1e-13 relative (13 of these 17 points,
+    # among them the pinned one); against the quadrature
+    def draw(rng):
+        z = cmath.rect(10.0 ** rng.uniform(10.0, 17.0),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        return LerchPoint(z, complex(rng.uniform(150.0, 200.0),
+                                     rng.uniform(-8.0, 8.0)),
+                          rng.uniform(1.0, 20.0))
+
+    pinned = LerchPoint(4.8336651993168475e14 + 1.1196823291843952e14j,
+                        189.24630559174824 - 7.287937367498792j,
+                        12.4336475867039)
+    for p in sample(2424, 16, draw) + [pinned]:
+        rep = eval_auto(p)
+        ref = quad_integral(p.z, p.s, p.a)
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
+        assert rel_err(rep.value, ref.value) <= 1e-12, p
 
 
 def _geometric_ray(arg, lo=math.e, hi=1000.0, count=12):
@@ -1711,12 +1745,9 @@ def test_abel_plana_steps_a_down_inside_e():
 
 
 def test_auto_raises_conditioning_error_past_the_double_range():
-    # e^(-aL) (-L)^(s-1) of the Gamma term is past the double range, and
-    # the scaled tail of its log-space form does not settle: a typed
-    # error, not an OverflowError; so is the direct series' term
-    # z^3 (-1e-13)^(-30) at the last two
-    for z, s, a in ((-7.39e19, 195.19 + 3.28j, 0.861),
-                    (0.5, 30.0, -3.0000000000001),
+    # the direct series' term z^3 (-1e-13)^(-30) is past the double range:
+    # a typed error, not an OverflowError
+    for z, s, a in ((0.5, 30.0, -3.0000000000001),
                     (1e-12, 30.0, -3.0000000000001)):
         with pytest.raises(ConditioningError):
             eval_auto(LerchPoint(z, s, a))

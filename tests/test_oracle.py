@@ -215,6 +215,28 @@ def test_reference_refuses_mpmath_for_turned_complex_a_in_the_band():
                - eval_abel_plana(cut).value) <= 1e-10
 
 
+def test_reference_refuses_mpmath_at_re_s_far_below_0_past_e():
+    # at (1e6 e^(2i), s, 0.6) mpmath's continuation returns the same
+    # wrong value at 30 and 40 digits, so its spread bar is tiny (1.5e-25
+    # and 8.7, 3e-16 of the value): at s = -20.5 it gives 5.13325e-10 for
+    # 5.14384e-10 (100 and 200 digits agree on the latter), at s = -40.5
+    # about -2.86e16 for about -0.0037
+    z = 1e6 * cmath.exp(2j)
+    for s, wrong, right in ((-20.5, 5.1332512e-10, 5.1438356e-10),
+                            (-40.5, -2.8648050e16, -0.0036837731)):
+        cont = hp_continuation(z, s, 0.6)
+        assert cont.err_bar <= 1e-15 * abs(cont.value)
+        assert abs(cont.value.real / wrong - 1.0) < 1e-7
+        with mp.workdps(100):
+            high = complex(mp.lerchphi(z, s, 0.6))
+        assert abs(high.real / right - 1.0) < 1e-7
+        with pytest.raises(DomainError):
+            reference_value(LerchPoint(z, s, 0.6))
+    # nearer e, and at Re s >= -20, the continuation stays
+    assert reference_value(
+        LerchPoint(1e3 * cmath.exp(3j), -12.5, 0.6)).accepted
+
+
 def test_reference_contiguity():
     # a^(-s) + z * ref(a+1) reproduces ref(a) through every route
     pts = (LerchPoint(0.5, 2.5, 1.7), LerchPoint(-10, 0.75, 0.3),

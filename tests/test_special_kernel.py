@@ -442,9 +442,15 @@ def test_igamma_error_bound_is_honest_on_every_route(monkeypatch):
     # gauge that the Abel-Plana engine used before fell 2% short
     # (pole-adjacent), the Abel-Plana band point (z, s, a) =
     # (-0.28867+0.95968i, 2.05279+0.21746i, 1.17260) as Gamma(1-s, -a ln z),
-    # and two points outside the stated domain (|Im s| ~ 50) where the
+    # two points outside the stated domain (|Im s| ~ 50) where the
     # fraction settles before it takes in the Stokes term, 3.8e-9 and
-    # 3.1e-11 relative off
+    # 3.1e-11 relative off, and two where w^s alone leaves the normal
+    # range (e^-1114.5 and e^-723.9) while the value, near 1e-304 and
+    # 3e-300, does not: formed as w^s, the first came out -0 with a bound
+    # of 0 and the second 7e-10 relative off against a bound of 1.7e-12;
+    # and three with Re s > |w| > 30, where the continued fraction
+    # settled 0.63, 1.0 and 2.5e-7 relative off against bounds under
+    # 1e-12 of the value, and the ascending series now serves
     routes = set()
     for name in ("_igamma_kummer", "_igamma_gseries",
                  "_igamma_continued_fraction", "_igamma_tail"):
@@ -469,7 +475,12 @@ def test_igamma_error_bound_is_honest_on_every_route(monkeypatch):
     pinned = [(-1.0528 - 0.2175j, -0.00253 - 2.1845j),
               (1.0 - s, -a * cmath.log(z)),
               (-1.74 - 57.35j, -88.54 - 41.65j),
-              (-22.93 + 50.39j, -103.23 + 46.18j)]
+              (-22.93 + 50.39j, -103.23 + 46.18j),
+              (-188.2463 + 7.2879j, -420.7289 - 2.8302j),
+              (-194.19 - 3.28j, -39.39 - 2.70j),
+              (90.49 + 14.82j, 46.09 + 17.76j),
+              (160.08 + 6.93j, 29.69 - 53.15j),
+              (70.13 - 23.81j, -25.80 - 37.95j)]
     for s, w in sample(131, 150, draw) + pinned:
         value, bound = special_kernel._upper_incomplete_gamma_and_err(s, w)
         assert value == upper_incomplete_gamma(s, w)
