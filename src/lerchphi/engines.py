@@ -21,8 +21,9 @@ Branch bookkeeping: every large-z piece is written against
 L = log_neg_z(z, side), and the mirrored (-n) terms are folded with
 their residue corrections into an entire "pair" form built on the
 scaled lower incomplete gamma, so no continued branches appear
-anywhere.  On the cut the side flag decides arg(-z) = -/+ pi and, in
-the near-one and Abel-Plana engines, arg(-ln z).
+anywhere; each mirror term is one exponential of the kernel's e^(x-w) m
+(no power of z is formed).  On the cut the side flag decides
+arg(-z) = -/+ pi and, in the near-one and Abel-Plana engines, arg(-ln z).
 """
 
 import cmath
@@ -36,15 +37,11 @@ from .errors import AccuracyError, ConditioningError, DomainError
 from .special_kernel import (_BERNOULLI, _abel_plana_integral,
                              _exp_scaled, _gamma_rounding, _log_neg,
                              _nonpositive_integer, _scaled_difference,
-                             _scaled_igamma_asymptotic, _signed_log_gamma,
-                             _upper_incomplete_gamma, gamma, gamma_star,
-                             hurwitz_zeta, log_gamma, reciprocal_gamma,
-                             upper_incomplete_gamma)
+                             _scaled_gamma_star, _signed_log_gamma,
+                             _upper_incomplete_gamma, gamma, hurwitz_zeta,
+                             log_gamma, reciprocal_gamma)
 
 _TWO_PI = 2.0 * math.pi
-# the log-space switch of the mirror terms' incomplete gammas: they go to
-# the scaled tail past Re w = +/- this (so |w| is large too)
-_LOG_SPACE_W = 600.0
 _DIRECT_CAP = 10 ** 6
 # rounding of the direct series in ulps of the sum of its terms' sizes;
 # on 700 seeded points with Re s down to -30 the error reached 23
@@ -84,40 +81,31 @@ def _branch_log(p):
     return _log_neg(p.z, p.cut_side)
 
 
-def _half_turns(p, L):
-    # ln z - L is +/- i pi; the sign feeds the log-space forms of z^n e^(-nL)
-    return round((cmath.log(p.z) - L).imag / math.pi)
+def _mirror_value(y, m):
+    try:
+        return _exp_scaled(y, m, 0.0)[0]
+    except OverflowError:
+        raise ConditioningError("mirror term past the double range") from None
 
 
-def _first_sum_term(p, n, L, sigma):
-    # z^n Gamma(s, (a+n)L) / ((a+n)^s Gamma(s))
+def _first_sum_term(p, n, L):
+    # z^n Gamma(s, w) / ((a+n)^s Gamma(s)), w = (a+n)L, Gamma(s, w) =
+    # e^(x-w) m; e^L = -z, so z^n e^(-w) = (-1)^n e^(-aL) exactly
     s, a = p.s, p.a
-    w = (a + n) * L
-    if w.real <= _LOG_SPACE_W:
-        u = upper_incomplete_gamma(s, w)
-        return p.z ** n * reciprocal_gamma(s) * u * (a + n) ** -s
-    # z^n e^(-w) = e^(-aL) (-1)^(n sigma) exactly; keep it that way
-    expo = (-a * L + 1j * math.pi * sigma * n
-            + (s - 1.0) * cmath.log(w) - s * cmath.log(a + n))
-    tail = _scaled_igamma_asymptotic(s, w)[0]
-    return reciprocal_gamma(s) * tail * cmath.exp(expo)
+    if _nonpositive_integer(s) is not None:
+        return 0.0j
+    x, m, _ = _upper_incomplete_gamma(s, (a + n) * L)
+    lg, sign = _signed_log_gamma(s)
+    return _mirror_value(x - a * L - s * cmath.log(a + n) - lg,
+                         -sign * m if n % 2 else sign * m)
 
 
-def _pair_term(p, n, L, sigma):
-    # the n-th mirror term with its residue folded in:
-    # -z^(-n) L^s gammastar(s, (a-n)L), entire in a, no branch to track
+def _pair_term(p, n, L):
+    # the n-th mirror term with its residue folded in, entire in a:
+    # -z^(-n) L^s gammastar(s, w), w = (a-n)L, gammastar = e^(x-w) m
     s, a = p.s, p.a
-    z_n = p.z ** -n
-    if cmath.isnan(z_n):  # |z|^n past the double range, so z^(-n) is 0
-        z_n = 0.0
-    w = (a - n) * L
-    if w.real >= -_LOG_SPACE_W:
-        return -z_n * cmath.exp(s * cmath.log(L)) * gamma_star(s, w)
-    lead = -z_n * cmath.exp(s * (cmath.log(L) - cmath.log(w)))
-    expo = (-a * L - 1j * math.pi * sigma * n
-            + s * cmath.log(L) - cmath.log(w))
-    tail = _scaled_igamma_asymptotic(s, w)[0]
-    return lead + reciprocal_gamma(s) * tail * cmath.exp(expo)
+    x, m = _scaled_gamma_star(s, (a - n) * L)
+    return _mirror_value(x - a * L + s * cmath.log(L), m if n % 2 else -m)
 
 
 def _log_series_terms(p, L, coeffs):
@@ -537,10 +525,9 @@ def _mirror_terms(p):
     after removing both from the function is the branch-part remainder
     that the logarithmic series approximates."""
     L = _branch_log(p)
-    sigma = _half_turns(p, L)
-    yield _first_sum_term(p, 0, L, sigma), 0
+    yield _first_sum_term(p, 0, L), 0
     for n in itertools.count(1):
-        yield _first_sum_term(p, n, L, sigma), _pair_term(p, n, L, sigma)
+        yield _first_sum_term(p, n, L), _pair_term(p, n, L)
 
 
 def eval_main_theorem(p, N, m_override=None):
@@ -583,6 +570,8 @@ def eval_main_theorem(p, N, m_override=None):
             second += t
             size += abs(t)
     value = first + second + pairs
+    if not (cmath.isfinite(value) and math.isfinite(size)):
+        raise ConditioningError("the main theorem is past the double range")
     est = max(remainder_estimate(p, N, m_eff), _SUM_ULPS * size)
     return EngineReport(value, est, N, m_eff, "main_theorem",
                         tuple(warnings))
@@ -594,8 +583,8 @@ def residue_series(p, N, half_turns=None):
     (and the two explicit sums) from the function leaves exactly the
     branch-part remainder that the logarithmic series targets.
 
-    sigma defaults to the signed half-turn count of the point's branch
-    log, which is what the incomplete-gamma engines pair with.  Callers
+    sigma = half_turns defaults to (ln z - L) / (i pi), the signed
+    half-turn count of the point's branch log L.  Callers
     whose companion series is anchored to one fixed orientation (the
     factorial rearrangement) pass half_turns explicitly.  The sum is
     z^(-N-1) Phi(1/z, s, N+1-a): the defining series at 1/z
@@ -606,11 +595,8 @@ def residue_series(p, N, half_turns=None):
     if abs(z) <= 1.0:
         raise DomainError("residue series needs |z| > 1")
     if half_turns is None:
-        L = _branch_log(p)
-        sigma = _half_turns(p, L)
-    else:
-        sigma = half_turns
-    front = -cmath.exp(-1j * math.pi * s * sigma)
+        half_turns = round((cmath.log(z) - _branch_log(p)).imag / math.pi)
+    front = -cmath.exp(-1j * math.pi * s * half_turns)
     b = N + 1.0 - a
     if abs(z) >= 1.0 / 0.9:
         total = _series_sum(1.0 / z, s, b, 1e-18 * abs(b ** -s))[0]
@@ -691,13 +677,11 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
         raise ValueError(f"n_log_terms must be in [0, {_COUNT_CAP - 1}], "
                          f"got {n_log_terms}")
     L = _branch_log(p)
-    sigma = _half_turns(p, L)
     weights = [w / (2j * math.pi)
                for w in _alternating_power_sums(a, n_log_terms + 1)]
     *kept, last = (0.0 if t is None else t
                    for t in _log_series_terms(p, L, weights))
-    pair_part = sum(_pair_term(p, n, L, sigma)
-                    for n in range(1, n_z_terms + 1))
+    pair_part = sum(_pair_term(p, n, L) for n in range(1, n_z_terms + 1))
     value = sum(kept, 0.0j) + pair_part
     if not (cmath.isfinite(value) and cmath.isfinite(last)):
         raise ConditioningError("the logarithmic series is past the double "

@@ -15,10 +15,10 @@ Branch policy, once and for all:
   arguments and is the preferred building block: assemblies that use it
   need no branch tracking at all.
 
-Scale policy: the incomplete gamma's routes return Gamma(s, w) as
-e^(x-w) m (``_upper_incomplete_gamma``) and never form Gamma(s), w^s or
-e^(-w) on their own; the value is formed once, with ln m folded into the
-exponent where e^(x-w) alone would leave the normal range.
+Scale policy: Gamma(s, w) (``_upper_incomplete_gamma``) and gamma*
+(``_scaled_gamma_star``) come as e^(x-w) m, never forming Gamma(s), w^s
+or e^(-w) on their own; the value is formed once, with ln m folded into
+the exponent where e^(x-w) alone would leave the normal range.
 
 Accuracy targets (validated in the test suite): gamma/log_gamma rel 1e-13
 for |s| <= 50 away from poles; digamma rel 1e-12 for |a| <= 100; Hurwitz
@@ -905,19 +905,24 @@ def gamma_star(s, w):
 
     Entire in s and in w, which makes it the branch-free building block
     for the subtracted large-z pair terms.  At s = -m it equals w**m.
-    Raises ConditioningError when the value, or a factor of it, is past
-    the double range.
+    The value is formed once from _scaled_gamma_star's e^(x - w) m;
+    raises ConditioningError when it is past the double range.
     """
+    sc, wc = complex(s), complex(w)
     try:
-        return _gamma_star(complex(s), complex(w))
+        x, m = _scaled_gamma_star(sc, wc)
+        return _exp_scaled(x - wc, m, 0.0)[0]
     except OverflowError:
         raise ConditioningError(f"gamma_star({s}, {w}) is past the double "
                                 "range") from None
 
 
-def _gamma_star(sc, wc):
+def _scaled_gamma_star(sc, wc):
+    """gamma_star(s, w) = e^(x - w) m as (x, m): x = 0 on the series
+    route, else the larger exponent of w^(-s) and Gamma(s, w) w^(-s) /
+    Gamma(s), plus w.  Real at real s and w, as gamma_star is there."""
     if wc == 0:
-        return reciprocal_gamma(sc + 1.0)  # series value at w = 0
+        return 0.0, reciprocal_gamma(sc + 1.0)  # series value at w = 0
     if abs(wc) <= min(max(8.0, abs(sc) - 2.0), 30.0):
         # e^{-w}-rescaled ascending series.  Every coefficient is an
         # entire 1/Gamma value, so gamma poles in s need no special
@@ -948,13 +953,24 @@ def _gamma_star(sc, wc):
                                     achieved=at)
             k += 1
         if peak <= 1e3 * abs(total):
-            return cmath.exp(-wc) * total
-    # Route through the upper function; clean whenever |lower| is not
-    # small next to |Gamma(s)|, which covers all |w| > 8 and the humped
-    # leftovers from the series branch.
-    upper = upper_incomplete_gamma(sc, wc)
-    return ((1.0 - reciprocal_gamma(sc) * upper)
-            * cmath.exp(-sc * cmath.log(wc)))
+            return 0.0, total
+    # Route through the upper function, w^(-s) (1 - Gamma(s, w) / Gamma(s))
+    # (w^m at s = -m); clean whenever |lower| is not small next to
+    # |Gamma(s)|: all |w| > 8 and the humped leftovers from the series.
+    s_lw = sc * cmath.log(wc)
+    x = lead = wc - s_lw
+    m = 1.0
+    if _nonpositive_integer(sc) is None:
+        xu, mu, _ = _upper_incomplete_gamma(sc, wc)
+        lg, sign = _signed_log_gamma(sc)
+        x, m, _ = _scaled_difference(lead, 1.0, 0.0, xu - lg - s_lw,
+                                     sign * mu, 0.0)
+    if x == lead:
+        # x rounds like |w|, which x - w keeps: m takes that rounding back
+        m *= cmath.exp(-s_lw - (x - wc))
+    if sc.imag == 0.0 and wc.imag == 0.0:
+        return x.real, (m * cmath.exp(1j * x.imag)).real
+    return x, m
 
 
 def gauss_2f1_unit_b(alpha, gamma_param, x):

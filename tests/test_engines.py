@@ -964,36 +964,80 @@ def test_symmetric_handles_integer_s():
 
 
 def test_symmetric_pairing_beats_one_sided_tail():
-    from lerchphi.engines import (_branch_log, _first_sum_term, _half_turns,
-                                  _pair_term)
+    from lerchphi.engines import _branch_log, _first_sum_term, _pair_term
 
     p = LerchPoint(-7.0, S34, A03)
     L = _branch_log(p)
-    sigma = _half_turns(p, L)
     for n in range(25, 36):
-        one_sided = _first_sum_term(p, n, L, sigma)
-        paired = one_sided + _pair_term(p, n, L, sigma)
+        one_sided = _first_sum_term(p, n, L)
+        paired = one_sided + _pair_term(p, n, L)
         assert abs(paired) < 0.25 * abs(one_sided), n
 
 
 def test_pair_term_in_log_space_matches_mpmath():
-    # past Re w = -600, w = (a - n) L, the pair term is carried in log
-    # space (here z^(-n) is subnormal from n = 103 and 0 from n = 108);
-    # n = 87 is the last before it.  Against -z^(-n) L^s gammastar(s, w)
-    # at 40 digits
-    from lerchphi.engines import _branch_log, _half_turns, _pair_term
+    # both mirror terms are one exponential of the kernel's e^(x - w) m,
+    # with z^(+/-n) e^(-w) = (-1)^n e^(-aL), on either side of |Re w| =
+    # 600, w = (a +/- n) L, where z^(+/-n) leaves the double range long
+    # before the term does (at z = -1000, z^(-n) is subnormal from
+    # n = 103 and 0 from n = 108).  Against the defining forms at 40
+    # digits: -z^(-n) L^s gammastar(s, w) and
+    # z^n Gamma(s, w) / ((a+n)^s Gamma(s))
+    from lerchphi.engines import _branch_log, _first_sum_term, _pair_term
 
     p = LerchPoint(-1000.0, S34, A03)
     L = _branch_log(p)
-    sigma = _half_turns(p, L)
     for n in (87, 88, 95, 120):
         w = (p.a - n) * L
-        assert (w.real < -600.0) == (n > 87)
         with mp.workdps(40):
             wm, lm, sm = mp.mpc(w), mp.mpc(L), mp.mpf(S34)
             star = mp.gammainc(sm, 0, wm) / (mp.gamma(sm) * wm ** sm)
             want = complex(-mp.mpf(-1000) ** -n * lm ** sm * star)
-        assert rel_err(_pair_term(p, n, L, sigma), want) < 1e-12, n
+        assert rel_err(_pair_term(p, n, L), want) < 1e-12, n
+    p = LerchPoint(-1e4, S34, A03)
+    L = _branch_log(p)
+    for n in (60, 70, 100, 300):
+        w = (p.a + n) * L
+        assert (w.real > 600.0) == (n > 60)
+        with mp.workdps(40):
+            wm, sm = mp.mpc(w), mp.mpf(S34)
+            want = complex(mp.mpf(-1e4) ** n * mp.gammainc(sm, wm)
+                           / (mp.mpf(p.a.real + n) ** sm * mp.gamma(sm)))
+        assert rel_err(_first_sum_term(p, n, L), want) < 1e-12, n
+
+
+def test_mirror_terms_are_exactly_real_on_the_negative_axis():
+    # at real s and a and z < -1, L is real and so is every mirror term:
+    # gammastar is entire with real Taylor coefficients, and the kernel
+    # returns its e^(x - w) m with real x and m at real s and w
+    from itertools import islice
+
+    from lerchphi.engines import _mirror_terms
+
+    for z, s, a in ((-1e4, S34, A03), (-50.0, 2.5, 3.7), (-10.0, S34, A03)):
+        p = LerchPoint(z, s, a)
+        for n, (t, u) in enumerate(islice(_mirror_terms(p), 400)):
+            assert complex(t).imag == 0.0 and complex(u).imag == 0.0, (z, n)
+        for rep in (eval_main_theorem(p, 4), eval_symmetric_igamma(p),
+                    eval_fl_expansion(p, 5, 3)):
+            assert rep.value.imag == 0.0, (z, rep)
+
+
+def test_main_theorem_raises_where_its_log_series_overflows():
+    # at |Im a| = 300 the logarithmic series' terms leave the double range
+    # from m = 130 (M = 200): a typed error, not a nan value behind a tiny
+    # estimate
+    with pytest.raises(ConditioningError):
+        eval_main_theorem(LerchPoint(-1000j, S34, 1.0 + 300j), 3)
+
+
+def test_symmetric_answers_where_z_to_the_n_overflows():
+    # |z|^n passes the double range at n = 103 while the mirror terms do
+    # not: the expansion runs to its cap, with an estimate that covers its
+    # distance to eval_auto's value
+    p = LerchPoint(-1000j, S34, 1.0 + 300j)
+    rep = eval_symmetric_igamma(p)
+    assert rep.warnings == ("n-cap-reached",)
+    assert abs(rep.value - eval_auto(p).value) <= rep.abs_err_estimate
 
 
 def test_symmetric_cap_warning():
@@ -1433,9 +1477,9 @@ def test_auto_flags_abel_plana_reports_that_miss_the_target():
 
 
 def test_auto_where_z_to_the_n_overflows():
-    # the pair terms' z^(-n) is 0 once |z|^n is past the double range,
-    # where complex ** makes it nan: the main theorem's pair terms past
-    # n = 15 at |z| = 1e20, at depth 31 > a
+    # the mirror terms form no power of z: the main theorem at depth
+    # 31 > a answers at |z| = 1e20, where complex ** makes z^(-n) nan
+    # past n = 15
     for z, s, a in ((2e9 + 1e9j, 0.75 + 0.5j, 37.3), (-1e20, S34, 30.3)):
         want = quad_integral(z, s, a).value
         rep = eval_auto(LerchPoint(z, s, a))

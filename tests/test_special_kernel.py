@@ -391,7 +391,8 @@ def test_overflow_past_the_double_range_is_a_conditioning_error():
 
 
 def test_asymptotic_tail_matches_reference_far_out():
-    # the large-z engines' log-space terms (scaled, at |Re w| > 600)
+    # the scaled asymptotic tail by itself, far out in the right
+    # half-plane (the kernel takes it only near the negative axis, below)
     def draw_right(rng):
         s = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
         return s, complex(rng.uniform(600, 4000), rng.uniform(-3000, 3000))
@@ -536,6 +537,15 @@ def test_gamma_star_matches_reference():
         ms, mw = mp.mpc(s), mp.mpc(w)
         expect = complex(mp.gammainc(ms, 0, mw) / (mp.gamma(ms) * mw ** ms))
         assert rel_err(gamma_star(s, w), expect) < 5e-12, (s, w)
+    # far out in the right half-plane gamma_star is about w^(-s): its
+    # exponent w - s ln w rounds like |w|, which the kernel takes back
+    for s, w in ((0.75, 2000.0), (complex(2.5, 1), complex(1500, 300)),
+                 (-3.0, 2000.0)):
+        with mp.workdps(40):
+            ms, mw = mp.mpc(s), mp.mpc(w)
+            expect = complex((1 - mp.gammainc(ms, mw) * mp.rgamma(ms))
+                             * mw ** -ms)
+        assert rel_err(gamma_star(s, w), expect) < 4e-15, (s, w)
 
 
 # ---------------------------------------------------------------------------
