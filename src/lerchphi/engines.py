@@ -171,29 +171,65 @@ def _series_sum(z, s, a, tol):
     d = abs(a - round(ar)) if ar <= 0.0 and minus_sr <= 0.0 else 0.0
     far = d ** minus_sr * math.exp(math.pi * abs(s.imag)) if d else math.inf
     n = 0
-    while True:
-        positive = real_a and ar + n > 0.0
-        if positive:
-            size = (ar + n) ** minus_sr
-            bound = geo * size
-        else:  # e^|Im s arg(a+n)| bounds that factor of later terms
-            size = (abs(a + n) ** minus_sr
-                    * math.exp(abs(s.imag * cmath.phase(a + n))))
-            bound = geo * (size if ar + n > 0.0 else far)
+    # the general terms: complex a, or Re(a+n) <= 0, where |a+n| falls
+    while not real_a or ar + n <= 0.0:
+        # e^|Im s arg(a+n)| bounds that factor of later terms
+        size = (abs(a + n) ** minus_sr
+                * math.exp(abs(s.imag * cmath.phase(a + n))))
+        bound = geo * (size if ar + n > 0.0 else far)
         if minus_sr > 0.0 and ar + n > 0.0:
             ratio = az * (1.0 + 1.0 / abs(a + n)) ** minus_sr
             bound = (bound * (1.0 - az) / (1.0 - ratio)
                      if ratio < 1.0 else math.inf)
-        if n and bound < tol:
+        if bound < tol and n or n >= _DIRECT_CAP:
             break
-        if n >= _DIRECT_CAP:
-            raise AccuracyError("defining series hit the term cap",
-                                achieved=bound)
-        total += zp * (size if positive and real_s else (a + n) ** minus_s)
+        total += zp * (a + n) ** minus_s
         mass += geo * size
         zp *= z
         geo *= az
         n += 1
+    else:
+        # real a + n > 0 from here on: one loop per regime of s, each
+        # with the same operations as the general one, less the tests
+        # whose outcome no longer changes; |a+n| is a + n
+        if minus_sr > 0.0:
+            while True:
+                size = (ar + n) ** minus_sr
+                ratio = az * (1.0 + 1.0 / (ar + n)) ** minus_sr
+                bound = (geo * size * (1.0 - az) / (1.0 - ratio)
+                         if ratio < 1.0 else math.inf)
+                if bound < tol and n or n >= _DIRECT_CAP:
+                    break
+                total += zp * (size if real_s else (a + n) ** minus_s)
+                mass += geo * size
+                zp *= z
+                geo *= az
+                n += 1
+        elif real_s:
+            while True:
+                size = (ar + n) ** minus_sr
+                bound = geo * size
+                if bound < tol and n or n >= _DIRECT_CAP:
+                    break
+                total += zp * size
+                mass += bound
+                zp *= z
+                geo *= az
+                n += 1
+        else:
+            while True:
+                size = (ar + n) ** minus_sr
+                bound = geo * size
+                if bound < tol and n or n >= _DIRECT_CAP:
+                    break
+                total += zp * (a + n) ** minus_s
+                mass += bound
+                zp *= z
+                geo *= az
+                n += 1
+    if not bound < tol:  # the loop stopped at the term cap
+        raise AccuracyError("defining series hit the term cap",
+                            achieved=bound)
     return complex(total), bound + _DIRECT_ULPS * (1.0 - az) * mass, n
 
 
@@ -413,7 +449,9 @@ def _polylog_branch(S, L):
 
 
 def eval_integer_s_large_z(p, tol=1e-10):
-    """Exact large-z form for s within 1e-12 of an integer S.
+    """Closed large-z form at an integer s = S.  An s within 1e-12 of S
+    is taken as S, and the estimate leaves the offset s - S out, so
+    eval_auto sends only exact integers here.
 
     The branch part is the main theorem's logarithmic series, which
     1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is the
@@ -699,11 +737,11 @@ def _meets_target(rep, target_tol):
 def eval_auto(p, target_tol=1e-10):
     """Dispatcher.
 
-    The direct series inside |z| <= 0.9, and the closed form at integer s
-    past |z| = e (at integer a, the polylogarithm's), answer where their
-    estimates, rounding included, meet target_tol (relative past
-    magnitude 1); a closed form that raises ConditioningError misses it
-    too.  Every other point goes to the Abel-Plana engine, which
+    The direct series inside |z| <= 0.9, and the closed form at an exact
+    integer s past |z| = e (at integer a, the polylogarithm's), answer
+    where their estimates, rounding included, meet target_tol (relative
+    past magnitude 1); a closed form that raises ConditioningError
+    misses it too.  Every other point goes to the Abel-Plana engine, which
     answers to about double precision or raises ConditioningError; its
     report carries "target-tol-unmet" where it misses the target.
     """
@@ -713,7 +751,7 @@ def eval_auto(p, target_tol=1e-10):
         rep = eval_series_direct(p, tol=target_tol)
         if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
             return rep
-    elif az >= math.e and _near_integer(s):
+    elif az >= math.e and _near_integer(s, 0.0):
         # near an integer a the branch part and residue series cancel; a
         # ConditioningError is a miss too
         try:

@@ -102,8 +102,8 @@ def test_eval_integer_s_engine_sums_to_tol():
     (rec,) = json_lines(out)
     ref = reference_value(LerchPoint(-10.0, 2.0, 0.3)).value
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-13
-    # s within 1e-12 of an integer is taken as that integer, as eval_auto
-    # takes it
+    # the closed form takes s within 1e-12 of an integer as that integer
+    # (eval_auto sends it only exact integers)
     code, near, _ = run_cli(["eval", "--z", "-10,0",
                              "--s", "2.0000000000001,0", "--a", "0.3,0",
                              "--engine", "integer-s", "--tol", "1e-14",

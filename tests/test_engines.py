@@ -10,7 +10,7 @@ import threading
 import mpmath as mp
 import pytest
 
-from helpers import rel_err, sample
+from helpers import reference_series_sum, rel_err, sample
 from lerchphi import engines, special_kernel
 from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
@@ -144,6 +144,42 @@ def test_direct_domain_and_cap():
     with pytest.raises(AccuracyError) as info:
         eval_series_direct(LerchPoint(1.0 - 1e-6, S34, A03))
     assert math.isfinite(info.value.achieved)
+    # and so in each of the series' loops: complex s, Re s < 0 (whose
+    # ratio bound is still infinite at the cap) and complex z
+    for z, s in ((1.0 - 1e-6, 1.5 + 2.5j), (1.0 - 1e-6, -2.5),
+                 ((1.0 - 1e-6) * 1j, S34)):
+        with pytest.raises(AccuracyError):
+            eval_series_direct(LerchPoint(z, s, 0.6))
+
+
+def test_series_sum_matches_reference_loop():
+    # the series' per-regime loops against the one loop that decides each
+    # term's route afresh (helpers.reference_series_sum): the same value,
+    # estimate and term count, bit for bit
+    def draw(rng):
+        z = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(0.0, 8.0))
+        a = complex(rng.uniform(0.05, 10.0))
+        regime = rng.randrange(7)
+        if regime == 1:  # complex s
+            s += 1j * rng.uniform(-10.0, 10.0)
+        elif regime == 2:  # Re s < 0, real or complex
+            s = complex(rng.uniform(-20.0, 0.0),
+                        rng.choice((0.0, rng.uniform(-5.0, 5.0))))
+        elif regime == 3:  # real a < 0: the head while Re(a+n) <= 0
+            a = complex(rng.uniform(-8.0, 0.0))
+            s += rng.choice((0.0, 1j * rng.uniform(-3.0, 3.0)))
+        elif regime == 4:  # complex a
+            a = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        elif regime == 5:  # real z: the float sum
+            z = complex(rng.uniform(-0.9, 0.9))
+        elif regime == 6:
+            z = 0j
+        return z, s, a, 10.0 ** rng.uniform(-18.0, -4.0)
+
+    for z, s, a, tol in sample(26, 700, draw):
+        assert (repr(engines._series_sum(z, s, a, tol))
+                == repr(reference_series_sum(z, s, a, tol))), (z, s, a)
 
 
 def test_direct_tolerance_scaling():
@@ -760,6 +796,21 @@ def test_integer_a_polylog_form_matches_mpmath():
             want = complex(mp.lerchphi(mp.mpc(z), S, k))
         rep = eval_integer_s_large_z(LerchPoint(z, float(S), float(k)))
         assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, k)
+
+
+def test_auto_near_integer_s_within_estimate():
+    # s within 1e-12 of an integer S but not S: the closed form would
+    # answer Phi at S, whose estimate leaves the offset out (1.3 to 1.7
+    # times under the error here), so eval_auto takes the Abel-Plana
+    # engine
+    for z, s, a in ((cmath.rect(20.0, 2.0), 3.0 + 9e-13, 0.7),
+                    (cmath.rect(20.0, 2.0), 3.0 + 9e-13j, 0.7),
+                    (-50.0, 2.0 - 9e-13, 0.4)):
+        p = LerchPoint(z, s, a)
+        ref = reference_value(p)
+        rep = eval_auto(p)
+        assert (abs(rep.value - ref.value)
+                <= rep.abs_err_estimate + ref.err_bar), p
 
 
 def test_integer_s_estimate_covers_growing_terms():
