@@ -171,62 +171,39 @@ def _series_sum(z, s, a, tol):
     d = abs(a - round(ar)) if ar <= 0.0 and minus_sr <= 0.0 else 0.0
     far = d ** minus_sr * math.exp(math.pi * abs(s.imag)) if d else math.inf
     n = 0
-    # the general terms: complex a, or Re(a+n) <= 0, where |a+n| falls
-    while not real_a or ar + n <= 0.0:
-        # e^|Im s arg(a+n)| bounds that factor of later terms
-        size = (abs(a + n) ** minus_sr
-                * math.exp(abs(s.imag * cmath.phase(a + n))))
-        bound = geo * (size if ar + n > 0.0 else far)
+    while not (real_a and ar + n > 0.0 and minus_sr <= 0.0):
+        positive = real_a and ar + n > 0.0
+        if positive:
+            size = (ar + n) ** minus_sr
+            bound = geo * size
+        else:  # e^|Im s arg(a+n)| bounds that factor of later terms
+            size = (abs(a + n) ** minus_sr
+                    * math.exp(abs(s.imag * cmath.phase(a + n))))
+            bound = geo * (size if ar + n > 0.0 else far)
         if minus_sr > 0.0 and ar + n > 0.0:
             ratio = az * (1.0 + 1.0 / abs(a + n)) ** minus_sr
             bound = (bound * (1.0 - az) / (1.0 - ratio)
                      if ratio < 1.0 else math.inf)
         if bound < tol and n or n >= _DIRECT_CAP:
             break
-        total += zp * (a + n) ** minus_s
+        total += zp * (size if positive and real_s else (a + n) ** minus_s)
         mass += geo * size
         zp *= z
         geo *= az
         n += 1
     else:
-        # real a + n > 0 from here on: one loop per regime of s, each
-        # with the same operations as the general one, less the tests
-        # whose outcome no longer changes; |a+n| is a + n
-        if minus_sr > 0.0:
-            while True:
-                size = (ar + n) ** minus_sr
-                ratio = az * (1.0 + 1.0 / (ar + n)) ** minus_sr
-                bound = (geo * size * (1.0 - az) / (1.0 - ratio)
-                         if ratio < 1.0 else math.inf)
-                if bound < tol and n or n >= _DIRECT_CAP:
-                    break
-                total += zp * (size if real_s else (a + n) ** minus_s)
-                mass += geo * size
-                zp *= z
-                geo *= az
-                n += 1
-        elif real_s:
-            while True:
-                size = (ar + n) ** minus_sr
-                bound = geo * size
-                if bound < tol and n or n >= _DIRECT_CAP:
-                    break
-                total += zp * size
-                mass += bound
-                zp *= z
-                geo *= az
-                n += 1
-        else:
-            while True:
-                size = (ar + n) ** minus_sr
-                bound = geo * size
-                if bound < tol and n or n >= _DIRECT_CAP:
-                    break
-                total += zp * (a + n) ** minus_s
-                mass += bound
-                zp *= z
-                geo *= az
-                n += 1
+        # real a + n > 0 and Re s >= 0 from here on, the common case: the
+        # same operations, less the tests whose outcome no longer changes
+        while True:
+            size = (ar + n) ** minus_sr
+            bound = geo * size
+            if bound < tol and n or n >= _DIRECT_CAP:
+                break
+            total += zp * (size if real_s else (a + n) ** minus_s)
+            mass += bound
+            zp *= z
+            geo *= az
+            n += 1
     if not bound < tol:  # the loop stopped at the term cap
         raise AccuracyError("defining series hit the term cap",
                             achieved=bound)
@@ -449,9 +426,8 @@ def _polylog_branch(S, L):
 
 
 def eval_integer_s_large_z(p, tol=1e-10):
-    """Closed large-z form at an integer s = S.  An s within 1e-12 of S
-    is taken as S, and the estimate leaves the offset s - S out, so
-    eval_auto sends only exact integers here.
+    """Closed large-z form at an exact integer s = S (a zero imaginary
+    part and an integer real part; DomainError at any other s).
 
     The branch part is the main theorem's logarithmic series, which
     1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is the
@@ -469,7 +445,7 @@ def eval_integer_s_large_z(p, tol=1e-10):
     value or the estimate is past the double range, or S is past the
     coefficient tables' _COUNT_CAP.
     """
-    if not _near_integer(p.s):
+    if not _near_integer(p.s, 0.0):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
     z, a = p.z, p.a
     S = round(p.s.real)
@@ -586,8 +562,9 @@ def eval_main_theorem(p, N, m_override=None):
     if N <= a.real:
         raise DomainError("needs N > Re a")
     if _near_integer(s):
-        raise DomainError("integer s has an exact closed form; "
-                          "use eval_integer_s_large_z")
+        raise DomainError("s within 1e-12 of an integer: use "
+                          "eval_integer_s_large_z at an integer, "
+                          "eval_abel_plana near one")
     terms = list(itertools.islice(_mirror_terms(p), N + 1))
     first = sum(t for t, _ in terms)
     pairs = sum(u for _, u in terms)

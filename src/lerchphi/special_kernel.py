@@ -422,7 +422,7 @@ def _abel_plana_integral(s, a, L):
     _AP_TABLE_KEYS such keys, evicting the least recently used.  A key's
     first call records nothing, so points that each have their own
     (s, a) pay only two index checks a node for the table; its second
-    call records each node as (t, c, is atan(tau), 1 - e^(-2 pi t)), in
+    call records each node as (t, c, s atan(tau), 1 - e^(-2 pi t)), in
     tanh_sinh's call order, and later calls read them and append the
     nodes they go on to, up to _AP_TABLE_NODES (about 50 kB a key).  A
     node read from the table takes the same operations on the same
@@ -447,9 +447,6 @@ def _abel_plana_integral(s, a, L):
     half_s = 0.5 * s
     real_a = a.imag == 0.0
     re_a = a.real
-    # d = i (tL - s atan(tau)) as t (iL) - (is) atan(tau): times i only
-    # swaps parts and flips a sign, so d comes out the same
-    i_l, i_s = 1j * L, 1j * s
 
     def integrand(x):
         # from the table's node factors where it has them; the others are
@@ -458,22 +455,22 @@ def _abel_plana_integral(s, a, L):
         i = evals
         evals += 1
         if i < known:
-            t, c, is_theta, one_minus = table[i]
+            t, c, s_theta, one_minus = table[i]
         else:
             t = sigma * x
             two_pi_t = _TWO_PI * t
             if real_a:
                 tau = t / re_a
                 c = c0 - half_s * math.log1p(tau * tau) - two_pi_t
-                is_theta = math.atan2(t, re_a) * i_s
+                s_theta = s * math.atan2(t, re_a)
             else:
                 tau = t / a
                 c = c0 - half_s * cmath.log(1.0 + tau * tau) - two_pi_t
-                is_theta = cmath.atan(tau) * i_s
+                s_theta = s * cmath.atan(tau)
             one_minus = -math.expm1(-two_pi_t)
             if i < limit:
-                added.append((t, c, is_theta, one_minus))
-        d = t * i_l - is_theta
+                added.append((t, c, s_theta, one_minus))
+        d = 1j * (t * L - s_theta)
         if abs(d) < 1.0:
             diff = 2.0 * cmath.exp(c) * cmath.sinh(d)
         else:
@@ -678,16 +675,15 @@ def _igamma_gseries(s, w, m=None):
     # total unless it is the resonant one), and the sizes of its terms
     size = abs(total)
     t = 1.0 + 0.0j
-    minus_w, aw = -w, abs(w)
     k = 1
     while True:
-        t *= minus_w / k
+        t *= -w / k
         if k != m:
             r = t / (s + k)
             total += r
             ar = abs(r)
             size += ar
-            if k > aw and ar < _IGAMMA_REL_TOL * (abs(total) + 1.0):
+            if k > abs(w) and ar < _IGAMMA_REL_TOL * (abs(total) + 1.0):
                 break
         if k > _IGAMMA_SERIES_CAP:
             raise AccuracyError("incomplete gamma series did not settle",

@@ -102,16 +102,14 @@ def test_eval_integer_s_engine_sums_to_tol():
     (rec,) = json_lines(out)
     ref = reference_value(LerchPoint(-10.0, 2.0, 0.3)).value
     assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-13
-    # the closed form takes s within 1e-12 of an integer as that integer
-    # (eval_auto sends it only exact integers)
-    code, near, _ = run_cli(["eval", "--z", "-10,0",
-                             "--s", "2.0000000000001,0", "--a", "0.3,0",
-                             "--engine", "integer-s", "--tol", "1e-14",
-                             "--json"])
-    assert code == 0
-    (rec,) = json_lines(near)
-    assert rec["engine"] == "integer-s"
-    assert abs(complex(rec["value_re"], rec["value_im"]) - ref) <= 1e-11
+    # the closed form takes only an exact integer s: its value is Phi at
+    # the integer, and its estimate would leave out an offset from it
+    code, near, err = run_cli(["eval", "--z", "-10,0",
+                               "--s", "2.0000000000001,0", "--a", "0.3,0",
+                               "--engine", "integer-s", "--tol", "1e-14",
+                               "--json"])
+    assert code == 2 and not near
+    assert "needs integer s" in err
 
 
 def test_eval_cut_side_flag():

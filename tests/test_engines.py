@@ -144,8 +144,8 @@ def test_direct_domain_and_cap():
     with pytest.raises(AccuracyError) as info:
         eval_series_direct(LerchPoint(1.0 - 1e-6, S34, A03))
     assert math.isfinite(info.value.achieved)
-    # and so in each of the series' loops: complex s, Re s < 0 (whose
-    # ratio bound is still infinite at the cap) and complex z
+    # and so at complex s, at Re s < 0 (whose ratio bound is still
+    # infinite at the cap) and at complex z
     for z, s in ((1.0 - 1e-6, 1.5 + 2.5j), (1.0 - 1e-6, -2.5),
                  ((1.0 - 1e-6) * 1j, S34)):
         with pytest.raises(AccuracyError):
@@ -153,9 +153,10 @@ def test_direct_domain_and_cap():
 
 
 def test_series_sum_matches_reference_loop():
-    # the series' per-regime loops against the one loop that decides each
-    # term's route afresh (helpers.reference_series_sum): the same value,
-    # estimate and term count, bit for bit
+    # the series' two loops (the general one, then real a + n > 0 at
+    # Re s >= 0) against the one loop that decides each term's route
+    # afresh (helpers.reference_series_sum): the same value, estimate and
+    # term count, bit for bit
     def draw(rng):
         z = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(-math.pi, math.pi))
         s = complex(rng.uniform(0.0, 8.0))
@@ -799,10 +800,9 @@ def test_integer_a_polylog_form_matches_mpmath():
 
 
 def test_auto_near_integer_s_within_estimate():
-    # s within 1e-12 of an integer S but not S: the closed form would
-    # answer Phi at S, whose estimate leaves the offset out (1.3 to 1.7
-    # times under the error here), so eval_auto takes the Abel-Plana
-    # engine
+    # s within 1e-12 of an integer S but not S: Phi at S, the closed
+    # form's value there, is 1.3 to 1.7 times its estimate off, so the
+    # closed form refuses it and eval_auto takes the Abel-Plana engine
     for z, s, a in ((cmath.rect(20.0, 2.0), 3.0 + 9e-13, 0.7),
                     (cmath.rect(20.0, 2.0), 3.0 + 9e-13j, 0.7),
                     (-50.0, 2.0 - 9e-13, 0.4)):
@@ -811,6 +811,8 @@ def test_auto_near_integer_s_within_estimate():
         rep = eval_auto(p)
         assert (abs(rep.value - ref.value)
                 <= rep.abs_err_estimate + ref.err_bar), p
+        with pytest.raises(DomainError):
+            eval_integer_s_large_z(p)
 
 
 def test_integer_s_estimate_covers_growing_terms():
