@@ -10,10 +10,11 @@ fields.  LerchPoint and EngineReport convert and validate in
 ``__new__``, and ``_make``/``_replace`` go through it too.
 """
 
+import cmath
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import ConditioningError, DomainError
 
 _CUT_SIDES = ("above", "below")
 _tuple_new = tuple.__new__
@@ -54,14 +55,21 @@ class LerchPoint(namedtuple("LerchPoint", "z s a cut_side")):
 class EngineReport(namedtuple("EngineReport", "value abs_err_estimate "
                                               "n_terms m_terms engine "
                                               "warnings")):
-    """A computed value together with the engine's own accounting."""
+    """A computed value together with the engine's own accounting.
+
+    A value or estimate past the double range (inf or nan) is refused
+    with ConditioningError, so no engine answers with one."""
 
     __slots__ = ()
 
     def __new__(cls, value, abs_err_estimate, n_terms, m_terms, engine,
                 warnings=()):
-        if not (math.isfinite(abs_err_estimate) and abs_err_estimate >= 0.0):
-            raise ValueError(f"abs_err_estimate must be finite and >= 0, "
+        if not (cmath.isfinite(value) and math.isfinite(abs_err_estimate)):
+            raise ConditioningError(f"the {engine} value {value} or its "
+                                    f"estimate {abs_err_estimate} is past "
+                                    "the double range")
+        if not abs_err_estimate >= 0.0:
+            raise ValueError(f"abs_err_estimate must be >= 0, "
                              f"got {abs_err_estimate}")
         return _tuple_new(cls, (value, abs_err_estimate, n_terms, m_terms,
                                 engine, warnings))

@@ -33,13 +33,14 @@ import math
 from ._types import EngineReport, LerchPoint
 from .coefficients import (_COUNT_CAP, _alternating_power_sums,
                            csc_coefficients, csc_coefficients_subtracted)
-from .errors import AccuracyError, ConditioningError, DomainError
-from .special_kernel import (_BERNOULLI, _abel_plana_integral,
-                             _exp_scaled, _gamma_rounding, _log_neg,
-                             _nonpositive_integer, _scaled_difference,
-                             _scaled_gamma_star, _signed_log_gamma,
-                             _upper_incomplete_gamma, gamma, hurwitz_zeta,
-                             log_gamma, reciprocal_gamma)
+from .errors import (AccuracyError, ConditioningError, DomainError,
+                     overflow_is_conditioning)
+from .special_kernel import (_abel_plana_integral, _exp_scaled,
+                             _gamma_rounding, _log_neg, _nonpositive_integer,
+                             _scaled_difference, _scaled_gamma_star,
+                             _signed_log_gamma, _upper_incomplete_gamma,
+                             gamma, hurwitz_zeta, log_gamma,
+                             reciprocal_gamma)
 
 _TWO_PI = 2.0 * math.pi
 _DIRECT_CAP = 10 ** 6
@@ -224,13 +225,15 @@ def eval_series_direct(p, tol=1e-12):
     return EngineReport(value, est, n, 0, "direct")
 
 
+@overflow_is_conditioning
 def eval_near_one(p, n_max=60):
     """Branch-point expansion in powers of ln z around z = 1.
 
     The singular piece carries (-ln z)^(s-1); on the cut its argument
     is set by the point's side, matching the sign used for arg(-z).
     The estimate is the last term kept plus the rounding of the sum,
-    _NEAR_ONE_ROUNDING times its largest piece.
+    _NEAR_ONE_ROUNDING times its largest piece.  ConditioningError where
+    a piece is past the double range.
     """
     z, s, a = p.z, p.s, p.a
     ln_z = cmath.log(z)
@@ -339,7 +342,8 @@ def eval_abel_plana(p):
     their cancellation against the result.  n_terms counts integrand
     evaluations.  The value is exactly real on the real axis left of the
     cut at real s and a > 0.  ConditioningError where a piece or the
-    value is past the double range.
+    value is past the double range (z^k of the Re a <= 0 shift, and Phi
+    with it; EngineReport refuses the latter).
     """
     z, s, a = p.z, p.s, p.a
     if z == 0.0:
@@ -380,10 +384,6 @@ def eval_abel_plana(p):
     est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
                       + _AP_ULPS * abs(half))
            + _AP_ULPS * head_size)
-    if not (cmath.isfinite(value) and math.isfinite(est)):
-        # z^k of the Re a <= 0 shift, and Phi with it
-        raise ConditioningError("the Abel-Plana value is past the double "
-                                f"range at z = {z}, a = {p.a}")
     return EngineReport(value, est, evals, 0, "abel_plana")
 
 
@@ -391,38 +391,32 @@ def _polylog_branch(S, L):
     """-(2 pi i)^S / S! B_S(1/2 + L/(2 pi i)), the branch part of the
     polylogarithm's inversion formula
       Li_S(z) = -(-1)^S Li_S(1/z) - (2 pi i)^S / S! B_S(1/2 + L/(2 pi i)),
-    L = ln(-z), S >= 1, and the sum of the sizes of its terms.
+    L = ln(-z), 1 <= S <= _COUNT_CAP, and the sum of the sizes of its terms.
 
-    With x = 1/2 + L/(2 pi i), (2 pi i)^S / S! B_S(x) is
-    sum_j c_j y^(S-j) / (S-j)!, y = 2 pi i x, c_j = B_j (2 pi i)^j / j!
-    (1, -i pi, then -2 zeta(j) at even j and 0 at odd j, none larger
-    than 2 zeta(2)).  B_S(x) = (-1)^S B_S(1-x) lets y be L + i pi or i pi - L,
-    whichever has |Im y| <= pi, so the terms stay near the result's size.
+    In S that part has the generating function -e^(Lt) pi t / sin(pi t),
+    so it is -sum_j h_j L^(S-j) / (S-j)!, h_j the Taylor coefficients of
+    pi t / sin(pi t): 1, then 2 eta(j) at even j (none larger than 2) and
+    0 at odd j.  (pi t / sin(pi t) - 1) / (-2 pi i t) is the coefficients'
+    generating function 1/(2i sin(pi (a - t))) at a = 0 less its pole
+    t = 0, so h_j = -2 pi i b_(j-1,0)(0), read from the kernel's table
+    csc_coefficients_subtracted(0, 0, S) as 2 pi Im b_(j-1,0)(0).  L^k / k!
+    is built by ratio, and |Im L| <= pi keeps the terms near the result's
+    size.
     """
-    sign = -1.0
-    if L.imag > 0.0:
-        L = -L
-        sign = 1.0 if S % 2 else -1.0
-    y = L + 1j * math.pi
+    # S = 1 is -L: the table is read only where an even j >= 2 needs it
+    b = csc_coefficients_subtracted(0.0, 0, S).values if S >= 2 else ()
     total = 0.0j
     size = 0.0
-    for j in range(S + 1):
-        if j == 0:
-            c = 1.0
-        elif j == 1:
-            c = -1j * math.pi
-        elif j % 2:
-            continue
-        elif j <= 2 * len(_BERNOULLI):
-            num, den = _BERNOULLI[j // 2 - 1]
-            c = (num / den * (-1) ** (j // 2)
-                 * _TWO_PI ** j / math.factorial(j))
-        else:  # -2 zeta(j), j >= 26: five terms reach 1e-18
-            c = -2.0 * sum(n ** -j for n in range(1, 6))
-        term = c * y ** (S - j) / math.factorial(S - j)
-        total += term
-        size += abs(term)
-    return sign * total, size
+    power = 1.0 + 0.0j  # L^k / k!
+    for k in range(S + 1):
+        if k:
+            power *= L / k
+        j = S - k
+        if j % 2 == 0:
+            term = _TWO_PI * b[j - 1].imag * power if j else power
+            total += term
+            size += abs(term)
+    return -total, size
 
 
 def eval_integer_s_large_z(p, tol=1e-10):
@@ -436,14 +430,16 @@ def eval_integer_s_large_z(p, tol=1e-10):
     and integer a = k (k >= 1; LerchPoint refuses k <= 0) the residue
     poles collide and the polylogarithm takes over:
     Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
-    inversion (_polylog_branch).  Its Li_S(1/z) series and the finite
-    sum are the residue series with the term n = k left out: the k - 1
-    terms before it, and z^(-k-1) Phi(1/z, S, 1) past it, summed to
-    double precision.  The estimate is the series' own plus the rounding
-    of the other terms, which near an integer a cancel: the branch part
-    against the residue term n ~ a.  ConditioningError where a term, the
-    value or the estimate is past the double range, or S is past the
-    coefficient tables' _COUNT_CAP.
+    inversion, whose branch part is the same terminating series at the
+    pole t = 0 of the coefficients' generating function, its constants
+    from the same kernel (_polylog_branch).  Its Li_S(1/z) series and
+    the finite sum are the residue series with the term n = k left out:
+    the k - 1 terms before it, and z^(-k-1) Phi(1/z, S, 1) past it,
+    summed to double precision.  The estimate is the series' own plus the
+    rounding of the other terms, which near an integer a cancel: the
+    branch part against the residue term n ~ a.  ConditioningError where
+    a term, the value or the estimate is past the double range, or, at
+    every a, where S is past the coefficient tables' _COUNT_CAP.
     """
     if not _near_integer(p.s, 0.0):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
@@ -452,6 +448,10 @@ def eval_integer_s_large_z(p, tol=1e-10):
     az = abs(z)
     if az <= 1.0:
         raise DomainError("integer-s closed form needs |z| > 1")
+    if S > _COUNT_CAP:
+        raise ConditioningError(f"the logarithmic series at S = {S} is past "
+                                f"the {_COUNT_CAP} coefficients the tables "
+                                "hold")
     L = _branch_log(p)
     branch = 0.0j
     size = 0.0  # of the terms, for their rounding
@@ -475,10 +475,6 @@ def eval_integer_s_large_z(p, tol=1e-10):
             est *= scale
             n_terms += k - 1
         else:
-            if S > _COUNT_CAP:
-                raise ConditioningError(f"the logarithmic series at S = {S} "
-                                        f"is past the {_COUNT_CAP} "
-                                        "coefficients the tables hold")
             if S >= 1:
                 terms = _log_series_terms(p, L,
                                           csc_coefficients(a, S).values)
@@ -503,9 +499,6 @@ def eval_integer_s_large_z(p, tol=1e-10):
     # the rounding of terms that can cancel: the residue series against
     # the branch part near an integer a, and the polylogarithm form's
     est += _POLYLOG_ULPS * size + rounding
-    if not (cmath.isfinite(value) and math.isfinite(est)):
-        raise ConditioningError("the integer-s closed form is past the "
-                                f"double range at S = {S}, a = {a}")
     return EngineReport(value, est, n_terms, max(S, 0), "integer_s")
 
 
@@ -544,6 +537,7 @@ def _mirror_terms(p):
         yield _first_sum_term(p, n, L), _pair_term(p, n, L)
 
 
+@overflow_is_conditioning
 def eval_main_theorem(p, N, m_override=None):
     """Resummed large-z theorem at depth N with the optimally truncated
     logarithmic series.
@@ -552,7 +546,8 @@ def eval_main_theorem(p, N, m_override=None):
     pair terms over a - n, and the subtracted-coefficient logarithmic
     series truncated at choose_optimal_M (or m_override).  The estimate
     is remainder_estimate at the depth used, floored at _SUM_ULPS of the
-    sizes of the terms summed.
+    sizes of the terms summed.  ConditioningError where a term, the value
+    or the estimate is past the double range.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:
@@ -585,8 +580,6 @@ def eval_main_theorem(p, N, m_override=None):
             second += t
             size += abs(t)
     value = first + second + pairs
-    if not (cmath.isfinite(value) and math.isfinite(size)):
-        raise ConditioningError("the main theorem is past the double range")
     est = max(remainder_estimate(p, N, m_eff), _SUM_ULPS * size)
     return EngineReport(value, est, N, m_eff, "main_theorem",
                         tuple(warnings))
@@ -620,6 +613,7 @@ def residue_series(p, N, half_turns=None):
     return front * z ** -(N + 1) * total
 
 
+@overflow_is_conditioning
 def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
     """Convergent symmetric incomplete-gamma expansion.
 
@@ -628,7 +622,7 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
     alternating part.  Stops when the averaged increment drops under tol
     (relative past magnitude 1), else flags the cap.  The estimate is the
     last increment, floored at _SUM_ULPS of the sizes of the terms
-    summed.
+    summed.  ConditioningError where a term is past the double range.
     """
     z, a = p.z, p.a
     if abs(z) <= 1.0:
@@ -667,6 +661,7 @@ def eval_symmetric_igamma(p, N_max=400, tol=1e-10):
                         "symmetric_igamma", warnings)
 
 
+@overflow_is_conditioning
 def eval_fl_expansion(p, n_z_terms, n_log_terms):
     """Comparison large-z expansion: entire pair terms plus the plain
     (unresummed) logarithmic series.
@@ -698,9 +693,6 @@ def eval_fl_expansion(p, n_z_terms, n_log_terms):
                    for t in _log_series_terms(p, L, weights))
     pair_part = sum(_pair_term(p, n, L) for n in range(1, n_z_terms + 1))
     value = sum(kept, 0.0j) + pair_part
-    if not (cmath.isfinite(value) and cmath.isfinite(last)):
-        raise ConditioningError("the logarithmic series is past the double "
-                                f"range by n_log_terms = {n_log_terms}")
     return EngineReport(value, abs(last), n_z_terms, n_log_terms,
                         "fl_expansion")
 

@@ -5,6 +5,8 @@ and hopeless conditioning) are caller errors, accuracy problems mean the
 requested tolerance could not be certified.
 """
 
+import functools
+
 
 class LerchError(Exception):
     """Base class for everything raised by this package on purpose."""
@@ -41,3 +43,16 @@ class AccuracyError(LerchError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+def overflow_is_conditioning(fn):
+    """Decorator: an OverflowError inside fn (a power, an exponential or
+    a factorial past the double range) leaves it as ConditioningError."""
+    @functools.wraps(fn)
+    def typed(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise ConditioningError(f"{fn.__name__}: a quantity is past "
+                                    f"the double range ({exc})") from None
+    return typed

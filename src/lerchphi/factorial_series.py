@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from ._types import EngineReport
 from .engines import residue_series
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, overflow_is_conditioning
 from .special_kernel import gauss_2f1_unit_b, log_neg_z, reciprocal_gamma
 
 _TWO_PI = 2.0 * math.pi
@@ -152,6 +152,7 @@ def series_states(p, count):
     return out
 
 
+@overflow_is_conditioning
 def eval_factorial(p, tol=1e-10, max_terms=500):
     """Evaluate by the factorial rearrangement plus the residue series.
 
@@ -165,7 +166,8 @@ def eval_factorial(p, tol=1e-10, max_terms=500):
     (a heuristic, flagged in warnings because the series is only
     conditionally convergent) or at max_terms.  If the term envelope
     rebounds past the noise floor the sum rolls back to its best state
-    instead of integrating noise.  ValueError for a non-finite tol.
+    instead of integrating noise.  ValueError for a non-finite tol;
+    ConditioningError where a term or the value is past the double range.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")

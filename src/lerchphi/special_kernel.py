@@ -34,7 +34,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._quadrature import _HALF_LINE_REACH, tanh_sinh
-from .errors import AccuracyError, ConditioningError, DomainError, PoleError
+from .errors import (AccuracyError, ConditioningError, DomainError,
+                     PoleError, overflow_is_conditioning)
 
 __all__ = [
     "BranchedLog",
@@ -192,9 +193,6 @@ def log_gamma(s):
     return (sc - 0.5) * cmath.log(sc) - sc + _HALF_LN_2PI + series - shift
 
 
-# Gamma and 1/Gamma are memoized: the large-z engines ask for them at the
-# same few arguments (s and s + 1 of one point) for every mirror term.
-@lru_cache(maxsize=64)
 def gamma(s):
     """Gamma function; raises PoleError at non-positive integers and
     ConditioningError where |Gamma(s)| is past the double range."""
@@ -211,6 +209,9 @@ def gamma(s):
                                 f"s = {s}") from None
 
 
+# 1/Gamma is memoized: _scaled_gamma_star asks for it at s + 1 for every
+# pair term of the large-z expansions, and _log_series_terms at S for
+# every integer-s point.
 @lru_cache(maxsize=64)
 def reciprocal_gamma(s):
     """1/Gamma(s), entire: returns 0 at the poles of gamma.  Raises
@@ -235,7 +236,8 @@ def reciprocal_gamma(s):
 
 @lru_cache(maxsize=64)
 def _signed_log_gamma(s):
-    """(lg, sign) with Gamma(s) = sign e^lg, memoized like gamma: at real s
+    """(lg, sign) with Gamma(s) = sign e^lg, memoized like 1/Gamma (the
+    large-z engines ask for it at s for every mirror term): at real s
     lg = ln |Gamma(s)| (so the pieces built on it stay exactly real) and
     sign = +/-1, elsewhere log_gamma(s) and 1.  Never forms Gamma(s)."""
     p = _nonpositive_integer(s)
@@ -516,6 +518,7 @@ def _zeta_by_integral(s, a):
     return _em_cancellation_exponent(s, a) >= 0.5 * math.pi * abs(s.imag)
 
 
+@overflow_is_conditioning
 def hurwitz_zeta(s, a):
     """Hurwitz zeta, analytic continuation in s, for a off {0, -1, -2, ...}.
 
@@ -527,6 +530,7 @@ def hurwitz_zeta(s, a):
     Euler-Maclaurin like A^{1-Re s}/|zeta|); the one with the smaller
     predicted loss is used and the documented 1e-11 relative contract
     holds for |s| <= 30 with Re s >= -0.5 or |Im s| <= 8.
+    ConditioningError where a piece is past the double range.
     """
     sc = complex(s)
     ac = complex(a)

@@ -14,6 +14,7 @@ from helpers import reference_series_sum, rel_err, sample
 from lerchphi import engines, special_kernel
 from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
+from lerchphi.cli import _run_engine
 from lerchphi.engines import (
     choose_optimal_M,
     eval_abel_plana,
@@ -109,7 +110,7 @@ def test_report_validation():
     assert rep.warnings == ()
     with pytest.raises(ValueError):
         EngineReport(1.0 + 0j, -1e-3, 0, 0, "direct")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConditioningError):
         EngineReport(1.0 + 0j, math.nan, 0, 0, "direct")
 
 
@@ -790,13 +791,48 @@ def test_integer_a_polylog_form_matches_mpmath():
                     assert err <= 1e-13 * abs(ref), (S, k, side)
                 else:
                     assert err <= 1e-10, (S, k, side)
-    # from S = 26 the branch part takes -2 zeta(j) past the Bernoulli
-    # table, j >= 26; against mpmath at 40 digits
+    # larger S, where the branch part reads its constants h_j = 2 eta(j)
+    # at even j from 2 to S off the coefficient kernel's table; against
+    # mpmath at 40 digits
     for z, S, k in ((-50.0, 27, 2), (10j, 30, 1), (-5.0 + 5.0j, 26, 3)):
         with mp.workdps(40):
             want = complex(mp.lerchphi(mp.mpc(z), S, k))
         rep = eval_integer_s_large_z(LerchPoint(z, float(S), float(k)))
         assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, k)
+
+
+def test_integer_a_polylog_form_is_honest_on_seeded_draws():
+    # S in 1..60, a in 1..6, |z| = e^u with u in (1, 12), a tenth on the
+    # negative axis; against mpmath at 40 digits, every error within its
+    # estimate and under 1e-15 relative past magnitude 1
+    def draw(rng):
+        r = math.exp(rng.uniform(1.0, 12.0))
+        z = (complex(-r, 0.0) if rng.random() < 0.1
+             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        return z, rng.randint(1, 60), rng.randint(1, 6)
+
+    for z, S, k in sample(7, 40, draw):
+        with mp.workdps(40):
+            want = complex(mp.lerchphi(mp.mpc(z), S, k))
+        rep = eval_integer_s_large_z(LerchPoint(z, float(S), float(k)))
+        err = abs(rep.value - want)
+        assert err <= rep.abs_err_estimate, (z, S, k)
+        assert err <= 1e-15 * max(1.0, abs(want)), (z, S, k)
+
+
+def test_integer_a_answers_up_to_the_coefficient_cap():
+    # no factorial leaves the double range: S from 171 to 200 answers at
+    # integer a, as at every other a, within its estimate of mpmath at 60
+    # digits; past S = 200 the tables stop, at integer a too
+    for z, S, k in ((5j, 171, 2), (-10.0, 180, 1), (-10.0, 200, 3)):
+        with mp.workdps(60):
+            want = complex(mp.lerchphi(mp.mpc(z), S, k))
+        p = LerchPoint(z, float(S), float(k))
+        rep = eval_integer_s_large_z(p)
+        assert abs(rep.value - want) <= rep.abs_err_estimate, (z, S, k)
+        assert eval_auto(p) == rep
+    with pytest.raises(ConditioningError, match="past the 200 coefficients"):
+        eval_integer_s_large_z(LerchPoint(-10.0, 201.0, 1.0))
 
 
 def test_auto_near_integer_s_within_estimate():
@@ -912,6 +948,69 @@ def test_integer_s_raises_only_typed_errors():
         except LerchError:
             pass
     assert answered >= 190
+
+
+def test_every_engine_raises_only_typed_errors():
+    # every engine the CLI's --engine names, at its CLI defaults: a term,
+    # a power or a factorial past the double range is a ConditioningError,
+    # and a value past it too (EngineReport refuses one), never a bare
+    # OverflowError or a nan value.  First the points where each engine
+    # let one out: the symmetric expansion's w^k (1.49e9-2.43e9i, -242),
+    # the pole join's 1/222! in the main theorem and 1/171! in the
+    # comparison expansion, the a-step head of hurwitz_zeta in the
+    # near-one expansion, and the factorial engine's terms and its nan
+    points = [
+        ("symmetric", 1485906347.0646927 - 2426667281.2222834j, -242.0,
+         0.11719891601631233),
+        ("main", -0.9509710851897176 - 0.471639709432688j,
+         -222.10860401980761, 0.44973242049493495),
+        ("fl", -36950185.32891746 + 14980038.30485884j, -170.9888680947992,
+         1.5317923760230756),
+        ("near-one", -9.77746391490915 - 2.427845438617095j,
+         -112.76222417662058 - 21.523642607148048j, 64.33907911643705),
+        ("factorial", -1.1494109921430586 + 4.2144723002520115j,
+         -269.6358068636785 - 21.326896842745604j, 0.043118612814589924),
+        ("factorial", 660596880.6554326 + 227961623.45422396j,
+         -34.37853337830654 + 26.14215672134104j, 0.039541056635302455)]
+    for engine, z, s, a in points:
+        with pytest.raises(ConditioningError):
+            _run_engine(LerchPoint(z, s, a), engine, 1e-10, None)
+
+    # seeded draws: |z| = e^u, u in (-3, 22), arg z uniform; Re s in
+    # (-300, 300), half with |Im s| <= 30 and a fifth of the rest at an
+    # integer; a = e^v, v in (-3.5, 4.5), a fifth complex with
+    # |Im a| <= 20 and a tenth negative real
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(-3.0, 22.0)),
+                       rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(-300.0, 300.0),
+                    0.0 if rng.random() < 0.5 else rng.uniform(-30.0, 30.0))
+        if rng.random() < 0.2:
+            s = complex(round(s.real), 0.0)
+        a = math.exp(rng.uniform(-3.5, 4.5))
+        kind = rng.random()
+        if kind < 0.2:
+            a = complex(a, rng.uniform(-20.0, 20.0))
+        elif kind < 0.3:
+            a = -a
+        return z, s, a
+
+    names = ("auto", "direct", "near-one", "abel-plana", "integer-s", "main",
+             "symmetric", "fl", "factorial")
+    answered = 0
+    for z, s, a in sample(2, 60, draw):
+        try:
+            p = LerchPoint(z, s, a)
+        except LerchError:
+            continue
+        for engine in names:
+            try:
+                rep = _run_engine(p, engine, 1e-10, None)
+            except LerchError:
+                continue
+            assert cmath.isfinite(rep.value), (engine, z, s, a)
+            answered += 1
+    assert answered >= 200
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.coefficients import CoefficientTable, _boole_rows
-from lerchphi.errors import DomainError
+from lerchphi.errors import ConditioningError, DomainError
 from lerchphi.factorial_series import FactorialSeriesState
 from lerchphi.oracle import ReferenceValue
 from lerchphi.special_kernel import (_BERNOULLI, _DIGAMMA_FACT, _EM_FACT,
@@ -80,10 +80,16 @@ def test_lerch_point_validation_unchanged():
 
 
 def test_engine_report_validation_unchanged():
-    for bad in (-1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"^abs_err_estimate must be "
-                           r"finite and >= 0, got "):
-            EngineReport(1.0 + 0j, bad, 0, 0, "direct")
+    with pytest.raises(ValueError, match=r"^abs_err_estimate must be "
+                       r">= 0, got "):
+        EngineReport(1.0 + 0j, -1e-3, 0, 0, "direct")
+    # a value or an estimate past the double range is a conditioning
+    # error, whichever engine reports it
+    for value, est in ((1.0 + 0j, math.nan), (1.0 + 0j, math.inf),
+                       (complex(math.nan, 0.0), 1e-12),
+                       (complex(1.0, math.inf), 1e-12)):
+        with pytest.raises(ConditioningError, match=r"^the direct value "):
+            EngineReport(value, est, 0, 0, "direct")
     rep = EngineReport(1.0 + 0j, 1e-12, 4, 2, "direct")
     with pytest.raises(ValueError):
         rep._replace(abs_err_estimate=-1.0)
