@@ -62,6 +62,15 @@ def _check_count(count):
         raise ValueError(f"count must be in [1, {_COUNT_CAP}], got {count}")
 
 
+def _capped(values, a):
+    # every part within the cap; a nan fails, and unlike abs() none overflows
+    if not all(abs(v.real) <= _MAGNITUDE_CAP and abs(v.imag) <= _MAGNITUDE_CAP
+               for v in values):
+        raise ConditioningError(f"a coefficient is past {_MAGNITUDE_CAP:.0e}:"
+                                f" a = {a} is too close to an integer")
+    return values
+
+
 @lru_cache(maxsize=64)
 def _recurrence_values(a, count):
     # quadratic recurrence equivalent to f f'' = 2 f'^2 + pi^2 f^2 for
@@ -79,13 +88,8 @@ def _recurrence_values(a, count):
             acc += pi2 * b[m] * b[n - m]
         for m in range(n):
             acc -= (m + 2) * (m + 1) * b[m + 2] * b[n - m]
-        nxt = acc / ((n + 2) * (n + 1) * b[0])
-        if abs(nxt) > _MAGNITUDE_CAP:
-            raise ConditioningError(
-                f"coefficient b_{n + 2} exceeds {_MAGNITUDE_CAP:.0e}; "
-                "a is too close to an integer for this depth")
-        b[n + 2] = nxt
-    return tuple(b[:count])
+        b[n + 2] = acc / ((n + 2) * (n + 1) * b[0])
+    return _capped(tuple(b[:count]), a)
 
 
 @lru_cache(maxsize=64)
@@ -198,13 +202,13 @@ def _subtracted_values(a, N, count, method):
         # accurate at its own (tiny) scale.  Real a is summed in floats:
         # less work than complex arithmetic on zero imaginary parts, and
         # the same values wherever float sum() is not compensated (< 3.12).
-        if a.imag == 0.0:
-            a = a.real
-        up = _alternating_power_sums(a + N + 1.0, count)
-        down = _alternating_power_sums(N + 1.0 - a, count)
+        x = a.real if a.imag == 0.0 else a
+        up = _alternating_power_sums(x + N + 1.0, count)
+        down = _alternating_power_sums(N + 1.0 - x, count)
         front = (-0.5j if N % 2 else 0.5j) / math.pi
-        return tuple(front * (u - d if p % 2 else u + d)
-                     for p, (u, d) in enumerate(zip(up, down), 1))
+        return CoefficientTable(a, N, _capped(tuple(
+            front * (u - d if p % 2 else u + d)
+            for p, (u, d) in enumerate(zip(up, down), 1)), a), method)
     base = _recurrence_values(a, count)
     c = 0.5j / math.pi
     out = []
@@ -217,7 +221,7 @@ def _subtracted_values(a, N, count, method):
             re.append(t.real)
             im.append(t.imag)
         out.append(complex(math.fsum(re), math.fsum(im)))
-    return tuple(out)
+    return CoefficientTable(a, N, tuple(out), method)
 
 
 def csc_coefficients_subtracted(a, N, count, method="stable-zeta"):
@@ -242,6 +246,4 @@ def csc_coefficients_subtracted(a, N, count, method="stable-zeta"):
     if complex(a).real - N - 1 >= 0:
         # the tail blocks assume the removed poles bracket the origin
         raise ConditioningError("subtraction depth too small for this a")
-    return CoefficientTable(complex(a), N,
-                            _subtracted_values(complex(a), N, count, method),
-                            method)
+    return _subtracted_values(complex(a), N, count, method)

@@ -82,13 +82,6 @@ def _branch_log(p):
     return _log_neg(p.z, p.cut_side)
 
 
-def _mirror_value(y, m):
-    try:
-        return _exp_scaled(y, m, 0.0)[0]
-    except OverflowError:
-        raise ConditioningError("mirror term past the double range") from None
-
-
 def _first_sum_term(p, n, L):
     # z^n Gamma(s, w) / ((a+n)^s Gamma(s)), w = (a+n)L, Gamma(s, w) =
     # e^(x-w) m; e^L = -z, so z^n e^(-w) = (-1)^n e^(-aL) exactly
@@ -97,8 +90,8 @@ def _first_sum_term(p, n, L):
         return 0.0j
     x, m, _ = _upper_incomplete_gamma(s, (a + n) * L)
     lg, sign = _signed_log_gamma(s)
-    return _mirror_value(x - a * L - s * cmath.log(a + n) - lg,
-                         -sign * m if n % 2 else sign * m)
+    return _exp_scaled(x - a * L - s * cmath.log(a + n) - lg,
+                       -sign * m if n % 2 else sign * m, 0.0)[0]
 
 
 def _pair_term(p, n, L):
@@ -106,7 +99,8 @@ def _pair_term(p, n, L):
     # -z^(-n) L^s gammastar(s, w), w = (a-n)L, gammastar = e^(x-w) m
     s, a = p.s, p.a
     x, m = _scaled_gamma_star(s, (a - n) * L)
-    return _mirror_value(x - a * L + s * cmath.log(L), m if n % 2 else -m)
+    return _exp_scaled(x - a * L + s * cmath.log(L), m if n % 2 else -m,
+                       0.0)[0]
 
 
 def _log_series_terms(p, L, coeffs):
@@ -115,8 +109,8 @@ def _log_series_terms(p, L, coeffs):
     starts at 2 pi i e^(-aL) L^(s-1) / Gamma(s) and each next one is the
     one before times (s-m)/L, so the terms stay exactly real where s, a
     and L are real.  A term whose factor underflows to 0 is reported as
-    None; ConditioningError when the first factor is past the double
-    range."""
+    None; OverflowError, for the public caller to convert, when the first
+    factor is past the double range."""
     s = p.s
     expo = -p.a * L + (s - 1.0) * cmath.log(L)
     factor = math.inf
@@ -127,12 +121,7 @@ def _log_series_terms(p, L, coeffs):
         # one exponential with Gamma(s) in it, past the double range only
         # with the factor itself; log |Gamma| and its sign at real s
         lg, sign = _signed_log_gamma(s)
-        expo -= lg
-        try:
-            factor = 2j * math.pi * sign * cmath.exp(expo)
-        except OverflowError:
-            raise ConditioningError("the first log-series term is past "
-                                    f"the double range at s = {s}") from None
+        factor = 2j * math.pi * sign * cmath.exp(expo - lg)
     out = []
     for m, b in enumerate(coeffs):
         if m:
@@ -585,6 +574,7 @@ def eval_main_theorem(p, N, m_override=None):
                         tuple(warnings))
 
 
+@overflow_is_conditioning
 def residue_series(p, N, half_turns=None):
     """Residue series content beyond the first N mirror pairs:
     -e^(-i pi s sigma) sum_{n>N} z^(-n) (n-a)^(-s).  Subtracting this
@@ -598,6 +588,7 @@ def residue_series(p, N, half_turns=None):
     z^(-N-1) Phi(1/z, s, N+1-a): the defining series at 1/z
     (_series_sum), to 1e-18 of its first term, while |1/z| <= 0.9, and
     the Abel-Plana engine nearer |z| = 1, as in eval_auto.
+    ConditioningError where a term or the sum is past the double range.
     """
     z, s, a = p.z, p.s, p.a
     if abs(z) <= 1.0:

@@ -47,6 +47,7 @@ class FactorialSeriesState(namedtuple("FactorialSeriesState",
     __slots__ = ()
 
 
+@overflow_is_conditioning
 def p_n_direct(x, s, n):
     """n-th binomial moment by the literal alternating sum.
 
@@ -72,6 +73,7 @@ def p_n_direct(x, s, n):
     return front * complex(math.fsum(re), math.fsum(im))
 
 
+@overflow_is_conditioning
 def p_n_stable(x, s, n):
     """n-th binomial moment with the cancellation carried analytically.
 
@@ -133,6 +135,7 @@ def _terms(x, q, front, s):
         fac *= ratio
 
 
+@overflow_is_conditioning
 def series_states(p, count):
     """First `count` states of the rearranged sum, for tracing.
 
@@ -149,6 +152,8 @@ def series_states(p, count):
         out.append(FactorialSeriesState(x=x, s=p.s, a=p.a, partial=partial,
                                         n_terms=n + 1,
                                         last_term_mag=abs(term)))
+    if not cmath.isfinite(partial):  # inf or nan stays in the sum
+        raise ConditioningError("a partial sum is past the double range")
     return out
 
 

@@ -193,6 +193,7 @@ def log_gamma(s):
     return (sc - 0.5) * cmath.log(sc) - sc + _HALF_LN_2PI + series - shift
 
 
+@overflow_is_conditioning
 def gamma(s):
     """Gamma function; raises PoleError at non-positive integers and
     ConditioningError where |Gamma(s)| is past the double range."""
@@ -200,19 +201,16 @@ def gamma(s):
     p = _nonpositive_integer(sc)
     if p is not None:
         raise PoleError(f"gamma pole at s = {p}", pole=p)
-    try:
-        if sc.imag == 0.0:
-            return complex(math.gamma(sc.real), 0.0)
-        return cmath.exp(log_gamma(sc))
-    except OverflowError:
-        raise ConditioningError(f"Gamma(s) is past the double range at "
-                                f"s = {s}") from None
+    if sc.imag == 0.0:
+        return complex(math.gamma(sc.real), 0.0)
+    return cmath.exp(log_gamma(sc))
 
 
 # 1/Gamma is memoized: _scaled_gamma_star asks for it at s + 1 for every
 # pair term of the large-z expansions, and _log_series_terms at S for
-# every integer-s point.
+# every integer-s point; a hit never enters the overflow conversion.
 @lru_cache(maxsize=64)
+@overflow_is_conditioning
 def reciprocal_gamma(s):
     """1/Gamma(s), entire: returns 0 at the poles of gamma.  Raises
     ConditioningError where |1/Gamma(s)| is past the double range, above
@@ -224,12 +222,9 @@ def reciprocal_gamma(s):
     # s = -171 it is subnormal while 1/Gamma leaves the range
     if sc.imag == 0.0 and abs(sc.real) < 170.0:
         return complex(1.0 / math.gamma(sc.real), 0.0)
-    try:
-        value = cmath.exp(-log_gamma(sc))
-    except OverflowError:
-        value = math.inf
-    if not sys.float_info.min <= abs(value) < math.inf:
-        raise ConditioningError(f"1/Gamma(s) is past the double range "
+    value = cmath.exp(-log_gamma(sc))
+    if abs(value) < sys.float_info.min:
+        raise ConditioningError(f"1/Gamma(s) is under the normal doubles "
                                 f"at s = {s}")
     return value
 
@@ -412,11 +407,13 @@ def _abel_plana_integral(s, a, L):
     s = 200.5, a = 0.3, into every node alike.  Where Re s << 0 and
     |a| < 1 the integrand over a^(-s) can pass e^709 while the integrand
     does not; there -s ln a (c0) is folded into c instead, and the
-    estimate carries the rounding of that exponent.  ConditioningError
-    where the integral itself is past the double range (at z = 1, where
-    zeta is).  Returns the value, the quadrature's error estimate, the
-    integral of |integrand| (for the caller's rounding bound) and the
-    number of integrand evaluations.
+    estimate carries the rounding of that exponent.  OverflowError where
+    a^(-s) or a node's exponential is past the double range;
+    ConditioningError where the value or the integral of |integrand|
+    reaches inf without raising (at z = 1, where zeta is).  Returns the
+    value, the quadrature's error estimate, the integral of |integrand|
+    (for the caller's rounding bound) and the number of integrand
+    evaluations.
 
     Along a ray in z only tL and what follows from it change: sigma, c0
     and each node's t, c, s atan(tau) and 1 - e^(-2 pi t) depend on s, a
@@ -479,12 +476,8 @@ def _abel_plana_integral(s, a, L):
             diff = cmath.exp(c + d) - cmath.exp(c - d)
         return diff / one_minus
 
-    try:
-        front = 1.0 if fold else a ** -s
-        value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL,
-                                     _AP_U_MIN)
-    except OverflowError:
-        front = value = mass = math.inf
+    front = 1.0 if fold else a ** -s
+    value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL, _AP_U_MIN)
     if added:
         entry[3] = table + tuple(added)
     scale = abs(front) * sigma
@@ -780,6 +773,7 @@ def _near_gamma_pole(s):
     return None
 
 
+@overflow_is_conditioning
 def upper_incomplete_gamma(s, w):
     """Gamma(s, w), principal branch of w**s, any complex s.
 
@@ -804,13 +798,9 @@ def _upper_incomplete_gamma_and_err(s, w):
     fraction's value per step, plus what the route truncates, and of the
     exponent x - w of the value e^(x - w) m (_exp_scaled)."""
     sc, wc = complex(s), complex(w)
-    try:
-        x, m, err = _upper_incomplete_gamma(sc, wc)
-        return _exp_scaled(x - wc, m, err + _IGAMMA_ULPS * (abs(x) + abs(wc))
-                           * abs(m))
-    except OverflowError:
-        raise ConditioningError(f"Gamma({s}, {w}) is past the double "
-                                "range") from None
+    x, m, err = _upper_incomplete_gamma(sc, wc)
+    return _exp_scaled(x - wc, m, err + _IGAMMA_ULPS * (abs(x) + abs(wc))
+                       * abs(m))
 
 
 def _upper_incomplete_gamma(sc, wc):
@@ -904,6 +894,7 @@ def _upper_incomplete_gamma(sc, wc):
                         log_stokes)
 
 
+@overflow_is_conditioning
 def gamma_star(s, w):
     """Scaled lower incomplete gamma: lower(s, w) / (Gamma(s) * w**s).
 
@@ -913,12 +904,8 @@ def gamma_star(s, w):
     raises ConditioningError when it is past the double range.
     """
     sc, wc = complex(s), complex(w)
-    try:
-        x, m = _scaled_gamma_star(sc, wc)
-        return _exp_scaled(x - wc, m, 0.0)[0]
-    except OverflowError:
-        raise ConditioningError(f"gamma_star({s}, {w}) is past the double "
-                                "range") from None
+    x, m = _scaled_gamma_star(sc, wc)
+    return _exp_scaled(x - wc, m, 0.0)[0]
 
 
 def _scaled_gamma_star(sc, wc):

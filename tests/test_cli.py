@@ -186,7 +186,21 @@ def test_domain_errors_exit_2():
            # a^(-s) past the double range in the band, with and
            # without the Re a <= 0 shift
            ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "3.3,0"],
-           ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "-3.3,0"])
+           ["eval", "--z", "1.5,0.5", "--s", "-600.5,0", "--a", "-3.3,0"],
+           # the m-landscape's residue series at s = -500 and the factorial
+           # trace's front factor at s = 397 past the double range: a
+           # conditioning error, not a traceback
+           ["sweep", "--mode", "m-landscape", "--z", "-10,0", "--s",
+            "-500,0", "--a", "0.3,0"],
+           ["sweep", "--mode", "factorial-trace", "--z",
+            "1.1995803971459893,2.9844791483632873", "--s", "397,0",
+            "--a", "249.9267603230403,0", "--count", "20"],
+           # the coefficient recurrence's b_1 past the double range next to
+           # a = 0: a conditioning error, not rows of nan or a
+           # ZeroDivisionError in the direct-sum table
+           ["coeffs", "--a", "1e-200,0", "--n-max", "3"],
+           ["coeffs", "--a", "1e-160,0", "--n-max", "1"],
+           ["coeffs", "--a", "1e-200,0", "--n-max", "3", "--subtract", "1"])
     for argv in bad:
         code, _, err = run_cli(argv)
         assert code == 2, argv

@@ -15,6 +15,8 @@ from lerchphi import engines, special_kernel
 from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.cli import _run_engine
+from lerchphi.coefficients import (CoefficientTable, csc_coefficients,
+                                   csc_coefficients_subtracted)
 from lerchphi.engines import (
     choose_optimal_M,
     eval_abel_plana,
@@ -26,12 +28,16 @@ from lerchphi.engines import (
     eval_series_direct,
     eval_symmetric_igamma,
     remainder_estimate,
+    residue_series,
 )
 from lerchphi.errors import (AccuracyError, ConditioningError, DomainError,
                              LerchError)
+from lerchphi.factorial_series import p_n_direct, p_n_stable, series_states
 from lerchphi.oracle import (hp_continuation, hp_series, quad_integral,
                              reference_value)
-from lerchphi.special_kernel import hurwitz_zeta
+from lerchphi.special_kernel import (gamma, gamma_star, hurwitz_zeta,
+                                     log_neg_z, reciprocal_gamma,
+                                     upper_incomplete_gamma)
 
 S34 = 0.75
 A03 = 0.3
@@ -1011,6 +1017,91 @@ def test_every_engine_raises_only_typed_errors():
             assert cmath.isfinite(rep.value), (engine, z, s, a)
             answered += 1
     assert answered >= 200
+
+
+def test_public_functions_answer_finite_or_raise_typed_errors():
+    # a public function converts an OverflowError at its own boundary and
+    # refuses a product that reached inf or nan: it answers finite values
+    # or raises a LerchError.  First the points where one got out:
+    # residue_series' (N+1-a)^(-s) at s = -500 (the m-landscape sweep),
+    # the factorial engine's (2 pi i)^(s-1) at s = 397 (its trace), x^146.5
+    # at |x| = 300 in p_n_stable, b_1 of the coefficient recurrence past
+    # the double range next to a = 0 (rows of nan, and a ZeroDivisionError
+    # in the direct-sum table), and the stable-zeta table's powers of
+    # 1/(N+1-a) next to a = N+1 (rows of nan)
+    with pytest.raises(ConditioningError):
+        residue_series(LerchPoint(-10.0, -500.0, 0.3), 5)
+    with pytest.raises(ConditioningError):
+        series_states(LerchPoint(1.1995803971459893 + 2.9844791483632873j,
+                                 397.0, 249.9267603230403), 20)
+    with pytest.raises(ConditioningError):
+        p_n_stable(0.5 + 300j, 150.5, 3)
+    for a, count in ((1e-200, 4), (1e-160, 2)):
+        with pytest.raises(ConditioningError):
+            csc_coefficients(a, count)
+    with pytest.raises(ConditioningError):
+        csc_coefficients_subtracted(1e-200, 1, 4, method="direct-sum")
+    with pytest.raises(ConditioningError):
+        csc_coefficients_subtracted(2.0 - 1e-15, 1, 40)
+
+    # seeded draws: |z| = e^u, u in (-3, 25), arg z uniform; Re s in
+    # (-400, 400), half with |Im s| <= 40 and a fifth at an integer;
+    # a = e^v, v in (-30, 6), a fifth complex with |Im a| <= 30 and a
+    # tenth negative real; a depth or order n in 0..6 and a count in 1..40
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(-3.0, 25.0)),
+                       rng.uniform(-math.pi, math.pi))
+        s = complex(rng.uniform(-400.0, 400.0),
+                    rng.uniform(-40.0, 40.0) if rng.random() < 0.5 else 0.0)
+        if rng.random() < 0.2:
+            s = complex(round(s.real), 0.0)
+        a = math.exp(rng.uniform(-30.0, 6.0))
+        kind = rng.random()
+        if kind < 0.2:
+            a = complex(a, rng.uniform(-30.0, 30.0))
+        elif kind < 0.3:
+            a = -a
+        return z, s, a, rng.randint(0, 6), rng.randint(1, 40)
+
+    def finite(value):
+        if isinstance(value, list):  # series_states
+            return all(cmath.isfinite(st.partial) for st in value)
+        if isinstance(value, CoefficientTable):
+            return all(map(cmath.isfinite, value.values))
+        return cmath.isfinite(value)
+
+    answered = {}
+    for z, s, a, n, count in sample(28, 100, draw):
+        L = log_neg_z(z).value
+        x = 0.5 + 1j * L / (2.0 * math.pi)  # the factorial engine's
+        w = -complex(a) * L  # the Abel-Plana Gamma term's
+        calls = {"p_n_direct": lambda: p_n_direct(x, s, n),
+                 "p_n_stable": lambda: p_n_stable(x, s, n),
+                 "csc_coefficients": lambda: csc_coefficients(a, count),
+                 "stable-zeta": lambda: csc_coefficients_subtracted(
+                     a, n, count),
+                 "direct-sum": lambda: csc_coefficients_subtracted(
+                     a, n, count, method="direct-sum"),
+                 "gamma": lambda: gamma(s),
+                 "reciprocal_gamma": lambda: reciprocal_gamma(s),
+                 "gamma_star": lambda: gamma_star(s, w),
+                 "upper_incomplete_gamma": lambda: upper_incomplete_gamma(
+                     1.0 - s, w),
+                 "hurwitz_zeta": lambda: hurwitz_zeta(s, a)}
+        try:
+            p = LerchPoint(z, s, a)
+            calls["residue_series"] = lambda: residue_series(p, n)
+            calls["series_states"] = lambda: series_states(p, 12)
+        except LerchError:
+            pass
+        for name, call in calls.items():
+            try:
+                value = call()
+            except LerchError:
+                continue
+            assert finite(value), (name, z, s, a, n, count)
+            answered[name] = answered.get(name, 0) + 1
+    assert len(answered) == 12 and min(answered.values()) >= 15, answered
 
 
 # ---------------------------------------------------------------------------
