@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add as _ADD, mul as _MUL
 
-from .errors import ConditioningError
+from .errors import ConditioningError, overflow_is_conditioning
 from .special_kernel import _BERNOULLI
 
 _TWO_PI_I = 2j * math.pi
@@ -101,6 +101,7 @@ def csc_coefficients(a, count):
                             "recurrence")
 
 
+@overflow_is_conditioning
 def csc_coefficients_contour(a, count, radius=None):
     """The same coefficients from a trapezoid Cauchy integral.
 

@@ -29,6 +29,8 @@ arg(-z) = -/+ pi and, in the near-one and Abel-Plana engines, arg(-ln z).
 import cmath
 import itertools
 import math
+import sys
+from functools import lru_cache
 
 from ._types import EngineReport, LerchPoint
 from .coefficients import (_COUNT_CAP, _alternating_power_sums,
@@ -207,7 +209,7 @@ def eval_series_direct(p, tol=1e-12):
         raise DomainError("direct series needs |z| < 1")
     try:
         value, est, n = _series_sum(p.z, p.s, p.a, tol)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ConditioningError("a term of the direct series is past the "
                                 f"double range at a = {p.a}, s = {p.s}"
                                 ) from None
@@ -361,7 +363,7 @@ def eval_abel_plana(p):
         else:
             gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
         integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ConditioningError("a piece of the Abel-Plana form is past the "
                                 f"double range at a = {a}, s = {s}") from None
     value = head + zk * (half + gterm + integral)
@@ -376,59 +378,39 @@ def eval_abel_plana(p):
     return EngineReport(value, est, evals, 0, "abel_plana")
 
 
-def _polylog_branch(S, L):
-    """-(2 pi i)^S / S! B_S(1/2 + L/(2 pi i)), the branch part of the
-    polylogarithm's inversion formula
-      Li_S(z) = -(-1)^S Li_S(1/z) - (2 pi i)^S / S! B_S(1/2 + L/(2 pi i)),
-    L = ln(-z), 1 <= S <= _COUNT_CAP, and the sum of the sizes of its terms.
-
-    In S that part has the generating function -e^(Lt) pi t / sin(pi t),
-    so it is -sum_j h_j L^(S-j) / (S-j)!, h_j the Taylor coefficients of
-    pi t / sin(pi t): 1, then 2 eta(j) at even j (none larger than 2) and
-    0 at odd j.  (pi t / sin(pi t) - 1) / (-2 pi i t) is the coefficients'
-    generating function 1/(2i sin(pi (a - t))) at a = 0 less its pole
-    t = 0, so h_j = -2 pi i b_(j-1,0)(0), read from the kernel's table
-    csc_coefficients_subtracted(0, 0, S) as 2 pi Im b_(j-1,0)(0).  L^k / k!
-    is built by ratio, and |Im L| <= pi keeps the terms near the result's
-    size.
-    """
-    # S = 1 is -L: the table is read only where an even j >= 2 needs it
-    b = csc_coefficients_subtracted(0.0, 0, S).values if S >= 2 else ()
-    total = 0.0j
-    size = 0.0
-    power = 1.0 + 0.0j  # L^k / k!
-    for k in range(S + 1):
-        if k:
-            power *= L / k
-        j = S - k
-        if j % 2 == 0:
-            term = _TWO_PI * b[j - 1].imag * power if j else power
-            total += term
-            size += abs(term)
-    return -total, size
+@lru_cache(maxsize=64)
+def _polylog_coefficients(S):
+    # c_j = -2 pi i b_(S-1-j,0)(0) = 2 pi Im b, from the table of
+    # (pi t / sin(pi t) - 1) / (-2 pi i t), and c_S = 1; S = 1 is -L: its
+    # one c_j below j = S is 0 and needs no table
+    b = csc_coefficients_subtracted(0.0, 0, S).values if S >= 2 else (0j,)
+    return tuple(_TWO_PI * c.imag for c in reversed(b)) + (1.0,)
 
 
 def eval_integer_s_large_z(p, tol=1e-10):
     """Closed large-z form at an exact integer s = S (a zero imaginary
     part and an integer real part; DomainError at any other s).
 
-    The branch part is the main theorem's logarithmic series, which
-    1/Gamma(S - m) ends at m = S (empty when S <= 0), and the rest is the
-    residue series sum_{n>=1} z^(-n) (n-a)^(-S) = z^(-1) Phi(1/z, S, 1-a),
-    the defining series at 1/z (_series_sum) summed to tol.  At S >= 1
-    and integer a = k (k >= 1; LerchPoint refuses k <= 0) the residue
-    poles collide and the polylogarithm takes over:
-    Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n / n^S), with Li_S(z) by
-    inversion, whose branch part is the same terminating series at the
-    pole t = 0 of the coefficients' generating function, its constants
-    from the same kernel (_polylog_branch).  Its Li_S(1/z) series and
-    the finite sum are the residue series with the term n = k left out:
-    the k - 1 terms before it, and z^(-k-1) Phi(1/z, S, 1) past it,
-    summed to double precision.  The estimate is the series' own plus the
-    rounding of the other terms, which near an integer a cancel: the
-    branch part against the residue term n ~ a.  ConditioningError where
-    a term, the value or the estimate is past the double range, or, at
-    every a, where S is past the coefficient tables' _COUNT_CAP.
+    Phi is a branch part, front * sum_(j<=S) c_j L^j / j! (L = ln(-z);
+    empty when S <= 0), and the residue series sum_{n>=1} z^(-n)
+    (n-a)^(-S) = z^(-1) Phi(1/z, S, 1-a), the defining series at 1/z
+    (_series_sum) summed to tol.  Off the integers the branch part is the
+    main theorem's logarithmic series, which 1/Gamma(S - m) ends at
+    m = S: front = 2 pi i e^(-aL), c_j = b_(S-1-j)(a).  At integer a = k
+    (k >= 1; LerchPoint refuses k <= 0) the residue poles collide and the
+    polylogarithm takes over: Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n/n^S),
+    Li_S(z) by inversion, whose branch part -(2 pi i)^S / S! B_S(1/2 +
+    L/(2 pi i)) has the generating function -e^(Lt) pi t / sin(pi t):
+    front = -z^(-k), c_j its coefficients (_polylog_coefficients).  Its
+    Li_S(1/z) series and the finite sum are the residue series with the
+    term n = k left out: the k - 1 terms before it, and z^(-k-1)
+    Phi(1/z, S, 1) past it, summed to double precision.  One loop builds
+    L^j / j! by ratio from j = 0 for both, so only terms too small to
+    count underflow.  The estimate is the series' own plus the rounding
+    of the other terms, which near an integer a cancel: the branch part
+    against the residue term n ~ a.  ConditioningError where a term, the
+    value or the estimate is past the double range, or, at every a, where
+    S is past the coefficient tables' _COUNT_CAP.
     """
     if not _near_integer(p.s, 0.0):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
@@ -442,52 +424,56 @@ def eval_integer_s_large_z(p, tol=1e-10):
                                 f"the {_COUNT_CAP} coefficients the tables "
                                 "hold")
     L = _branch_log(p)
-    branch = 0.0j
-    size = 0.0  # of the terms, for their rounding
-    rounding = 0.0
+    integer_a = S >= 1 and _near_integer(a, 0.0)
     zinv = 1.0 / z
     try:
-        if S >= 1 and _near_integer(a, 0.0):
+        front, coeffs = 0.0, ()
+        if integer_a:
             k = round(a.real)
             z_k = z ** -k
-            branch, size = _polylog_branch(S, L)
-            branch *= z_k
-            size *= abs(z_k)
+            front, coeffs = -z_k, _polylog_coefficients(S)
+        elif S >= 1:
+            front = 2j * math.pi * cmath.exp(-a * L)
+            coeffs = reversed(csc_coefficients(a, S).values)
+        branch = 0.0j
+        size = weighted = 0.0  # sum |t_j|; its running sums: sum (S-j)|t_j|
+        power = 1.0 + 0.0j  # L^j / j!
+        for j, c in enumerate(coeffs):
+            if j:
+                power *= L / j
+            term = c * power
+            branch += term
+            size += abs(term)
+            weighted += size
+        branch *= front
+        if integer_a:
             head = [zinv ** n * float(n - k) ** -S for n in range(1, k)]
-            size += sum(map(abs, head))
             scale = az ** -(k + 1)  # 0 once it underflows
             # Li_S(1/z) to double precision, or to tol where that is
             # tighter
             sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
             tail = sum(head, z_k * zinv * tail)
-            est *= scale
             n_terms += k - 1
+            # the polylogarithm form's terms, which can cancel
+            est = est * scale + _POLYLOG_ULPS * (size * abs(front)
+                                                 + sum(map(abs, head)))
         else:
-            if S >= 1:
-                terms = _log_series_terms(p, L,
-                                          csc_coefficients(a, S).values)
-                for m, t in enumerate(terms):
-                    if t is not None:
-                        branch += t
-                        rounding += (m + 1) * abs(t)
-                # near an integer a the coefficients carry the rounding of
-                # a itself, |a| / dist(a, Z) ulps, and the recurrence adds
-                # to it order by order
-                rounding *= _SUM_ULPS * (1.0 + abs(a)
-                                         / abs(a - round(a.real)))
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a,
                                              tol * az)
             tail *= zinv
             est /= az
-    except OverflowError:
+            if S >= 1:
+                # near an integer a the coefficients carry the rounding of
+                # a itself, |a| / dist(a, Z) ulps, and the recurrence adds
+                # to it order by order
+                est += (_SUM_ULPS * weighted * abs(front)
+                        * (1.0 + abs(a) / abs(a - round(a.real))))
+    except (OverflowError, ZeroDivisionError):
         raise ConditioningError("a term of the integer-s closed form is past "
                                 f"the double range at S = {S}") from None
     sign = -1.0 if S % 2 else 1.0
     value = branch - sign * tail
-    # the rounding of terms that can cancel: the residue series against
-    # the branch part near an integer a, and the polylogarithm form's
-    est += _POLYLOG_ULPS * size + rounding
     return EngineReport(value, est, n_terms, max(S, 0), "integer_s")
 
 
@@ -598,7 +584,9 @@ def residue_series(p, N, half_turns=None):
     front = -cmath.exp(-1j * math.pi * s * half_turns)
     b = N + 1.0 - a
     if abs(z) >= 1.0 / 0.9:
-        total = _series_sum(1.0 / z, s, b, 1e-18 * abs(b ** -s))[0]
+        # floored where it underflows: |z|^(-N-1) < 1 scales the sum
+        tol = max(1e-18 * abs(b ** -s), sys.float_info.min)
+        total = _series_sum(1.0 / z, s, b, tol)[0]
     else:
         total = eval_abel_plana(LerchPoint(1.0 / z, s, b)).value
     return front * z ** -(N + 1) * total
@@ -700,17 +688,23 @@ def eval_auto(p, target_tol=1e-10):
     The direct series inside |z| <= 0.9, and the closed form at an exact
     integer s past |z| = e (at integer a, the polylogarithm's), answer
     where their estimates, rounding included, meet target_tol (relative
-    past magnitude 1); a closed form that raises ConditioningError
-    misses it too.  Every other point goes to the Abel-Plana engine, which
-    answers to about double precision or raises ConditioningError; its
-    report carries "target-tol-unmet" where it misses the target.
+    past magnitude 1).  A refusal misses it too: the closed form's
+    ConditioningError, and the series' ConditioningError or AccuracyError
+    (its term cap, as at a target <= 0) except at z = 0.  Every other
+    point goes to the Abel-Plana engine, which answers to about double
+    precision or raises ConditioningError; its report carries
+    "target-tol-unmet" where it misses the target.
     """
     z, s = p.z, p.s
     az = abs(z)
     if az <= 0.9:
-        rep = eval_series_direct(p, tol=target_tol)
-        if _meets_target(rep, target_tol) or z == 0.0:  # AP needs z != 0
-            return rep
+        try:
+            rep = eval_series_direct(p, tol=target_tol)
+            if _meets_target(rep, target_tol) or z == 0.0:
+                return rep
+        except (ConditioningError, AccuracyError):
+            if z == 0.0:  # the Abel-Plana engine needs z != 0
+                raise
     elif az >= math.e and _near_integer(s, 0.0):
         # near an integer a the branch part and residue series cancel; a
         # ConditioningError is a miss too

@@ -132,10 +132,11 @@ def test_subtraction_consistency():
 def test_subtracted_table_at_zero_holds_the_polylog_constants():
     # at a = 0, N = 0 the table is (pi t / sin(pi t) - 1) / (-2 pi i t):
     # -2 pi i b_(j-1,0)(0) is 2 eta(j) at even j and 0 at odd j, the
-    # constants of the polylogarithm's branch part (_polylog_branch).
-    # Within 2 ulps where float sum() is compensated (3.12 on; 1 ulp with
-    # math.fsum standing in for it); before that the plain sum of the
-    # alternating sums' ~220 direct terms rounds to 5 ulps (j = 6)
+    # constants of the polylogarithm's branch part in the integer-s closed
+    # form (eval_integer_s_large_z).  Within 2 ulps where float sum() is
+    # compensated (3.12 on; 1 ulp with math.fsum standing in for it);
+    # before that the plain sum of the alternating sums' ~220 direct
+    # terms rounds to 5 ulps (j = 6)
     ulps = 2.0 if sys.version_info >= (3, 12) else 6.0
     b = csc_coefficients_subtracted(0.0, 0, 200).values
     for j in range(1, 201):

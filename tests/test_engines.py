@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from lerchphi._quadrature import _half_line_nodes
 from lerchphi._types import EngineReport, LerchPoint
 from lerchphi.cli import _run_engine
 from lerchphi.coefficients import (CoefficientTable, csc_coefficients,
+                                   csc_coefficients_contour,
                                    csc_coefficients_subtracted)
 from lerchphi.engines import (
     choose_optimal_M,
@@ -841,6 +843,48 @@ def test_integer_a_answers_up_to_the_coefficient_cap():
         eval_integer_s_large_z(LerchPoint(-10.0, 201.0, 1.0))
 
 
+def test_integer_s_closed_form_is_honest_at_large_s():
+    # S in 150..200 with |L| near 1, where the main theorem's first
+    # factor e^(-aL) L^(S-1) / Gamma(S) underflows: the branch part's
+    # upward L^j / j! loop keeps every term that counts.  (-3, 200, 0.3)
+    # came back as 3.19e30 with an estimate of 4.5e16, and 3 of the
+    # draws came back wrong while meeting eval_auto's target
+    p = LerchPoint(-3.0, 200.0, 0.3)
+    rep = eval_integer_s_large_z(p)
+    assert rel_err(rep.value, 3.7648619495990264e104) <= 1e-13
+    assert eval_auto(p) == rep
+
+    # real a in (0.05, 6), a fifth within 1e-6..1e-1 of an integer 1..6;
+    # |z| = e^u with u in (1, 2.5), 15% on the negative axis.  Against
+    # mpmath at 40 and 60 digits, judged where the two agree to 1e-14
+    # (on the negative axis both can read 0 for a value near 1e-66)
+    def draw(rng):
+        r = math.exp(rng.uniform(1.0, 2.5))
+        z = (complex(-r, 0.0) if rng.random() < 0.15
+             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        a = rng.uniform(0.05, 6.0)
+        if rng.random() < 0.2:
+            a = rng.randint(1, 6) + (rng.choice((-1.0, 1.0))
+                                     * 10.0 ** rng.uniform(-6.0, -1.0))
+        return z, float(rng.randint(150, 200)), a
+
+    judged = 0
+    for z, S, a in sample(29, 30, draw):
+        try:
+            rep = eval_integer_s_large_z(LerchPoint(z, S, a))
+        except ConditioningError:
+            continue
+        wants = []
+        for dps in (40, 60):
+            with mp.workdps(dps):
+                wants.append(complex(mp.lerchphi(mp.mpc(z), S, a)))
+        if not wants[1] or abs(wants[0] - wants[1]) > 1e-14 * abs(wants[1]):
+            continue
+        judged += 1
+        assert abs(rep.value - wants[1]) <= rep.abs_err_estimate, (z, S, a)
+    assert judged >= 15
+
+
 def test_auto_near_integer_s_within_estimate():
     # s within 1e-12 of an integer S but not S: Phi at S, the closed
     # form's value there, is 1.3 to 1.7 times its estimate off, so the
@@ -1043,6 +1087,17 @@ def test_public_functions_answer_finite_or_raise_typed_errors():
         csc_coefficients_subtracted(1e-200, 1, 4, method="direct-sum")
     with pytest.raises(ConditioningError):
         csc_coefficients_subtracted(2.0 - 1e-15, 1, 40)
+    # the contour's radius^n underflows next to a = 0, and the division
+    # by it is the double range too
+    with pytest.raises(ConditioningError):
+        csc_coefficients_contour(1e-13, 40)
+    # residue_series' tolerance, 1e-18 of (N+1-a)^(-s), underflowed to 0
+    # here: the sum ran to the term cap (about a second) and raised
+    # AccuracyError for a value under the double range
+    start = time.perf_counter()
+    assert residue_series(LerchPoint(2819.85 - 705.97j, 280.0,
+                                     6.04e-10 - 11.75j), 6) == 0.0
+    assert time.perf_counter() - start < 0.5
 
     # seeded draws: |z| = e^u, u in (-3, 25), arg z uniform; Re s in
     # (-400, 400), half with |Im s| <= 40 and a fifth at an integer;
@@ -2038,6 +2093,59 @@ def test_auto_raises_conditioning_error_past_the_double_range():
                     (1e-12, 30.0, -3.0000000000001)):
         with pytest.raises(ConditioningError):
             eval_auto(LerchPoint(z, s, a))
+
+
+def test_auto_hands_a_refused_direct_series_on():
+    # a term of the direct series past the double range is a miss: the
+    # Abel-Plana engine answers (-0.5, -200, 0.5), to about 3e-14
+    # relative, flagged as missing the target
+    p = LerchPoint(-0.5, -200.0, 0.5)
+    with pytest.raises(ConditioningError):
+        eval_series_direct(p)
+    rep = eval_auto(p)
+    with mp.workdps(30):
+        want = complex(mp.lerchphi(-0.5, -200, 0.5).real)
+    assert rep.engine == "abel_plana"
+    assert rep.warnings == ("target-tol-unmet",)
+    assert abs(rep.value - want) <= rep.abs_err_estimate
+    assert rel_err(rep.value, want) <= 1e-13
+    # at z = 0 no engine is left to hand it to
+    with pytest.raises(ConditioningError):
+        eval_auto(LerchPoint(0.0, 400.0, 1e-3))
+
+
+def test_auto_lets_only_typed_errors_out_next_to_nonpositive_integer_a():
+    # a within 1e-14..1e-1 of 0..-5, where a complex ** with an integer
+    # exponent underflows its product and divides 1 by it: a
+    # ZeroDivisionError in Python, the double range all the same, so a
+    # ConditioningError (the Abel-Plana head's a^(-s) at (5+i, 40, 1e-12),
+    # and 137 of these draws, let one out bare).  |z| = e^u with u in
+    # (-3, 7); 70% integer s in 1..100, the rest real in (1, 100); 30% of
+    # the a with an imaginary part drawn like the offset
+    with pytest.raises(ConditioningError):
+        eval_auto(LerchPoint(5.0 + 1.0j, 40.0, 1e-12))
+
+    def draw(rng):
+        z = cmath.rect(math.exp(rng.uniform(-3.0, 7.0)),
+                       rng.uniform(-math.pi, math.pi))
+        s = (float(rng.randint(1, 100)) if rng.random() < 0.7
+             else rng.uniform(1.0, 100.0))
+
+        def near():
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -1.0)
+
+        a = complex(-rng.randint(0, 5) + near(),
+                    near() if rng.random() < 0.3 else 0.0)
+        return z, s, a
+
+    answered = 0
+    for z, s, a in sample(1, 600, draw):
+        try:
+            eval_auto(LerchPoint(z, s, a))
+            answered += 1
+        except LerchError:
+            pass
+    assert answered >= 290
 
 
 def test_auto_direct_series_estimate_is_honest():
