@@ -128,13 +128,13 @@ def csc_coefficients_contour(a, count, radius=None):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _boole_rows():
-    # built on first use; row m holds w_(2m+1) (p)_(2m+1) for
-    # p = 1 .. _COUNT_CAP, where w_j = (2^(j+1) - 1) B_(j+1) / (j+1)! are
-    # the Euler-Boole weights of 1/(e^t + 1) = 1/2 - sum_(j odd) w_j t^j
+@lru_cache(maxsize=64)
+def _boole_rows(count):
+    # row m holds w_(2m+1) (p)_(2m+1) for p = 1 .. count, where
+    # w_j = (2^(j+1) - 1) B_(j+1) / (j+1)! are the Euler-Boole weights of
+    # 1/(e^t + 1) = 1/2 - sum_(j odd) w_j t^j
     rows = []
-    rising = [float(p) for p in range(1, _COUNT_CAP + 1)]
+    rising = [float(p) for p in range(1, count + 1)]
     for m, (n, d) in enumerate(_BERNOULLI):
         j = 2 * m + 1
         if m:
@@ -156,9 +156,11 @@ _NEGLIGIBLE_LOG = 60.0 * math.log(2.0)
 def _alternating_power_sums(x, count):
     """A_p(x) = sum_{k>=0} (-1)^k (x + k)^(-p) for p = 1 .. count at once.
 
-    The first K terms are summed directly: the reciprocals 1/(x + k) are
-    shared by every order, and each order advances the signed powers by
-    one multiply.  The rest is the Euler-Boole tail at X = x + K,
+    The first K terms are summed directly, by math.fsum on the real and
+    imaginary parts (one rounding on every Python version): the
+    reciprocals 1/(x + k) are shared by every order, and each order
+    advances the signed powers by one multiply.  The rest is the
+    Euler-Boole tail at X = x + K,
     (-1)^K X^(-p) (1/2 + sum_(j odd) w_j (p)_j X^(-j)).  Once the terms
     past some k fall under 2^-60 of the leading one for an order, they
     (and the tail beyond them) are dropped for it and every higher
@@ -171,8 +173,8 @@ def _alternating_power_sums(x, count):
     growth = [math.log(abs(x + k)) - ln_x for k in range(k_direct)]
     inv_x = 1.0 / (x + k_direct)
     inv_x2 = inv_x * inv_x
-    rows = _boole_rows()
-    horner = rows[-1][:count]
+    rows = _boole_rows(count)
+    horner = rows[-1]
     for row in reversed(rows[:-1]):
         horner = list(map(_ADD, map(_MUL, horner, repeat(inv_x2)), row))
     powers = accumulate(repeat(inv_x, count), _MUL)
@@ -184,7 +186,8 @@ def _alternating_power_sums(x, count):
         if keep < kept:
             kept = keep
             del terms[kept:], recips[kept:]
-        total = sum(terms)
+        total = complex(math.fsum(t.real for t in terms),
+                        math.fsum(t.imag for t in terms))
         if kept == k_direct:
             total += sign * xp * (0.5 + inv_x * h)
         out.append(total)
@@ -200,12 +203,9 @@ def _subtracted_values(a, N, count, method):
         # surviving poles, whose order-n content is a pair of alternating
         # power sums anchored at N+1+a and N+1-a.  The nearest surviving
         # pole dominates both, so nothing cancels and every b_{n,N} is
-        # accurate at its own (tiny) scale.  Real a is summed in floats:
-        # less work than complex arithmetic on zero imaginary parts, and
-        # the same values wherever float sum() is not compensated (< 3.12).
-        x = a.real if a.imag == 0.0 else a
-        up = _alternating_power_sums(x + N + 1.0, count)
-        down = _alternating_power_sums(N + 1.0 - x, count)
+        # accurate at its own (tiny) scale.
+        up = _alternating_power_sums(a + N + 1.0, count)
+        down = _alternating_power_sums(N + 1.0 - a, count)
         front = (-0.5j if N % 2 else 0.5j) / math.pi
         return CoefficientTable(a, N, _capped(tuple(
             front * (u - d if p % 2 else u + d)

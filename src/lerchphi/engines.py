@@ -33,8 +33,8 @@ import sys
 from functools import lru_cache
 
 from ._types import EngineReport, LerchPoint
-from .coefficients import (_COUNT_CAP, _alternating_power_sums,
-                           csc_coefficients, csc_coefficients_subtracted)
+from .coefficients import (_COUNT_CAP, _TWO_PI_I, _alternating_power_sums,
+                           csc_coefficients_subtracted)
 from .errors import (AccuracyError, ConditioningError, DomainError,
                      overflow_is_conditioning)
 from .special_kernel import (_abel_plana_integral, _exp_scaled,
@@ -57,8 +57,6 @@ _NEAR_ONE_ROUNDING = 4e-14
 # Abel-Plana form: the rounding allowed for on the integral of
 # |integrand| and on the explicit terms
 _AP_ULPS = 64.0 * 2.0 ** -52
-# rounding of the integer-a polylogarithm form, in ulps of its terms
-_POLYLOG_ULPS = 16.0 * 2.0 ** -52
 # floor of the main theorem's and the symmetric expansion's estimates,
 # in ulps of the sum of the sizes of their terms: the rounding of the
 # kernel's incomplete gamma values and of the sum.  At the two points of
@@ -379,12 +377,21 @@ def eval_abel_plana(p):
 
 
 @lru_cache(maxsize=64)
-def _polylog_coefficients(S):
-    # c_j = -2 pi i b_(S-1-j,0)(0) = 2 pi Im b, from the table of
-    # (pi t / sin(pi t) - 1) / (-2 pi i t), and c_S = 1; S = 1 is -L: its
-    # one c_j below j = S is 0 and needs no table
-    b = csc_coefficients_subtracted(0.0, 0, S).values if S >= 2 else (0j,)
-    return tuple(_TWO_PI * c.imag for c in reversed(b)) + (1.0,)
+def _closed_form_coefficients(d, S):
+    # c_j of the branch part at a = k + d, |Re d| <= 1/2, with the summed
+    # sizes of its two pieces: (-1)^k b_(S-1-j)(a) = b_(S-1-j,0)(d) +
+    # d^(j-S) / (2 pi i), for j < S.  At d = 0 that pole pairs with the
+    # residue n = k into c_S = -1/(2 pi i).  The powers of d are built by
+    # division: complex ** past exponent 100 goes through exp and log
+    table = csc_coefficients_subtracted(d, 0, S).values
+    if not d:
+        return tuple((b, abs(b)) for b in reversed(table)) + (
+            (0.5j / math.pi, 0.5 / math.pi),)
+    out, q = [], 1.0
+    for b in table:
+        q /= d  # d^(-(n+1)) for b = b_(n,0)
+        out.append((b + q / _TWO_PI_I, abs(b) + abs(q) / _TWO_PI))
+    return tuple(reversed(out))
 
 
 def eval_integer_s_large_z(p, tol=1e-10):
@@ -394,23 +401,19 @@ def eval_integer_s_large_z(p, tol=1e-10):
     Phi is a branch part, front * sum_(j<=S) c_j L^j / j! (L = ln(-z);
     empty when S <= 0), and the residue series sum_{n>=1} z^(-n)
     (n-a)^(-S) = z^(-1) Phi(1/z, S, 1-a), the defining series at 1/z
-    (_series_sum) summed to tol.  Off the integers the branch part is the
-    main theorem's logarithmic series, which 1/Gamma(S - m) ends at
-    m = S: front = 2 pi i e^(-aL), c_j = b_(S-1-j)(a).  At integer a = k
-    (k >= 1; LerchPoint refuses k <= 0) the residue poles collide and the
-    polylogarithm takes over: Phi = z^(-k) (Li_S(z) - sum_{n<k} z^n/n^S),
-    Li_S(z) by inversion, whose branch part -(2 pi i)^S / S! B_S(1/2 +
-    L/(2 pi i)) has the generating function -e^(Lt) pi t / sin(pi t):
-    front = -z^(-k), c_j its coefficients (_polylog_coefficients).  Its
-    Li_S(1/z) series and the finite sum are the residue series with the
-    term n = k left out: the k - 1 terms before it, and z^(-k-1)
-    Phi(1/z, S, 1) past it, summed to double precision.  One loop builds
-    L^j / j! by ratio from j = 0 for both, so only terms too small to
-    count underflow.  The estimate is the series' own plus the rounding
-    of the other terms, which near an integer a cancel: the branch part
-    against the residue term n ~ a.  ConditioningError where a term, the
-    value or the estimate is past the double range, or, at every a, where
-    S is past the coefficient tables' _COUNT_CAP.
+    (_series_sum) summed to tol.  The branch part is the main theorem's
+    logarithmic series, which 1/Gamma(S - m) ends at m = S: with
+    a = k + d, k = round(Re a), front = (-1)^k 2 pi i e^(-aL), and c_j
+    from _closed_form_coefficients.  At integer a (d = 0; LerchPoint
+    refuses k <= 0) the residue series leaves out its singular term
+    n = k and is summed to double precision.  L^j / j! is built by ratio
+    from j = 0, so only terms too small to count underflow.  The
+    estimate adds _SUM_ULPS of the branch part's term sizes, each
+    weighted by S - j + |aL|, about the ulps by which the powers d^(j-S)
+    and the front's exponent round; near an integer a those powers
+    cancel against the residue term n ~ a (d and n - a are exact).
+    ConditioningError where a term, the value or the estimate is past
+    the double range, or where S is past the tables' _COUNT_CAP.
     """
     if not _near_integer(p.s, 0.0):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
@@ -424,26 +427,22 @@ def eval_integer_s_large_z(p, tol=1e-10):
                                 f"the {_COUNT_CAP} coefficients the tables "
                                 "hold")
     L = _branch_log(p)
-    integer_a = S >= 1 and _near_integer(a, 0.0)
+    k = round(a.real)
+    integer_a = S >= 1 and a == k
     zinv = 1.0 / z
     try:
         front, coeffs = 0.0, ()
-        if integer_a:
-            k = round(a.real)
-            z_k = z ** -k
-            front, coeffs = -z_k, _polylog_coefficients(S)
-        elif S >= 1:
-            front = 2j * math.pi * cmath.exp(-a * L)
-            coeffs = reversed(csc_coefficients(a, S).values)
+        if S >= 1:
+            front = (-_TWO_PI_I if k % 2 else _TWO_PI_I) * cmath.exp(-a * L)
+            coeffs = _closed_form_coefficients(a - k, S)
         branch = 0.0j
         size = weighted = 0.0  # sum |t_j|; its running sums: sum (S-j)|t_j|
         power = 1.0 + 0.0j  # L^j / j!
-        for j, c in enumerate(coeffs):
+        for j, (c, c_size) in enumerate(coeffs):
             if j:
                 power *= L / j
-            term = c * power
-            branch += term
-            size += abs(term)
+            branch += c * power
+            size += c_size * abs(power)
             weighted += size
         branch *= front
         if integer_a:
@@ -453,22 +452,15 @@ def eval_integer_s_large_z(p, tol=1e-10):
             # tighter
             sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
-            tail = sum(head, z_k * zinv * tail)
+            tail = sum(head, z ** -k * zinv * tail)
             n_terms += k - 1
-            # the polylogarithm form's terms, which can cancel
-            est = est * scale + _POLYLOG_ULPS * (size * abs(front)
-                                                 + sum(map(abs, head)))
+            est = est * scale + _DIRECT_ULPS * sum(map(abs, head))
         else:
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a,
                                              tol * az)
             tail *= zinv
             est /= az
-            if S >= 1:
-                # near an integer a the coefficients carry the rounding of
-                # a itself, |a| / dist(a, Z) ulps, and the recurrence adds
-                # to it order by order
-                est += (_SUM_ULPS * weighted * abs(front)
-                        * (1.0 + abs(a) / abs(a - round(a.real))))
+        est += _SUM_ULPS * (weighted + abs(a * L) * size) * abs(front)
     except (OverflowError, ZeroDivisionError):
         raise ConditioningError("a term of the integer-s closed form is past "
                                 f"the double range at S = {S}") from None

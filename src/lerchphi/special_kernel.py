@@ -207,8 +207,8 @@ def gamma(s):
 
 
 # 1/Gamma is memoized: _scaled_gamma_star asks for it at s + 1 for every
-# pair term of the large-z expansions, and _log_series_terms at S for
-# every integer-s point; a hit never enters the overflow conversion.
+# pair term of the large-z expansions, and _log_series_terms at s for
+# each main-theorem call; a hit never enters the overflow conversion.
 @lru_cache(maxsize=64)
 @overflow_is_conditioning
 def reciprocal_gamma(s):

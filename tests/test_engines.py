@@ -853,6 +853,13 @@ def test_integer_s_closed_form_is_honest_at_large_s():
     rep = eval_integer_s_large_z(p)
     assert rel_err(rep.value, 3.7648619495990264e104) <= 1e-13
     assert eval_auto(p) == rep
+    # on the negative axis every term is real: the powers d^(j-S) of
+    # d = a - round(a) are built by division, since complex ** past
+    # exponent 100 goes through exp and log and leaves an imaginary part
+    # (1.9e57 at a = 0.6)
+    assert rep.value.imag == 0.0
+    assert eval_integer_s_large_z(
+        LerchPoint(-2.8, 180.0, 0.6)).value.imag == 0.0
 
     # real a in (0.05, 6), a fifth within 1e-6..1e-1 of an integer 1..6;
     # |z| = e^u with u in (1, 2.5), 15% on the negative axis.  Against
@@ -883,6 +890,47 @@ def test_integer_s_closed_form_is_honest_at_large_s():
         judged += 1
         assert abs(rep.value - wants[1]) <= rep.abs_err_estimate, (z, S, a)
     assert judged >= 15
+
+
+def test_integer_s_closed_form_is_honest_off_the_integers():
+    # S in 1..25 at e < |z| < 1e14, a tenth on the negative axis; a real
+    # in (0.05, 6), negative, complex with |Im a| < 2, or within
+    # 1e-9..1e-1 of an integer 1..6, where the branch part cancels
+    # against the residue term n ~ a.  Judged by reference_value; at
+    # a < 0 through the shift to a + m in (0, 1),
+    # Phi(z, S, a) = sum_(n<m) z^n (a+n)^(-S) + z^m Phi(z, S, a+m), since
+    # mpmath's continuation at a < 0 can be wrong past |z| ~ 1e10
+    def draw(rng):
+        r = math.exp(rng.uniform(1.0, math.log(1e14)))
+        z = (complex(-r, 0.0) if rng.random() < 0.1
+             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+        kind = rng.randrange(4)
+        a = rng.uniform(0.05, 6.0)
+        if kind == 1:
+            a = -a
+        elif kind == 2:
+            a = complex(a, rng.uniform(-2.0, 2.0))
+        elif kind == 3:
+            a = rng.randint(1, 6) + (rng.choice((-1.0, 1.0))
+                                     * 10.0 ** rng.uniform(-9.0, -1.0))
+        return z, rng.randint(1, 25), a
+
+    judged = 0
+    for z, S, a in sample(31, 60, draw):
+        rep = eval_integer_s_large_z(LerchPoint(z, float(S), a))
+        m = max(0, math.ceil(-a.real))
+        try:
+            ref = reference_value(LerchPoint(z, float(S), a + m))
+        except (AccuracyError, DomainError):
+            continue
+        with mp.workdps(30):
+            zm = mp.mpc(z)
+            head = mp.fsum(zm ** n * (mp.mpf(a) + n) ** -S for n in range(m))
+            want = complex(head + zm ** m * mp.mpc(ref.value))
+        bar = abs(z) ** m * ref.err_bar + 2.0 ** -52 * abs(want)
+        judged += 1
+        assert abs(rep.value - want) <= rep.abs_err_estimate + bar, (z, S, a)
+    assert judged >= 55
 
 
 def test_auto_near_integer_s_within_estimate():
@@ -921,7 +969,8 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
     # its estimate must count; at Re a > N + 1 the tail bound must reach
     # past n = a (the second point stopped at N = 3 and was 6.4e-10
     # off).  eval_auto takes the Abel-Plana engine where the closed
-    # form's estimate misses the target
+    # form's estimate misses the target; at a = 1.00012 it meets it
+    # (7.3e-11): the table at d = a - 1 carries no rounding of sin(pi a)
     for z, S, a in ((-5.1018029397 - 30.247006994j, 5, 1.9415601466),
                     (-336.45026866 - 196.10806777j, 2, 5.99933),
                     (-9.4455204707 - 1.1734338282j, 1, 1.00012),
@@ -933,7 +982,7 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
         auto = eval_auto(p)
         assert abs(auto.value - ref.value) <= auto.abs_err_estimate, p
         assert auto.abs_err_estimate <= 1e-10 * max(1.0, abs(auto.value))
-        assert auto.engine == ("integer_s" if S == 2 and a > 5.9
+        assert auto.engine == ("integer_s" if a in (5.99933, 1.00012)
                                else "abel_plana")
 
 

@@ -115,13 +115,13 @@ def test_bernoulli_floats_match_exact_rationals():
 
 
 def test_boole_rows_match_exact_rationals():
-    rows = _boole_rows()
-    assert rows is _boole_rows()  # built once
+    rows = _boole_rows(30)
+    assert rows is _boole_rows(30)  # built once per count
     assert len(rows) == len(_BERNOULLI)
     for m, row in enumerate(rows):
         j = 2 * m + 1
         w = float((2 ** (j + 1) - 1) * _bernoulli(m) / math.factorial(j + 1))
-        rising = [float(p) for p in range(1, len(row) + 1)]
+        rising = [float(p) for p in range(1, 31)]
         for i in range(1, m + 1):
             jj = 2 * i + 1
             rising = [r * (p + jj - 2) * (p + jj - 1)
