@@ -37,41 +37,29 @@ from .coefficients import (_COUNT_CAP, _TWO_PI_I, _alternating_power_sums,
                            csc_coefficients_subtracted)
 from .errors import (AccuracyError, ConditioningError, DomainError,
                      overflow_is_conditioning)
-from .special_kernel import (_abel_plana_integral, _exp_scaled,
-                             _gamma_rounding, _log_neg, _nonpositive_integer,
-                             _scaled_difference, _scaled_gamma_star,
-                             _signed_log_gamma, _upper_incomplete_gamma,
-                             gamma, hurwitz_zeta, log_gamma,
-                             reciprocal_gamma)
+from .special_kernel import (_IGAMMA_ULPS, _abel_plana_integral,
+                             _exp_scaled, _gamma_rounding, _log_neg,
+                             _nonpositive_integer, _scaled_difference,
+                             _scaled_gamma_star, _signed_log_gamma,
+                             _upper_incomplete_gamma, gamma, hurwitz_zeta,
+                             log_gamma, reciprocal_gamma)
 
 _TWO_PI = 2.0 * math.pi
 _DIRECT_CAP = 10 ** 6
-# rounding of the direct series in ulps of the sum of its terms' sizes;
-# on 700 seeded points with Re s down to -30 the error reached 23
-_DIRECT_ULPS = 64.0 * 2.0 ** -52
+# rounding of a sum, in ulps of the sizes of what it adds and cancels:
+# the direct series' terms (on 700 seeded points with Re s down to -30
+# the error reached 23); the Abel-Plana form's integral of |integrand|
+# and its explicit terms; the floor of the main theorem's and the
+# symmetric expansion's estimates, where the kernel's incomplete gamma
+# values round too (at the two points of the Abel-Plana gap in the tests
+# the error was 3.7 and 3.2 ulps of it); and the integer-s closed form's
+# logarithmic series
+_SUM_ULPS = 64.0 * 2.0 ** -52
 # rounding of the near-one sum relative to its largest piece (the
 # singular part or a zeta term): the kernel's zeta values and the
 # cancellation between the pieces.  On the 96 near-one points of the
 # benchmark's ring pool the worst needed 9.6e-15; this keeps 4x room.
 _NEAR_ONE_ROUNDING = 4e-14
-# Abel-Plana form: the rounding allowed for on the integral of
-# |integrand| and on the explicit terms
-_AP_ULPS = 64.0 * 2.0 ** -52
-# floor of the main theorem's and the symmetric expansion's estimates,
-# in ulps of the sum of the sizes of their terms: the rounding of the
-# kernel's incomplete gamma values and of the sum.  At the two points of
-# the Abel-Plana gap in the tests the error was 3.7 and 3.2 ulps of it.
-# The integer-s closed form scales its log-series rounding by it too.
-_SUM_ULPS = 64.0 * 2.0 ** -52
-# the Gamma term's Gamma(1-s, w) carries the kernel's bound for the route
-# it takes (which counts the pieces a subtraction route cancels from),
-# plus this many ulps of |Gamma(1-s, w)| and |w^(1-s) e^(-w)|: the
-# rounding of the arguments 1 - s and w = -aL, which the kernel does not
-# see.  On 7,500 seeded band draws and 2,000 at e < |z| <= 1e4, against
-# mpmath at the exact arguments, the kernel's bound alone was never
-# under the error (worst err/bound 0.32), while 128 ulps of the sizes
-# alone, without it, missed at 53 draws by up to 15.7x.
-_AP_GAMMA_ULPS = 8.0 * 2.0 ** -52
 
 
 def _near_integer(s, tol=1e-12):
@@ -141,7 +129,7 @@ def _series_sum(z, s, a, tol):
     no later one: at Re s >= 0 each is at most d^(-Re s) e^(pi |Im s|)
     times |z|^n, d = |a - round(Re a)| the distance of a from the
     integers, and at Re s < 0 the bound is infinite.  The estimate adds
-    _DIRECT_ULPS of the sum of their sizes.
+    _SUM_ULPS of the sum of their sizes.
     """
     az = abs(z)
     total = 0.0j
@@ -197,7 +185,7 @@ def _series_sum(z, s, a, tol):
     if not bound < tol:  # the loop stopped at the term cap
         raise AccuracyError("defining series hit the term cap",
                             achieved=bound)
-    return complex(total), bound + _DIRECT_ULPS * (1.0 - az) * mass, n
+    return complex(total), bound + _SUM_ULPS * (1.0 - az) * mass, n
 
 
 def eval_series_direct(p, tol=1e-12):
@@ -280,7 +268,6 @@ def _abel_plana_gamma_term(p, s, a, L):
     reflection, entire in s, so positive integer s takes the same route.
     That jump is taken against e^(x-w), with -ln Gamma(s) in its exponent
     and the rounding of 1/Gamma(s) and of e^(i pi k (1-s)) in its error.
-    The kernel's error bound is widened by _AP_GAMMA_ULPS.
     """
     log_neg_l = _log_neg(L, p.cut_side)
     w = -a * L
@@ -288,8 +275,14 @@ def _abel_plana_gamma_term(p, s, a, L):
         w = complex(w.real, 0.0)  # the kernel reads arg w = +pi
     ln_w = cmath.log(w)
     x, m, err = _upper_incomplete_gamma(1.0 - s, w)
-    # |Gamma(1-s, w)| and |w^(1-s) e^(-w)| in units of |e^(x-w)|
-    err += _AP_GAMMA_ULPS * (abs(m) + abs(cmath.exp((1.0 - s) * ln_w - x)))
+    # the rounding of the arguments 1 - s and w, which the kernel does
+    # not see: _IGAMMA_ULPS of |Gamma(1-s, w)| and |w^(1-s) e^(-w)|, in
+    # units of |e^(x-w)|.  On 7,500 seeded band draws and 2,000 at
+    # e < |z| <= 1e4, against mpmath at the exact arguments, the kernel's
+    # bound alone was never under the error (worst err/bound 0.32), while
+    # 128 ulps of the sizes alone, without it, missed at 53 draws by up to
+    # 15.7x
+    err += _IGAMMA_ULPS * (abs(m) + abs(cmath.exp((1.0 - s) * ln_w - x)))
     k = round((cmath.phase(a) + log_neg_l.imag - ln_w.imag) / _TWO_PI)
     if k and _nonpositive_integer(s) is None:
         turn = 1j * math.pi * k * (1.0 - s)
@@ -298,9 +291,14 @@ def _abel_plana_gamma_term(p, s, a, L):
             x + 2.0 * turn, m, err, w + turn - lg, _TWO_PI * 1j * k * sign,
             _TWO_PI * abs(k) * _gamma_rounding(s))
     front = (s - 1.0) * log_neg_l
-    value, err = _exp_scaled(front + x, m, err + _AP_GAMMA_ULPS * (
+    value, err = _exp_scaled(front + x, m, err + _IGAMMA_ULPS * (
         abs(front) + abs(x)) * abs(m))
-    return value, err + _AP_ULPS * abs(value)
+    return value, err + _SUM_ULPS * abs(value)
+
+
+def _head_size(term, s, a):
+    # |term| weighted for _SUM_ULPS: its a^(-s) rounds like |s ln a| ulps
+    return abs(term) * (1.0 + abs(s * cmath.log(a)) / 64.0)
 
 
 def _shift_ready(a):
@@ -343,7 +341,7 @@ def eval_abel_plana(p):
         while not _shift_ready(a):
             term = zk * a ** -s
             head += term
-            head_size += abs(term)
+            head_size += _head_size(term, s, a)
             zk *= z
             a += 1.0
         if (L.real > 0.0 and _shift_ready(a - 1.0) and
@@ -351,13 +349,13 @@ def eval_abel_plana(p):
             zk /= z
             a -= 1.0
             term = zk * a ** -s
-            head -= term  # weighted below: a^(-s) rounds like s ln a
-            head_size += abs(term) * (1.0 + abs(s * cmath.log(a)) / 64.0)
+            head -= term
+            head_size += _head_size(term, s, a)
         half = 0.5 * a ** -s
         if L == 0.0:
             # z = 1 (so Re s > 1): the Gamma term tends to a^(1-s)/(s-1)
             gterm = a ** (1.0 - s) / (s - 1.0)
-            gterm_err = _AP_ULPS * abs(gterm)
+            gterm_err = _SUM_ULPS * abs(gterm)
         else:
             gterm, gterm_err = _abel_plana_gamma_term(p, s, a, L)
         integral, quad_err, mass, evals = _abel_plana_integral(s, a, L)
@@ -370,9 +368,9 @@ def eval_abel_plana(p):
         # Phi is real on the real axis left of the cut at real s and
         # a > 0; the imaginary parts of the pieces cancel to rounding
         value = complex(value.real, 0.0)
-    est = (abs(zk) * (quad_err + _AP_ULPS * mass + gterm_err
-                      + _AP_ULPS * abs(half))
-           + _AP_ULPS * head_size)
+    est = (abs(zk) * (quad_err + _SUM_ULPS * mass + gterm_err
+                      + _SUM_ULPS * abs(half))
+           + _SUM_ULPS * head_size)
     return EngineReport(value, est, evals, 0, "abel_plana")
 
 
@@ -454,7 +452,7 @@ def eval_integer_s_large_z(p, tol=1e-10):
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
             tail = sum(head, z ** -k * zinv * tail)
             n_terms += k - 1
-            est = est * scale + _DIRECT_ULPS * sum(map(abs, head))
+            est = est * scale + _SUM_ULPS * sum(map(abs, head))
         else:
             tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a,
                                              tol * az)

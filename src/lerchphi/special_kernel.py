@@ -17,8 +17,9 @@ Branch policy, once and for all:
 
 Scale policy: Gamma(s, w) (``_upper_incomplete_gamma``) and gamma*
 (``_scaled_gamma_star``) come as e^(x-w) m, never forming Gamma(s), w^s
-or e^(-w) on their own; the value is formed once, with ln m folded into
-the exponent where e^(x-w) alone would leave the normal range.
+or e^(-w) on their own (the pole join near s = -m takes ln m! in its
+exponent too); the value is formed once, with ln m folded into the
+exponent where e^(x-w) alone would leave the normal range.
 
 Accuracy targets (validated in the test suite): gamma/log_gamma rel 1e-13
 for |s| <= 50 away from poles; digamma rel 1e-12 for |a| <= 100; Hurwitz
@@ -585,11 +586,11 @@ def _gamma_rounding(s):
 def _scaled_difference(gx, g, g_err, lx, total, size):
     # e^gx g - e^lx total, a series route's subtraction, as (x, m, err):
     # e^x m, x the larger piece's exponent (ln |g| goes into gx first, so
-    # no factor overflows where g, as the pole join's 1/m!, is far from
-    # 1); err in units of |e^x|: g_err (in units of |e^gx|), and
-    # _IGAMMA_ULPS of size (of the terms) and of the smaller piece times
-    # both exponents, which its factor e^(gx - lx) or e^(lx - gx) rounds
-    # with.  x rounds where e^x is formed.
+    # no factor overflows where g is far from 1); err in units of |e^x|:
+    # g_err (in units of |e^gx|), and _IGAMMA_ULPS of size (of the terms)
+    # and of the smaller piece times both exponents, which its factor
+    # e^(gx - lx) or e^(lx - gx) rounds with.  x rounds where e^x is
+    # formed.
     if g:
         ln_g = math.log(abs(g))
         gx, g, g_err = gx + ln_g, g / abs(g), g_err / abs(g)
@@ -663,10 +664,10 @@ def _igamma_gseries(s, w, m=None):
         e_err = (abs(v) ** 3 / 24.0 if abs(v) < 1e-4
                  else _IGAMMA_ULPS * (1.0 + math.exp(v.real)) / abs(v))
         sign = -1.0 if m % 2 else 1.0
-        g = (sign / math.factorial(m)) * (dh - lw * e)
-        # the join is a double: e^(w - w) g
-        gx, g_err = w, (_IGAMMA_ULPS * abs(g)
-                        + (dh_err + abs(lw) * e_err) / math.factorial(m))
+        g = sign * (dh - lw * e)
+        # the join is e^((w - ln m!) - w) g: 1/m! only in the exponent
+        gx, g_err = w - math.lgamma(m + 1.0), (
+            _IGAMMA_ULPS * abs(g) + (dh_err + abs(lw) * e_err))
         total = 0.0j if m == 0 else 1.0 / s
     # the power series of w^(-s) lower(s, w) past its k = 0 term 1/s (in
     # total unless it is the resonant one), and the sizes of its terms

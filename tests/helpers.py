@@ -4,7 +4,7 @@ import cmath
 import math
 import random
 
-from lerchphi.engines import _DIRECT_CAP, _DIRECT_ULPS
+from lerchphi.engines import _DIRECT_CAP, _SUM_ULPS
 from lerchphi.errors import AccuracyError
 
 
@@ -37,7 +37,7 @@ def reference_series_sum(z, s, a, tol):
     no later one: at Re s >= 0 each is at most d^(-Re s) e^(pi |Im s|)
     times |z|^n, d = |a - round(Re a)| the distance of a from the
     integers, and at Re s < 0 the bound is infinite.  The estimate adds
-    _DIRECT_ULPS of the sum of their sizes.
+    _SUM_ULPS of the sum of their sizes.
     """
     az = abs(z)
     total = 0.0j
@@ -80,4 +80,4 @@ def reference_series_sum(z, s, a, tol):
         zp *= z
         geo *= az
         n += 1
-    return complex(total), bound + _DIRECT_ULPS * (1.0 - az) * mass, n
+    return complex(total), bound + _SUM_ULPS * (1.0 - az) * mass, n

@@ -606,7 +606,17 @@ def test_auto_estimate_is_honest_at_large_re_s_and_huge_z():
     pinned = LerchPoint(4.8336651993168475e14 + 1.1196823291843952e14j,
                         189.24630559174824 - 7.287937367498792j,
                         12.4336475867039)
-    for p in sample(2424, 16, draw) + [pinned]:
+    # real s in (172, 200): within 0.25 of an integer m + 1, Gamma(1-s, w)
+    # takes the kernel's pole join at -m, whose 1/m! once left the double
+    # range as a float (3 of these 12 draws raised)
+    def draw_real_s(rng):
+        z = cmath.rect(10.0 ** rng.uniform(10.0, 17.0),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi))
+        return LerchPoint(z, rng.uniform(172.0, 200.0),
+                          rng.uniform(1.0, 20.0))
+
+    for p in (sample(2424, 16, draw) + [pinned]
+              + sample(2626, 12, draw_real_s)):
         rep = eval_auto(p)
         ref = quad_integral(p.z, p.s, p.a)
         assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
@@ -1000,17 +1010,27 @@ def test_integer_s_guards():
 
 
 def test_integer_s_raises_only_typed_errors():
-    # a residue-series term past the double range, S past the 200
-    # coefficients of the tables, and an estimate that overflows: each a
-    # ConditioningError of the closed form, which eval_auto takes as a
-    # miss and hands on to the Abel-Plana engine (which raises too here)
-    for z, s, a in ((30.31 - 36.72j, -296.0, 0.2256), (-10.0, 250.0, 0.3),
+    # a residue-series term past the double range and an estimate that
+    # overflows: each a ConditioningError of the closed form, which
+    # eval_auto takes as a miss and hands on to the Abel-Plana engine
+    # (which raises too here)
+    for z, s, a in ((30.31 - 36.72j, -296.0, 0.2256),
                     (629.14 - 898.01j, 183.0, -130.06)):
         p = LerchPoint(z, s, a)
         with pytest.raises(ConditioningError):
             eval_integer_s_large_z(p)
         with pytest.raises(ConditioningError):
             eval_auto(p)
+    # S past the 200 coefficients of the tables: the closed form refuses,
+    # and the Abel-Plana engine answers, its Gamma term's pole join at
+    # 1 - s = -249 taking ln 249! in its exponent.  The value is 0.3^-250
+    # (at the double nearest 0.3) to about 1e-158 relative
+    p = LerchPoint(-10.0, 250.0, 0.3)
+    with pytest.raises(ConditioningError):
+        eval_integer_s_large_z(p)
+    rep = eval_auto(p)
+    assert rep.engine == "abel_plana"
+    assert abs(rep.value - 5.244285419581193e130) <= rep.abs_err_estimate
     # the coefficient recurrence's magnitude cap next to an integer a:
     # the Abel-Plana engine answers
     p = LerchPoint(-10.0, 60.0, 0.999999)
@@ -1025,7 +1045,8 @@ def test_integer_s_raises_only_typed_errors():
     # seeded integer s in [-300, 300] past e: |z| = e^u, u in (1, 8), a
     # tenth on the negative axis; a = e^v, v in (-3, 7), a fifth complex
     # with |Im a| <= 50 and a tenth negative real.  Only the package's
-    # own errors may escape; 196 of the 300 answer
+    # own errors may escape; 248 of the 300 answer, among them 54 of the
+    # 58 past S = 200, where the Abel-Plana engine meets the target
     def draw(rng):
         r = math.exp(rng.uniform(1.0, 8.0))
         z = (complex(-r, 0.0) if rng.random() < 0.1
@@ -1046,7 +1067,7 @@ def test_integer_s_raises_only_typed_errors():
             answered += 1
         except LerchError:
             pass
-    assert answered >= 190
+    assert answered >= 240
 
 
 def test_every_engine_raises_only_typed_errors():
@@ -1055,16 +1076,15 @@ def test_every_engine_raises_only_typed_errors():
     # and a value past it too (EngineReport refuses one), never a bare
     # OverflowError or a nan value.  First the points where each engine
     # let one out: the symmetric expansion's w^k (1.49e9-2.43e9i, -242),
-    # the pole join's 1/222! in the main theorem and 1/171! in the
-    # comparison expansion, the a-step head of hurwitz_zeta in the
-    # near-one expansion, and the factorial engine's terms and its nan
+    # the main theorem's first term Gamma(s, aL) / (a^s Gamma(s)), about
+    # e^1150 with 1/Gamma(-222.1) in it, the a-step head of hurwitz_zeta
+    # in the near-one expansion, and the factorial engine's terms and its
+    # nan
     points = [
         ("symmetric", 1485906347.0646927 - 2426667281.2222834j, -242.0,
          0.11719891601631233),
         ("main", -0.9509710851897176 - 0.471639709432688j,
          -222.10860401980761, 0.44973242049493495),
-        ("fl", -36950185.32891746 + 14980038.30485884j, -170.9888680947992,
-         1.5317923760230756),
         ("near-one", -9.77746391490915 - 2.427845438617095j,
          -112.76222417662058 - 21.523642607148048j, 64.33907911643705),
         ("factorial", -1.1494109921430586 + 4.2144723002520115j,
@@ -1074,6 +1094,13 @@ def test_every_engine_raises_only_typed_errors():
     for engine, z, s, a in points:
         with pytest.raises(ConditioningError):
             _run_engine(LerchPoint(z, s, a), engine, 1e-10, None)
+    # the comparison expansion let out the pole join's 1/171! here; with
+    # ln 171! in the join's exponent it answers about 1.3e81, no digits,
+    # and its estimate says so
+    rep = _run_engine(LerchPoint(-36950185.32891746 + 14980038.30485884j,
+                                 -170.9888680947992, 1.5317923760230756),
+                      "fl", 1e-10, None)
+    assert rep.abs_err_estimate >= abs(rep.value)
 
     # seeded draws: |z| = e^u, u in (-3, 22), arg z uniform; Re s in
     # (-300, 300), half with |Im s| <= 30 and a fifth of the rest at an
@@ -1955,6 +1982,23 @@ def test_auto_estimate_is_honest_past_e():
                                               + ref.err_bar), p
         engines.add(rep.engine)
     assert engines == {"abel_plana", "integer_s"}
+
+    # real a in (-0.95, -0.02) and real s in (20, 168) at e < |z| < 8100,
+    # where the Abel-Plana engine shifts a up once: its head term a^(-s)
+    # rounds like |s ln a| ulps.  Weighted by its size alone, 4 of these
+    # 24 draws lay past their estimates, by up to 2.6x
+    def draw_negative_a(rng):
+        z = cmath.rect(math.exp(rng.uniform(1.0, math.log(8100.0))),
+                       rng.uniform(-3.1, 3.1))
+        return LerchPoint(z, rng.uniform(20.0, 168.0),
+                          rng.uniform(-0.95, -0.02))
+
+    for p in sample(3, 24, draw_negative_a):
+        ref = hp_continuation(p.z, p.s, p.a)
+        rep = eval_auto(p)
+        assert rep.engine == "abel_plana", p
+        assert abs(rep.value - ref.value) <= (rep.abs_err_estimate
+                                              + ref.err_bar), p
 
 
 def test_auto_estimate_is_honest_along_rays():

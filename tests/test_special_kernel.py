@@ -451,7 +451,8 @@ def test_igamma_error_bound_is_honest_on_every_route(monkeypatch):
     # of 0 and the second 7e-10 relative off against a bound of 1.7e-12;
     # and three with Re s > |w| > 30, where the continued fraction
     # settled 0.63, 1.0 and 2.5e-7 relative off against bounds under
-    # 1e-12 of the value, and the ascending series now serves
+    # 1e-12 of the value, and the ascending series now serves; and two
+    # pole joins past m = 170, where 1/m! as a float left the range
     routes = set()
     for name in ("_igamma_kummer", "_igamma_gseries",
                  "_igamma_continued_fraction", "_igamma_tail"):
@@ -481,7 +482,9 @@ def test_igamma_error_bound_is_honest_on_every_route(monkeypatch):
               (-194.19 - 3.28j, -39.39 - 2.70j),
               (90.49 + 14.82j, 46.09 + 17.76j),
               (160.08 + 6.93j, 29.69 - 53.15j),
-              (70.13 - 23.81j, -25.80 - 37.95j)]
+              (70.13 - 23.81j, -25.80 - 37.95j),
+              (-199.87 + 0.05j, -24.3 + 3.1j),
+              (-171.8, -3.0 + 0.5j)]
     for s, w in sample(131, 150, draw) + pinned:
         value, bound = special_kernel._upper_incomplete_gamma_and_err(s, w)
         assert value == upper_incomplete_gamma(s, w)
