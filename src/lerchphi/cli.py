@@ -178,7 +178,7 @@ def _run_engine(p, name, tol, n):
     if name == "abel-plana":
         return eval_abel_plana(p)
     if name == "integer-s":
-        return eval_integer_s_large_z(p, tol)
+        return eval_integer_s_large_z(p)
     if name == "main":
         N = n if n is not None else max(math.ceil(p.a.real) + 2, 1)
         return eval_main_theorem(p, N)

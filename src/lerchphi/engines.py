@@ -9,7 +9,7 @@ itself, and which past |z| = 1 takes one step
 a -> a - 1 where that moves the value, about -(a-1)^(-s)/z at huge |z|,
 into its head; integer s past |z| = e has an exact
 closed form (the polylogarithm's inversion formula at integer a), its
-residue series summed by the small-|z| series' loop at 1/z.  The other
+residue series summed at 1/z (_residue_sum).  The other
 engines: the branch-point expansion in powers of ln z around z = 1;
 past |z| = e the resummed large-z theorem with optimally truncated
 logarithmic series and a slowly convergent symmetric incomplete-gamma
@@ -29,7 +29,6 @@ arg(-z) = -/+ pi and, in the near-one and Abel-Plana engines, arg(-ln z).
 import cmath
 import itertools
 import math
-import sys
 from functools import lru_cache
 
 from ._types import EngineReport, LerchPoint
@@ -46,6 +45,8 @@ from .special_kernel import (_IGAMMA_ULPS, _abel_plana_integral,
 
 _TWO_PI = 2.0 * math.pi
 _DIRECT_CAP = 10 ** 6
+# the radius inside which the defining series answers, at z and at 1/z
+_SERIES_RADIUS = 0.9
 # rounding of a sum, in ulps of the sizes of what it adds and cancels:
 # the direct series' terms (on 700 seeded points with Re s down to -30
 # the error reached 23); the Abel-Plana form's integral of |integrand|
@@ -340,6 +341,8 @@ def eval_abel_plana(p):
     try:
         while not _shift_ready(a):
             term = zk * a ** -s
+            if not cmath.isfinite(term):  # z^k past the double range
+                raise OverflowError
             head += term
             head_size += _head_size(term, s, a)
             zk *= z
@@ -374,6 +377,22 @@ def eval_abel_plana(p):
     return EngineReport(value, est, evals, 0, "abel_plana")
 
 
+def _residue_sum(z, s, a, N):
+    """sum_{n>N} z^(-n) (n-a)^(-s) = z^(-N-1) Phi(1/z, s, N+1-a) at
+    |z| > 1, its estimate and its count of terms or integrand evaluations:
+    the defining series at 1/z while |1/z| <= _SERIES_RADIUS, to 2^-53 of
+    its first term (floored at the least normal double), else the
+    Abel-Plana engine."""
+    zinv = 1.0 / z
+    b = N + 1.0 - a
+    if abs(zinv) <= _SERIES_RADIUS:
+        tol = max(2.0 ** -53 * abs(b ** -s), 2.0 ** -1022)
+        total, est, n = _series_sum(zinv, s, b, tol)
+    else:
+        total, est, n = eval_abel_plana(LerchPoint(zinv, s, b))[:3]
+    return z ** -N * zinv * total, abs(z) ** -(N + 1) * est, n
+
+
 @lru_cache(maxsize=64)
 def _closed_form_coefficients(d, S):
     # c_j of the branch part at a = k + d, |Re d| <= 1/2, with the summed
@@ -392,33 +411,31 @@ def _closed_form_coefficients(d, S):
     return tuple(reversed(out))
 
 
-def eval_integer_s_large_z(p, tol=1e-10):
+def eval_integer_s_large_z(p):
     """Closed large-z form at an exact integer s = S (a zero imaginary
     part and an integer real part; DomainError at any other s).
 
     Phi is a branch part, front * sum_(j<=S) c_j L^j / j! (L = ln(-z);
-    empty when S <= 0), and the residue series sum_{n>=1} z^(-n)
-    (n-a)^(-S) = z^(-1) Phi(1/z, S, 1-a), the defining series at 1/z
-    (_series_sum) summed to tol.  The branch part is the main theorem's
-    logarithmic series, which 1/Gamma(S - m) ends at m = S: with
-    a = k + d, k = round(Re a), front = (-1)^k 2 pi i e^(-aL), and c_j
-    from _closed_form_coefficients.  At integer a (d = 0; LerchPoint
-    refuses k <= 0) the residue series leaves out its singular term
-    n = k and is summed to double precision.  L^j / j! is built by ratio
-    from j = 0, so only terms too small to count underflow.  The
-    estimate adds _SUM_ULPS of the branch part's term sizes, each
-    weighted by S - j + |aL|, about the ulps by which the powers d^(j-S)
-    and the front's exponent round; near an integer a those powers
-    cancel against the residue term n ~ a (d and n - a are exact).
-    ConditioningError where a term, the value or the estimate is past
-    the double range, or where S is past the tables' _COUNT_CAP.
+    empty when S <= 0), less the residue series (_residue_sum, N = 0).
+    The branch part is the main theorem's logarithmic series, which
+    1/Gamma(S - m) ends at m = S: with a = k + d, k = round(Re a),
+    front = (-1)^k 2 pi i e^(-aL), and c_j from _closed_form_coefficients.
+    At integer a (d = 0; LerchPoint refuses k <= 0) the terms n <= k,
+    where n - a <= 0, are summed apart and the series from N = k; at
+    S >= 1 the singular term n = k pairs with c_S and is left out.
+    L^j / j! is built by ratio from j = 0, so only terms too small to
+    count underflow.  The estimate adds _SUM_ULPS of the branch part's
+    term sizes, each weighted by S - j + |aL|, about the ulps by which
+    the powers d^(j-S) and the front's exponent round; near an integer a
+    those powers cancel against the residue term n ~ a (d and n - a are
+    exact).  ConditioningError where a term, the value or the estimate
+    is past the double range, or where S is past the tables' _COUNT_CAP.
     """
     if not _near_integer(p.s, 0.0):
         raise DomainError(f"integer-s closed form needs integer s: {p.s}")
     z, a = p.z, p.a
     S = round(p.s.real)
-    az = abs(z)
-    if az <= 1.0:
+    if abs(z) <= 1.0:
         raise DomainError("integer-s closed form needs |z| > 1")
     if S > _COUNT_CAP:
         raise ConditioningError(f"the logarithmic series at S = {S} is past "
@@ -426,8 +443,6 @@ def eval_integer_s_large_z(p, tol=1e-10):
                                 "hold")
     L = _branch_log(p)
     k = round(a.real)
-    integer_a = S >= 1 and a == k
-    zinv = 1.0 / z
     try:
         front, coeffs = 0.0, ()
         if S >= 1:
@@ -443,21 +458,16 @@ def eval_integer_s_large_z(p, tol=1e-10):
             size += c_size * abs(power)
             weighted += size
         branch *= front
-        if integer_a:
-            head = [zinv ** n * float(n - k) ** -S for n in range(1, k)]
-            scale = az ** -(k + 1)  # 0 once it underflows
-            # Li_S(1/z) to double precision, or to tol where that is
-            # tighter
-            sub_tol = min(tol / scale, 2.0 ** -53) if scale else 2.0 ** -53
-            tail, est, n_terms = _series_sum(zinv, complex(S), 1.0, sub_tol)
-            tail = sum(head, z ** -k * zinv * tail)
-            n_terms += k - 1
-            est = est * scale + _SUM_ULPS * sum(map(abs, head))
+        if a == k:
+            zinv = 1.0 / z
+            head = [zinv ** n * float(n - k) ** -S
+                    for n in range(1, k + (S < 1))]
+            tail, est, n_terms = _residue_sum(z, p.s, a, k)
+            tail = sum(head, tail)
+            n_terms += len(head)
+            est += _SUM_ULPS * sum(map(abs, head))
         else:
-            tail, est, n_terms = _series_sum(zinv, complex(S), 1.0 - a,
-                                             tol * az)
-            tail *= zinv
-            est /= az
+            tail, est, n_terms = _residue_sum(z, p.s, a, 0)
         est += _SUM_ULPS * (weighted + abs(a * L) * size) * abs(front)
     except (OverflowError, ZeroDivisionError):
         raise ConditioningError("a term of the integer-s closed form is past "
@@ -558,28 +568,18 @@ def residue_series(p, N, half_turns=None):
     branch-part remainder that the logarithmic series targets.
 
     sigma = half_turns defaults to (ln z - L) / (i pi), the signed
-    half-turn count of the point's branch log L.  Callers
-    whose companion series is anchored to one fixed orientation (the
-    factorial rearrangement) pass half_turns explicitly.  The sum is
-    z^(-N-1) Phi(1/z, s, N+1-a): the defining series at 1/z
-    (_series_sum), to 1e-18 of its first term, while |1/z| <= 0.9, and
-    the Abel-Plana engine nearer |z| = 1, as in eval_auto.
+    half-turn count of the point's branch log L.  Callers whose companion
+    series is anchored to one fixed orientation (the factorial
+    rearrangement) pass half_turns explicitly.  The sum is _residue_sum's.
     ConditioningError where a term or the sum is past the double range.
     """
-    z, s, a = p.z, p.s, p.a
+    z, s = p.z, p.s
     if abs(z) <= 1.0:
         raise DomainError("residue series needs |z| > 1")
     if half_turns is None:
         half_turns = round((cmath.log(z) - _branch_log(p)).imag / math.pi)
     front = -cmath.exp(-1j * math.pi * s * half_turns)
-    b = N + 1.0 - a
-    if abs(z) >= 1.0 / 0.9:
-        # floored where it underflows: |z|^(-N-1) < 1 scales the sum
-        tol = max(1e-18 * abs(b ** -s), sys.float_info.min)
-        total = _series_sum(1.0 / z, s, b, tol)[0]
-    else:
-        total = eval_abel_plana(LerchPoint(1.0 / z, s, b)).value
-    return front * z ** -(N + 1) * total
+    return front * _residue_sum(z, s, p.a, N)[0]
 
 
 @overflow_is_conditioning
@@ -687,7 +687,7 @@ def eval_auto(p, target_tol=1e-10):
     """
     z, s = p.z, p.s
     az = abs(z)
-    if az <= 0.9:
+    if az <= _SERIES_RADIUS:
         try:
             rep = eval_series_direct(p, tol=target_tol)
             if _meets_target(rep, target_tol) or z == 0.0:
@@ -699,7 +699,7 @@ def eval_auto(p, target_tol=1e-10):
         # near an integer a the branch part and residue series cancel; a
         # ConditioningError is a miss too
         try:
-            rep = eval_integer_s_large_z(p, target_tol)
+            rep = eval_integer_s_large_z(p)
             if _meets_target(rep, target_tol):
                 return rep
         except ConditioningError:

@@ -738,29 +738,50 @@ def test_abel_plana_node_tables_under_threads():
 
 
 def test_integer_s_geometric_row():
-    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03), 1e-15)
+    rep = eval_integer_s_large_z(LerchPoint(-5.0, 0.0, A03))
     assert abs(rep.value - 1.0 / 6.0) < 1e-13
     z = 10.0j
-    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77), 1e-15)
+    rep = eval_integer_s_large_z(LerchPoint(z, 0.0, 0.77))
     assert rel_err(rep.value, 1.0 / (1.0 - z)) < 1e-13
 
 
 def test_integer_s_quadratic_closed_form():
-    # s = -2 sums (a+n)^2 z^n, a rational function of z
-    z, a = 10.0j, 0.31
-    rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a), 1e-15)
-    u = 1.0 - z
-    want = a * a / u + 2.0 * a * z / u ** 2 + z * (1.0 + z) / u ** 3
-    assert rel_err(rep.value, want) < 1e-12
+    # s = -2 sums (a+n)^2 z^n, a rational function of z.  At integer a
+    # the terms n <= a are summed apart, so the residue series at 1/z
+    # starts at 1, not at 1 - a <= 0, which the Abel-Plana engine that
+    # sums it just outside |z| = 1 refuses
+    for z, a in ((10.0j, 0.31), (-1.05, 3.0)):
+        rep = eval_integer_s_large_z(LerchPoint(z, -2.0, a))
+        u = 1.0 - z
+        want = a * a / u + 2.0 * a * z / u ** 2 + z * (1.0 + z) / u ** 3
+        assert rel_err(rep.value, want) < 1e-12, z
+        assert abs(rep.value - want) <= rep.abs_err_estimate, z
 
 
 def test_integer_s_against_reference():
     for S in (-1, 1, 3):
         for z in (-5.0, 10.0j):
             p = LerchPoint(z, float(S), A03)
-            rep = eval_integer_s_large_z(p, 1e-12)
+            rep = eval_integer_s_large_z(p)
             ref = reference_value(p)
             assert abs(rep.value - ref.value) < 1e-9, (S, z)
+    # just outside |z| = 1 the residue series at 1/z comes from the
+    # Abel-Plana engine; the defining series there took 748,671 terms at
+    # 1.00001i and hit its term cap at -1.000001
+    for z in (-1.05, -1.0001, 1.00001j, -1.000001):
+        p = LerchPoint(z, 2.0, A03)
+        rep = eval_integer_s_large_z(p)
+        assert rep.n_terms < 1000, z
+        assert abs(rep.value - reference_value(p).value) <= (
+            rep.abs_err_estimate), z
+    # the residue series summed to 2^-53 of its first term, not to the
+    # target: eval_auto's closed form meets it here (its estimate was
+    # 1.05e-10 when the series stopped at the target itself)
+    p = LerchPoint(-76.33 - 82.51j, 8.0, 3.9473)
+    rep = eval_auto(p)
+    assert rep.engine == "integer_s"
+    assert abs(rep.value - quad_integral(p.z, p.s, p.a).value) <= (
+        rep.abs_err_estimate)
 
     # seeded draws, some at exact integer a and some on either side of
     # the cut, against mpmath at 40 digits, which is trusted at real a
@@ -778,7 +799,7 @@ def test_integer_s_against_reference():
 
     for p in sample(19, 24, draw):
         S = round(p.s.real)
-        rep = eval_integer_s_large_z(p, 1e-12)
+        rep = eval_integer_s_large_z(p)
         with mp.workdps(40):
             z = mp.mpc(p.z.real, p.z.imag)
             if p.z.imag == 0.0 and p.z.real > 1.0:
@@ -987,7 +1008,7 @@ def test_integer_s_estimate_covers_cancellation_near_integer_a():
                     (5.4790327708 - 0.2395280616j, 2, 5.00029)):
         p = LerchPoint(z, float(S), a)
         ref = hp_continuation(z, S, a)
-        rep = eval_integer_s_large_z(p, 1e-10)
+        rep = eval_integer_s_large_z(p)
         assert abs(rep.value - ref.value) <= rep.abs_err_estimate, p
         auto = eval_auto(p)
         assert abs(auto.value - ref.value) <= auto.abs_err_estimate, p
@@ -1094,6 +1115,12 @@ def test_every_engine_raises_only_typed_errors():
     for engine, z, s, a in points:
         with pytest.raises(ConditioningError):
             _run_engine(LerchPoint(z, s, a), engine, 1e-10, None)
+    # the Abel-Plana engine's upward shift stops at its first head term
+    # past the double range: z^k overflows where a^(-s) has underflowed,
+    # and the head turned nan at step 618 of 1,092
+    with pytest.raises(ConditioningError, match="a piece of the "
+                       "Abel-Plana form is past the double range at a = "):
+        eval_abel_plana(LerchPoint(-3.135 + 0.355j, 232.0, -1091.06))
     # the comparison expansion let out the pole join's 1/171! here; with
     # ln 171! in the join's exponent it answers about 1.3e81, no digits,
     # and its estimate says so
@@ -1167,8 +1194,8 @@ def test_public_functions_answer_finite_or_raise_typed_errors():
     # by it is the double range too
     with pytest.raises(ConditioningError):
         csc_coefficients_contour(1e-13, 40)
-    # residue_series' tolerance, 1e-18 of (N+1-a)^(-s), underflowed to 0
-    # here: the sum ran to the term cap (about a second) and raised
+    # residue_series' tolerance, then 1e-18 of (N+1-a)^(-s), underflowed
+    # to 0 here: the sum ran to the term cap (about a second) and raised
     # AccuracyError for a value under the double range
     start = time.perf_counter()
     assert residue_series(LerchPoint(2819.85 - 705.97j, 280.0,
@@ -1333,7 +1360,7 @@ def test_symmetric_matches_integral_reference():
 def test_symmetric_handles_integer_s():
     # the pair form stays finite at integer s, unlike the resummed theorem
     rep = eval_symmetric_igamma(LerchPoint(-5.0, 1.0, A03), tol=1e-11)
-    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03), 1e-12)
+    exact = eval_integer_s_large_z(LerchPoint(-5.0, 1.0, A03))
     assert abs(rep.value - exact.value) < 1e-9
 
 
@@ -1700,10 +1727,8 @@ def test_contiguity_integer_s():
     rows = list(zip((-2, -1, 0, 1, 2, 3), sample(227, 6, draw)))
     rows.append((1, (12.0 + 0.0j, 0.4 + 0.0j)))  # on the cut itself
     for S, (z, a) in rows:
-        va = eval_integer_s_large_z(LerchPoint(z, float(S), a),
-                                    1e-13).value
-        v1 = eval_integer_s_large_z(LerchPoint(z, float(S), a + 1.0),
-                                    1e-13).value
+        va = eval_integer_s_large_z(LerchPoint(z, float(S), a)).value
+        v1 = eval_integer_s_large_z(LerchPoint(z, float(S), a + 1.0)).value
         assert contiguity_gap(va, v1, z, float(S), a) < 1e-8, (S, z, a)
 
 
@@ -1763,9 +1788,9 @@ def test_conjugate_symmetry_all_engines():
           LerchPoint(0.5 + 0.3j, 1.3 - 0.8j, 0.7 + 0.2j))
     check(eval_near_one, LerchPoint(1.2 + 0.4j, 0.8 + 0.5j, 0.6 - 0.1j))
     check(eval_near_one, LerchPoint(1.5, S34, A03, "above"))
-    check(lambda q: eval_integer_s_large_z(q, 1e-13),
+    check(eval_integer_s_large_z,
           LerchPoint(8.0 + 3.0j, 2.0, 0.4 + 0.2j))
-    check(lambda q: eval_integer_s_large_z(q, 1e-13),
+    check(eval_integer_s_large_z,
           LerchPoint(9.0, 1.0, 0.35, "above"))
     check(lambda q: eval_main_theorem(q, 6),
           LerchPoint(-30.0 + 8.0j, 0.9 - 0.6j, 0.45))
