@@ -32,13 +32,14 @@ _U_MAX = 4.0
 _HALF_LINE_REACH = math.exp(_U_MAX - math.exp(-_U_MAX))  # 53.6
 # step-halving levels after the first
 _MAX_LEVEL = 10
-# Once a level's change is this far under the one before, the rule is
-# in its double-exponential regime, where each level about doubles the
-# correct digits: the level just taken is then off by about
-# change^2 / |value|, and the rule stops there when that, times the
-# safety factor, is under its stop bar.
+# The early stop: once the rule has converged, its change under 1e-2 of
+# the value, a level whose change falls this far under the one before
+# predicts the next change at change^2 / (the one before), the same drop
+# again (digit doubling only does better).  A drop from a change still
+# as large as the value is no such sign: at Re s << 0 the Abel-Plana
+# integrand's changes went 1e87, 2e86, 4.5e77 on a value of 1.1e86, and
+# the next level moved the value by 1e86.
 _QUADRATIC_DROP = 1e-3
-_QUADRATIC_SAFETY = 10.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,7 +61,7 @@ def _half_line_nodes(level, u_min=_U_MIN):
     return tuple(out)
 
 
-def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
+def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN, min_level=1):
     """Integrate f over [0, oo); returns (value, err_estimate,
     abs_integral).
 
@@ -70,14 +71,20 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
     change is under rel_tol of the value, or under the rounding floor,
     _FLOOR_ULPS of the integral of |f|.  That integral comes from the
     first level's nodes, at no extra cost; it can miss a peak, but is
-    never below |value|, so the larger is used and returned.  The rule
-    also stops one level earlier, at a level whose change fell
-    _QUADRATIC_DROP of the one before and whose predicted next change is
-    under that bar.  The error estimate is the last level-to-level
+    never below |value|, so the larger is used.  The rule also stops one
+    level earlier once it has converged: where the change before was
+    under 1e-2 of the value and this level's fell _QUADRATIC_DROP of it,
+    the next change is predicted at change^2 / (the change before), and
+    the rule stops if that is under the bar.  No level below min_level
+    stops the rule: a caller whose f turns faster than the early levels
+    resolve sets it.  The error estimate is the last level-to-level
     difference (conservative once double-exponential convergence has
     locked on), or that prediction where the early stop fired, floored
     at a few ulp of the value; where no level met the bar, at least the
-    integral of |f| on the last level's nodes.
+    integral of |f| on the last level's nodes.  The integral of |f|
+    returned is the largest of the first level's, |value| and, where
+    the rule reached its last level, that level's, which sees a peak
+    the first missed.
 
     f is called once a node, in a fixed order: the nodes of
     _half_line_nodes(0, u_min), then those of each later level in turn.
@@ -112,19 +119,14 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
         size = abs(value)
         bar = max(rel_tol * size,
                   _FLOOR_ULPS * max(abs_integral, size)) + 1e-305
-        if change <= bar:
-            break
-        if size and change <= _QUADRATIC_DROP * last:
-            # the digits doubled, so the next change would be about
-            # change^2 / |value|; but the map spaces its nodes like x h,
-            # so an oscillating f resolves a level at a time and its
-            # digits may grow only linearly: the next change is then
-            # about change^2 / last, larger than the above
-            guess = max(_QUADRATIC_SAFETY * change * change / size,
-                        change * change / last)
-            if guess <= bar:
-                change = guess
+        if level >= min_level:
+            if change <= bar:
                 break
+            if change <= _QUADRATIC_DROP * last and last <= 1e-2 * size:
+                guess = change * change / last
+                if guess <= bar:
+                    change = guess
+                    break
         last = change
     else:
         # no level met the bar, so the last change bounds nothing: the
@@ -132,4 +134,5 @@ def tanh_sinh(f, rel_tol=1e-13, u_min=_U_MIN):
         # The error is then the integral of |f| on the last level's nodes
         # (spaced 2 h), which that peak cannot escape.
         change = max(change, 2.0 * step * mass_last)
-    return value, max(change, 5e-16 * size), max(abs_integral, size)
+    return (value, max(change, 5e-16 * size),
+            max(abs_integral, size, 2.0 * step * mass_last))

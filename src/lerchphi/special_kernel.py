@@ -95,7 +95,6 @@ _IGAMMA_ULPS = 8.0 * 2.0 ** -52
 # past this |Re y|, e^y m is formed as e^(y + ln m): headroom under e^709
 # for |m| (_exp_scaled)
 _FOLD_EXPONENT = 600.0
-_ABEL_PLANA_REL_TOL = 1e-15
 # the Abel-Plana integral's tail past its reach is under e^-40 |a^(-s)|
 _AP_TAIL_EXPONENT = 40.0
 # past this bound on the log of the Abel-Plana integrand over a^(-s),
@@ -392,8 +391,9 @@ def _abel_plana_integral(s, a, L):
     summation of sum_n z^n (a+n)^(-s), L = ln z, and at L = 0 that of
     Hermite's formula for zeta(s, a).
 
-    One tanh_sinh call on the half line, from u = _AP_U_MIN of its map
-    (the integrand is bounded at t = 0), in the variable t / sigma with
+    One tanh_sinh call on the half line, refined to the rule's rounding
+    floor (rel_tol 0), from u = _AP_U_MIN of its map (the integrand is
+    bounded at t = 0), in the variable t / sigma with
     sigma = T / _HALF_LINE_REACH: the rule's last node falls on the T of
     _abel_plana_reach, past which the tail is provably under its bar, so
     the scale of the map follows the integrand's decay.
@@ -477,8 +477,14 @@ def _abel_plana_integral(s, a, L):
             diff = cmath.exp(c + d) - cmath.exp(c - d)
         return diff / one_minus
 
+    # at Re s << 0 |integrand| peaks near t_p = -Re s / (2 pi - |Im L|) - |a|
+    # and turns like e^(i t ln|z|) there, while the map spaces its nodes
+    # like t h: a level below log2(t_p ln|z|) aliases those turns and can
+    # settle on a wrong value, so none may stop the rule
+    turns = (-s.real / (_TWO_PI - abs(L.imag)) - abs(a)) * abs(L.real)
+    min_level = math.ceil(math.log2(turns)) if turns > 1.0 else 1
     front = 1.0 if fold else a ** -s
-    value, err, mass = tanh_sinh(integrand, _ABEL_PLANA_REL_TOL, _AP_U_MIN)
+    value, err, mass = tanh_sinh(integrand, 0.0, _AP_U_MIN, min_level)
     if added:
         entry[3] = table + tuple(added)
     scale = abs(front) * sigma

@@ -1,7 +1,7 @@
 """The census: 3,000 seeded draws of eval_auto past |z| = e, and 500 at
 integer s.
 
-    python tests/census.py [--save FILE] [--compare FILE]
+    python tests/census.py [--save FILE] [--compare FILE] [--judge]
 
 With the package importable (PYTHONPATH=src, or installed), it draws
 the points and runs eval_auto at its default target on each.  The
@@ -23,7 +23,10 @@ sign of Re s and the kind of a, and the wall time of the evaluations.
 --save writes each draw's class, value and estimate to FILE as JSON;
 --compare reads such a file from an earlier run and lists, per slice,
 the draws whose class moved and the count of answers whose value or
-estimate moved.  pytest does not collect this file.
+estimate moved.  --judge checks every answer at real a > 0 and
+Re s < 0 against Lerch's transformation in mpmath (helpers.lerch_judge)
+and prints, per slice and class, how many lie past their estimate plus
+the judge's bar.  pytest does not collect this file.
 """
 
 import argparse
@@ -35,6 +38,7 @@ import sys
 import time
 from collections import Counter
 
+from helpers import lerch_judge
 from lerchphi._types import LerchPoint
 from lerchphi.engines import eval_auto
 
@@ -166,16 +170,46 @@ def compare(rows, path):
         first += count
 
 
+def judge(rows):
+    """Per slice and class, the answers at real a > 0 and Re s < 0 that
+    Lerch's transformation puts past their estimate plus its bar."""
+    first = 0
+    for name, _, count, _ in SLICES:
+        judged, past, worst = Counter(), Counter(), Counter()
+        for k in range(first, first + count):
+            _, z, s, a, kind, cls, value, est = rows[k]
+            if value is None or kind not in ("positive", "integer") \
+                    or s.real >= 0.0:
+                continue
+            want, bar = lerch_judge(z, s, a)
+            err = abs(value - want)
+            judged[cls] += 1
+            if err > est + bar:
+                past[cls] += 1
+                print(f"draw {k} ({cls}): {err:.3g} off Lerch's "
+                      f"transformation, estimate {est:.3g}, bar {bar:.3g}")
+            worst[cls] = max(worst[cls], err / (est + bar))
+        print(f"{name}, judged at real a > 0 and Re s < 0: "
+              + "; ".join(f"{cls} {judged[cls]}, {past[cls]} past their "
+                          f"estimate (worst error {worst[cls]:.2g} of it)"
+                          for cls in sorted(judged)))
+        first += count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--save", help="write each draw's class here")
     parser.add_argument("--compare",
                         help="list the draws that moved since this file")
+    parser.add_argument("--judge", action="store_true",
+                        help="judge real a > 0, Re s < 0 by Lerch's formula")
     args = parser.parse_args(argv)
     rows, seconds = run()
     report(rows, seconds)
     if args.compare:
         compare(rows, args.compare)
+    if args.judge:
+        judge(rows)
     if args.save:
         save(rows, args.save)
     return 0

@@ -4,6 +4,8 @@ import cmath
 import math
 import random
 
+import mpmath as mp
+
 from lerchphi.engines import _DIRECT_CAP, _SUM_ULPS
 from lerchphi.errors import AccuracyError
 
@@ -81,3 +83,48 @@ def reference_series_sum(z, s, a, tol):
         geo *= az
         n += 1
     return complex(total), bound + _SUM_ULPS * (1.0 - az) * mass, n
+
+
+def lerch_transformation(z, s, a, dps):
+    """Phi(z, s, a) at real a > 0 and Re s < 0, in mpmath at dps digits,
+    by Lerch's transformation (Lerch, Acta Math. 11, 1887; Apostol,
+    Pacific J. Math. 1, 1951): with z = e^(2 pi i lam), 0 <= Re lam < 1
+    (z off [0, oo), or its limit from above), s' = 1 - s and
+    0 < b <= 1,
+
+        Phi(z, 1 - s', b) = Gamma(s') / (2 pi)^s'
+            [e^(i pi (s'/2 - 2 b lam)) Phi(e^(-2 pi i b), s', lam)
+             + e^(-i pi (s'/2 - 2 b (1 - lam))) Phi(e^(2 pi i b), s', 1 - lam)].
+
+    Both sums lie on the unit circle at Re s' > 1 and converge
+    absolutely; mp.nsum adds them.  a > 1 steps down K = ceil(a) - 1 to
+    b = a - K: Phi(z, s, a) = z^(-K) (Phi(z, s, b) - sum_(n<K) z^n (b+n)^(-s)).
+    No engine and no mpmath continuation of Phi takes part.
+    """
+    with mp.workdps(dps):
+        z, s = mp.mpc(z), mp.mpc(s)
+        k = math.ceil(a) - 1
+        b = mp.mpf(a) - k
+        lam = mp.log(z) / (2j * mp.pi)
+        if lam.real < 0:
+            lam += 1
+        t = 1 - s
+
+        def unit_sum(x, c):  # sum_n e^(2 pi i x n) (n + c)^(-t)
+            return mp.nsum(lambda n: mp.expjpi(2 * x * n) * (n + c) ** -t,
+                           [0, mp.inf])
+
+        phi = mp.gamma(t) / (2 * mp.pi) ** t * (
+            mp.expjpi(t / 2 - 2 * b * lam) * unit_sum(-b, lam)
+            + mp.expjpi(2 * b * (1 - lam) - t / 2) * unit_sum(b, 1 - lam))
+        head = mp.fsum(z ** n * (b + n) ** -s for n in range(k))
+        return z ** -k * (phi - head)
+
+
+def lerch_judge(z, s, a):
+    """A reference for Phi(z, s, a) at real a > 0 and Re s < 0 and its
+    bar: Lerch's transformation at 60 digits, and its distance from the
+    same at 40."""
+    want = lerch_transformation(z, s, a.real, 60)
+    spread = abs(want - lerch_transformation(z, s, a.real, 40))
+    return complex(want), float(spread)

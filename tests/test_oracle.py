@@ -3,6 +3,7 @@
 import ast
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -20,7 +21,7 @@ from lerchphi.oracle import (
     reference_value,
 )
 
-from helpers import sample
+from helpers import lerch_transformation, sample
 
 # frozen from mpmath at 25 digits before the module was written
 PHI_HALF_2_1 = 1.1644810529300250118
@@ -235,6 +236,51 @@ def test_reference_refuses_mpmath_at_re_s_far_below_0_past_e():
     # nearer e, and at Re s >= -20, the continuation stays
     assert reference_value(
         LerchPoint(1e3 * cmath.exp(3j), -12.5, 0.6)).accepted
+
+
+def test_lerch_judge_against_the_exact_rational_at_negative_integer_s():
+    # at s = -m, Phi(z, -m, a) = sum_k C(m, k) a^(m-k) sum_n n^k z^n with
+    # sum_n n^k z^n = sum_j S(k, j) j! z^j / (1 - z)^(j+1) (S the Stirling
+    # numbers of the second kind): a rational function of the binary64
+    # z and a, summed here exactly, at census draw 1866's z.  The judge's
+    # 60-digit value lies within its bar (the spread to 40 digits) of it
+    # and rounds to the same double
+    z = complex(12142.301122656485, 7412.415279640824)
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def div(x, y):
+        d = y[0] * y[0] + y[1] * y[1]
+        return ((x[0] * y[0] + x[1] * y[1]) / d,
+                (x[1] * y[0] - x[0] * y[1]) / d)
+
+    one_minus_z = (1 - zr, -zi)
+    u = div((zr, zi), one_minus_z)  # z / (1 - z)
+    stirling = [[1]]  # stirling[k][j] = S(k, j)
+    for k in range(1, 184):
+        row = stirling[-1] + [0]
+        stirling.append([0] + [j * row[j] + row[j - 1]
+                               for j in range(1, k + 1)])
+    for m, a in ((3, 0.4717389020521727), (40, 5.034942913988844),
+                 (120, 5.034942913988844), (183, 5.034942913988844)):
+        fa = Fraction(a)
+        coef = [sum(math.comb(m, k) * fa ** (m - k) * stirling[k][j]
+                    for k in range(j, m + 1)) * math.factorial(j)
+                for j in range(m + 1)]
+        total = (Fraction(0), Fraction(0))
+        for c in reversed(coef):
+            total = mul(total, u)
+            total = (total[0] + c, total[1])
+        exact = div(total, one_minus_z)
+        with mp.workdps(60):
+            want = lerch_transformation(z, complex(-m), a, 60)
+            spread = abs(want - lerch_transformation(z, complex(-m), a, 40))
+            exact_mp = mp.mpc(mp.mpf(exact[0].numerator) / exact[0].denominator,
+                              mp.mpf(exact[1].numerator) / exact[1].denominator)
+            assert abs(want - exact_mp) <= spread <= 1e-30 * abs(want), m
+        assert complex(want) == complex(float(exact[0]), float(exact[1])), m
 
 
 def test_reference_contiguity():

@@ -83,6 +83,15 @@ def test_quadratic_convergence_stops_a_level_early(monkeypatch):
         assert abs(value_old - exact) <= err_old
 
 
+def test_no_level_below_min_level_stops_the_rule():
+    # e^(-x) cos x meets the floor by level 3 from u = -4 (see below);
+    # with min_level 6 the rule refines through level 6 and stops there
+    f, calls = counted(lambda x: math.exp(-x) * math.cos(x))
+    value, err, _ = tanh_sinh(f, 1e-15, u_min=-4.0, min_level=6)
+    assert calls[0] == sum(len(_half_line_nodes(k, -4.0)) for k in range(7))
+    assert abs(value - 0.5) <= max(err, 2.0 * ULP * 0.5)
+
+
 def test_half_line_rule_against_closed_forms():
     # the map x = exp(u - e^-u) on an oscillating integrand, one with an
     # endpoint singularity, and one that decays like e^(-pi t) t^6; the
